@@ -26,11 +26,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_grid(text: str) -> AngleGrid:
+def _parse_steps(text: str, name: str, example: str) -> tuple[int, int]:
+    """The two integers of a lattice resolution such as the example."""
     try:
-        beta_steps, gamma_steps = (int(part) for part in text.lower().split("x"))
+        first, second = (int(part) for part in text.lower().split("x"))
     except ValueError:
-        raise UsageError(f"grid must look like '100x100', got {text!r}") from None
+        raise UsageError(f"{name} must look like {example!r}, got {text!r}") from None
+    return first, second
+
+
+def _parse_grid(text: str) -> AngleGrid:
+    beta_steps, gamma_steps = _parse_steps(text, "grid", "100x100")
     if beta_steps < 1 or gamma_steps < 1:
         raise UsageError("grid must have at least one point per axis")
     return AngleGrid(
@@ -46,7 +52,7 @@ def _parse_grid(text: str) -> AngleGrid:
 def _opt_config(args) -> "storage.OptConfig":
     spec = {}
     if args.coarse is not None:
-        cb, cg = (int(part) for part in args.coarse.lower().split("x"))
+        cb, cg = _parse_steps(args.coarse, "coarse", "32x32")
         spec["coarse_beta"] = cb
         spec["coarse_gamma"] = cg
     if args.refine_starts is not None:
@@ -117,7 +123,7 @@ def _cmd_landscape(args) -> int:
         return 0
     ensemble = storage.load_ensemble(args.ensemble)
     gamma_c = args.gamma_c if args.gamma_c is not None else 1.2
-    result = run_landscape_comparison(ensemble, grid, gamma_c=gamma_c, threads=args.threads)
+    result = run_landscape_comparison(ensemble, grid, gamma_c=gamma_c)
     storage.grid_to_csv(result.mean, f"{prefix}_mean.csv")
     storage.grid_to_csv(result.approx, f"{prefix}_approx.csv")
     storage.grid_to_csv(result.error, f"{prefix}_error.csv")
@@ -222,7 +228,7 @@ def build_parser() -> _Parser:
     group.add_argument("--ensemble")
     p.add_argument("--grid", default="100x100")
     p.add_argument("--gamma-c", dest="gamma_c", type=float)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted; has no effect here")
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(handler=_cmd_landscape)
 

@@ -111,6 +111,20 @@ class TargetSpace:
         """
         return _kernels.pairwise_profiles(self.states_array, self.n)
 
+    @cached_property
+    def profile_sums(self) -> np.ndarray:
+        """(n+1,) int64 column sums of the profile matrix."""
+        return self.profiles.sum(axis=0)
+
+    @cached_property
+    def pair_sums(self) -> np.ndarray:
+        """(n+1, n+1) int64 P^T P of the profile matrix, exact.
+
+        With profile_sums, all that the structure statistics and the
+        per-point landscape read from the profiles.
+        """
+        return self.profiles.T @ self.profiles
+
 
 def distance_profile(space: TargetSpace, k: BitString) -> np.ndarray:
     """Counts of targets at each Hamming distance 0..n from reference k.

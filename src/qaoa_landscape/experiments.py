@@ -16,16 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Angles, AngleGrid, TargetSpace, UsageError
-from .landscape import (
-    LandscapeGrid,
-    approx_curve,
-    approx_grid,
-    error_bound,
-    f1_closed,
-    f1_closed_curve,
-    f1_closed_grid,
-    qaoa_state,
-)
+from .landscape import LandscapeForm, LandscapeGrid, f1_closed, form_bracket, qaoa_state
 from .optimize import OptConfig, OptResult, optimize_instance, optimize_problem
 from .problems import Ensemble
 from .structure import StructuralSummary, aggregate, instance_stats
@@ -92,37 +83,35 @@ class LandscapeComparison:
 
 
 def run_landscape_comparison(
-    ensemble: Ensemble,
-    grid: AngleGrid,
-    gamma_c: float = 1.2,
-    threads: int | None = None,
-    keep_cloud: bool = False,
+    ensemble: Ensemble, grid: AngleGrid, gamma_c: float = 1.2, keep_cloud: bool = False
 ) -> LandscapeComparison:
-    """Empirical mean landscape vs the structural approximation on one grid."""
-    spaces = [inst.target for inst in ensemble.instances]
-    summary = aggregate([instance_stats(space) for space in spaces])
+    """Empirical mean landscape vs the structural approximation on one grid.
 
-    stack = np.array(_thread_map(lambda s: f1_closed_grid(s, grid), spaces, threads))
-    mean_values = stack.mean(axis=0)
-    std_values = stack.std(axis=0)
-    approx_values = approx_grid(summary, grid)
-
-    # per-point bound from the spread of sizes and of mean |c_k|^2 values
-    sizes = np.array([len(s) for s in spaces], dtype=np.float64) / (1 << ensemble.n)
-    ck_stack = stack / sizes[:, None]
-    bound_values = np.sqrt(sizes.var() * ck_stack.var(axis=0))
-
+    One form stacks the instances and, last, their summary; its last gamma
+    column is the cross-section at gamma_c.
+    """
+    stats = [instance_stats(inst.target) for inst in ensemble.instances]
+    summary = aggregate(stats)
+    form = LandscapeForm.stack(*stats, summary)
     betas = grid.betas()
-    section_stack = np.array(
-        _thread_map(lambda s: f1_closed_curve(s, betas, gamma_c), spaces, threads)
-    )
+    bracket = form_bracket(form, betas, np.append(grid.gammas(), gamma_c))
+    f1 = form.scale[:, None, None] * bracket
+    spread, approx = f1[:-1], f1[-1]
+    mean_values = spread[..., :-1].mean(axis=0).ravel()
+    std_values = spread[..., :-1].std(axis=0).ravel()
+    approx_values = approx[:, :-1].ravel()
+    # per-point bound from the spread of sizes and of the mean |c_k|^2 brackets
+    ck_var = bracket[:-1, :, :-1].var(axis=0).ravel()
+    bound_values = np.sqrt(form.scale[:-1].var() * ck_var)
+
+    section = spread[..., -1]
     cross = CrossSection(
         gamma_c=gamma_c,
         betas=betas,
-        values=section_stack.mean(axis=0),
-        stddev=section_stack.std(axis=0),
-        approx=approx_curve(summary, betas, gamma_c),
-        cloud=section_stack if keep_cloud else None,
+        values=section.mean(axis=0),
+        stddev=section.std(axis=0),
+        approx=approx[:, -1],
+        cloud=section if keep_cloud else None,
     )
     return LandscapeComparison(
         summary=summary,

@@ -1,25 +1,30 @@
 """Depth-1 QAOA landscapes over (beta, gamma).
 
 The circuit prepares the uniform superposition, multiplies every target
-amplitude by exp(-i*gamma) (the cost operator is the projector onto the
-target set) and applies the transverse-field mixer exp(-i*beta*X).  The
-success probability F1(beta, gamma) of measuring a target admits a closed
-form in which each target k contributes through its distance profile only:
+amplitude by exp(-i*gamma) (the cost operator projects onto the target set)
+and applies the mixer exp(-i*beta*X).  With mixer factors
+fn_d = cos(beta)^(n-d) * (-i*sin(beta))^d and phi = exp(-i*gamma) - 1, target
+k has amplitude c_k = phi * (profile_k . fn) + sum_d C(n, d) fn_d, and
+F1 = 2^-n sum_k |c_k|^2.  The binomial sum is exp(-i*beta*n), so the mean of
+|c_k|^2 needs only the mean profile p and mean pair matrix
+Q = mean_k profile_k profile_k^T:
 
-    amplitude_factor(d) = cos(beta)^(n-d) * (-i*sin(beta))^d
-    c_k = sum_d (profile_k[d] * (exp(-i*gamma) - 1) + C(n, d)) * amplitude_factor(d)
-    F1  = 2^-n * sum_{k in T} |c_k|^2
-        = (|T| / 2^n) * mean_k |c_k|^2
+    F1 = (|T| / 2^n) * [|phi|^2 fn^T Q conj(fn) + 2 Re(phi exp(i*beta*n) p . fn) + 1]
 
-Averaging |c_k|^2 over an ensemble keeps the expression linear in the
-profile statistics, which yields the structural approximation evaluated by
-``approx_expected_f1``: a quadratic form in the amplitude factors whose
-weight matrix depends only on gamma and the expected profile moments.
+Building (p, Q) costs O(|T| n^2) once; then every angle pair costs O(n^2),
+whatever |T| is.  The bracket is linear in (p, Q), so the structural
+approximation of an ensemble is the same expression with the expected size,
+profile and pair matrix.  A ``LandscapeForm`` holds any stack of these and
+is evaluated with one (beta x d) matrix of mixer factors, one batched
+contraction and a broadcast over gamma.  ``c_k``, ``mean_ck_squared`` and
+``w_matrix`` (per target, binomial basis) and ``f1_statevector`` (the full
+2^n state) are independent oracles for it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,46 +32,37 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    MAX_STATEVECTOR_WIDTH,
-    AngleGrid,
-    ComputationError,
-    TargetSpace,
-    UsageError,
-    binomial_row,
+    MAX_STATEVECTOR_WIDTH, AngleGrid, ComputationError, TargetSpace, UsageError, binomial_row,
 )
-from .structure import StructuralSummary
+from .structure import InstanceStats, StructuralSummary
 
-# |imag| above this (scaled) threshold in a real-by-construction result
-# signals a defect rather than rounding noise
+# a scaled |imag| above this in a real-by-construction result is a defect, not rounding
 IMAG_RESIDUE_TOL = 1e-9
 
 
 def f_n(beta: float, d: int, n: int) -> complex:
-    """cos(beta)^(n-d) * (-i*sin(beta))^d, by repeated multiplication."""
+    """cos(beta)^(n-d) * (-i*sin(beta))^d for one d, in scalar arithmetic."""
     if not 0 <= d <= n:
         raise UsageError(f"need 0 <= d <= n, got d={d}, n={n}")
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
-    out = complex(1.0)
-    for _ in range(n - d):
-        out *= c
-    for _ in range(d):
-        out *= s
-    return out
+    return math.cos(beta) ** (n - d) * (-1j * math.sin(beta)) ** d
+
+
+def fn_matrix(betas, n: int) -> np.ndarray:
+    """f_n(beta, d, n) for every beta (leading axes) and d = 0..n (last axis)."""
+    down, up, phase = _exponents(n)
+    return np.power.outer(np.cos(betas), down) * np.power.outer(np.sin(betas), up) * phase
+
+
+@functools.cache
+def _exponents(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n - d, d and (-i)^d for d = 0..n."""
+    d = np.arange(n + 1)
+    return n - d, d, np.array([1.0, -1j, -1.0, 1j])[d % 4]
 
 
 def fn_vector(beta: float, n: int) -> np.ndarray:
     """All f_n(beta, d, n) for d = 0..n, as one complex vector."""
-    c = math.cos(beta)
-    s = -1j * math.sin(beta)
-    cos_pow = np.empty(n + 1, dtype=np.complex128)
-    sin_pow = np.empty(n + 1, dtype=np.complex128)
-    cos_pow[0] = 1.0
-    sin_pow[0] = 1.0
-    for i in range(1, n + 1):
-        cos_pow[i] = cos_pow[i - 1] * c
-        sin_pow[i] = sin_pow[i - 1] * s
-    return cos_pow[::-1] * sin_pow
+    return fn_matrix(float(beta), n)
 
 
 def c_k(beta: float, gamma: float, profile: np.ndarray, n: int) -> complex:
@@ -78,43 +74,117 @@ def c_k(beta: float, gamma: float, profile: np.ndarray, n: int) -> complex:
     return complex(phase * (profile @ fn) + binomial_row(n) @ fn)
 
 
-def _ck_matrix(space: TargetSpace, fn: np.ndarray, gamma: float) -> np.ndarray:
+def mean_ck_squared(space: TargetSpace, beta: float, gamma: float) -> float:
+    """mean_k |c_k|^2 over the targets, one target at a time (oracle route)."""
+    fn = fn_vector(beta, space.n)
     phase = cmath.exp(-1j * gamma) - 1.0
-    return phase * (space.profiles @ fn) + binomial_row(space.n) @ fn
+    ck = phase * (space.profiles @ fn) + binomial_row(space.n) @ fn
+    return float(np.abs(ck) @ np.abs(ck)) / len(space)
+
+
+@dataclass(frozen=True, eq=False)
+class LandscapeForm:
+    """Depth-1 landscapes as (n+1)x(n+1) quadratic forms, on any leading axes.
+
+    Each landscape is F1 = scale * bracket, with the bracket of the module
+    docstring built from its mean profile and mean pair matrix.
+    """
+
+    n: int
+    scale: np.ndarray | float  # (...)  |T|/2^n, or E|T|/2^n for a summary
+    profile: np.ndarray  # (..., n+1)  mean distance profile
+    pair: np.ndarray  # (..., n+1, n+1)  mean profile outer product
+
+    @classmethod
+    def of(cls, source: TargetSpace | InstanceStats | StructuralSummary) -> "LandscapeForm":
+        """The landscape of one target space, instance or ensemble summary."""
+        if isinstance(source, StructuralSummary):
+            size, profile, pair = source.e_tsize, source.e_profile, source.e_pair
+        elif isinstance(source, InstanceStats):
+            size, profile, pair = source.t_size, source.mean_profile, source.mean_pair
+        else:  # a TargetSpace: its cached exact sums
+            size = len(source)
+            profile, pair = source.profile_sums / size, source.pair_sums / size
+        return cls(source.n, size / (1 << source.n), profile, pair)
+
+    @classmethod
+    def stack(cls, *sources) -> "LandscapeForm":
+        """The landscapes of several sources along one leading axis, in order."""
+        forms = [cls.of(source) for source in sources]
+        if not forms or any(f.n != forms[0].n for f in forms):
+            raise UsageError("need one or more landscape sources of one width n")
+        columns = zip(*((f.scale, f.profile, f.pair) for f in forms))
+        return cls(forms[0].n, *map(np.array, columns))
+
+
+def form_bracket(form: LandscapeForm, betas, gammas) -> np.ndarray:
+    """mean_k |c_k|^2 of each landscape at each (beta, gamma) of the outer product.
+
+    betas and gammas are scalars or 1-d arrays; the result has shape
+    form.scale.shape + shape(betas) + shape(gammas).
+
+    With q = fn^T Q conj(fn), |phi|^2 = -2 Re(phi) turns the bracket into
+    1 - 2 Re(phi * (q - exp(i*beta*n) * p . fn)): one complex number per
+    (landscape, beta), combined with phi(gamma) as an outer product.
+    """
+    fn = fn_matrix(betas, form.n)
+    quad = ((fn @ form.pair) * fn.conj()).sum(axis=-1)
+    residue = np.abs(quad.imag) - IMAG_RESIDUE_TOL * np.abs(quad.real)
+    if np.max(residue) > IMAG_RESIDUE_TOL:
+        raise ComputationError(f"imaginary residue {np.max(np.abs(quad.imag)):g} in a landscape")
+    z = quad.real - np.exp(1j * form.n * np.asarray(betas)) * (form.profile @ fn.T)
+    return 1.0 - 2.0 * np.multiply.outer(z, np.exp(-1j * np.asarray(gammas)) - 1.0).real
+
+
+def _f1(source, betas, gammas) -> np.ndarray:
+    """F1 of one source at the outer product of betas and gammas."""
+    form = LandscapeForm.of(source)
+    return form.scale * form_bracket(form, betas, gammas)
 
 
 def f1_closed(space: TargetSpace, beta: float, gamma: float) -> float:
-    """Success probability of the depth-1 circuit, via distance profiles."""
-    ck = _ck_matrix(space, fn_vector(beta, space.n), gamma)
-    return float(np.abs(ck) @ np.abs(ck)) / (1 << space.n)
-
-
-def mean_ck_squared(space: TargetSpace, beta: float, gamma: float) -> float:
-    """mean_k |c_k|^2 over the targets; F1 scaled by 2^n / |T|."""
-    ck = _ck_matrix(space, fn_vector(beta, space.n), gamma)
-    return float(np.abs(ck) @ np.abs(ck)) / len(space)
+    """Success probability of the depth-1 circuit, via the landscape form."""
+    return float(_f1(space, beta, gamma))
 
 
 def f1_closed_curve(space: TargetSpace, betas: np.ndarray, gamma: float) -> np.ndarray:
     """F1 along a beta sweep at fixed gamma."""
-    fn_cols = np.column_stack([fn_vector(float(b), space.n) for b in betas])
-    proj = space.profiles @ fn_cols  # (|T|, B)
-    base = binomial_row(space.n) @ fn_cols  # (B,)
-    ck = (cmath.exp(-1j * gamma) - 1.0) * proj + base
-    return np.einsum("kb,kb->b", ck, ck.conj()).real / (1 << space.n)
+    return _f1(space, betas, gamma)
 
 
 def f1_closed_grid(space: TargetSpace, grid: AngleGrid) -> np.ndarray:
     """F1 on a lattice, flattened row-major (beta outer, gamma inner)."""
-    betas = grid.betas()
-    fn_cols = np.column_stack([fn_vector(float(b), space.n) for b in betas])
-    proj = space.profiles @ fn_cols
-    base = binomial_row(space.n) @ fn_cols
-    out = np.empty((len(betas), grid.gamma_steps))
-    for j, g in enumerate(grid.gammas()):
-        ck = (cmath.exp(-1j * float(g)) - 1.0) * proj + base
-        out[:, j] = np.einsum("kb,kb->b", ck, ck.conj()).real
-    return out.ravel() / (1 << space.n)
+    return _f1(space, grid.betas(), grid.gammas()).ravel()
+
+
+def approx_expected_f1(summary: StructuralSummary, beta: float, gamma: float) -> float:
+    """Expected F1 from structure alone: (E|T|/2^n) * E(mean |c_k|^2)."""
+    return float(_f1(summary, beta, gamma))
+
+
+def approx_grid(summary: StructuralSummary, grid: AngleGrid) -> np.ndarray:
+    """approx_expected_f1 on a lattice, flattened row-major."""
+    return _f1(summary, grid.betas(), grid.gammas()).ravel()
+
+
+def approx_curve(summary: StructuralSummary, betas: np.ndarray, gamma: float) -> np.ndarray:
+    """approx_expected_f1 along a beta sweep at fixed gamma."""
+    return _f1(summary, betas, gamma)
+
+
+def w_matrix(gamma: float, summary: StructuralSummary) -> np.ndarray:
+    """The approximation's form in the binomial basis, at one gamma.
+
+    mean |c_k|^2 = sum_{d1,d2} w[d1,d2] * f_n(d1) * conj(f_n(d2)).
+    """
+    phase = cmath.exp(-1j * gamma) - 1.0
+    brow = binomial_row(summary.n)
+    return (
+        abs(phase) ** 2 * summary.e_pair
+        + phase * np.outer(summary.e_profile, brow)
+        + phase.conjugate() * np.outer(brow, summary.e_profile)
+        + np.outer(brow, brow)
+    )
 
 
 def qaoa_state(space: TargetSpace, beta: float, gamma: float) -> np.ndarray:
@@ -134,66 +204,6 @@ def f1_statevector(space: TargetSpace, beta: float, gamma: float) -> float:
     amps = qaoa_state(space, beta, gamma)
     hit = amps[space.states_array.astype(np.int64)]
     return float(np.abs(hit) @ np.abs(hit))
-
-
-def w_matrix(gamma: float, summary: StructuralSummary) -> np.ndarray:
-    """Gamma-dependent weight matrix of the structural approximation.
-
-    Entry (d1, d2) collects the expected profile moments so that
-    mean |c_k|^2 = sum_{d1,d2} w[d1,d2] * f_n(d1) * conj(f_n(d2)).
-    """
-    n = summary.n
-    phase = cmath.exp(-1j * gamma) - 1.0
-    brow = binomial_row(n)
-    w = summary.e_pair * (phase * phase.conjugate()).real
-    w = w.astype(np.complex128)
-    w += phase * np.outer(summary.e_profile, brow)
-    w += phase.conjugate() * np.outer(brow, summary.e_profile)
-    w += np.outer(brow, brow)
-    return w
-
-
-def _real_part(value: complex, where: str) -> float:
-    if abs(value.imag) > IMAG_RESIDUE_TOL * (1.0 + abs(value.real)):
-        raise ComputationError(f"imaginary residue {value.imag:g} in {where}")
-    return value.real
-
-
-def approx_expected_f1(summary: StructuralSummary, beta: float, gamma: float) -> float:
-    """Expected F1 from structure alone: (E|T|/2^n) * E(mean |c_k|^2)."""
-    fn = fn_vector(beta, summary.n)
-    quad = fn @ w_matrix(gamma, summary) @ fn.conj()
-    scale = summary.e_tsize / (1 << summary.n)
-    return scale * _real_part(complex(quad), "approx_expected_f1")
-
-
-def approx_grid(summary: StructuralSummary, grid: AngleGrid) -> np.ndarray:
-    """approx_expected_f1 on a lattice, flattened row-major."""
-    betas = grid.betas()
-    fn_cols = np.column_stack([fn_vector(float(b), summary.n) for b in betas])
-    scale = summary.e_tsize / (1 << summary.n)
-    out = np.empty((len(betas), grid.gamma_steps))
-    for j, g in enumerate(grid.gammas()):
-        w = w_matrix(float(g), summary)
-        quad = np.einsum("db,de,eb->b", fn_cols, w, fn_cols.conj())
-        bad = np.abs(quad.imag) > IMAG_RESIDUE_TOL * (1.0 + np.abs(quad.real))
-        if bad.any():
-            raise ComputationError(
-                f"imaginary residue in approx grid at gamma={float(g):g}"
-            )
-        out[:, j] = scale * quad.real
-    return out.ravel()
-
-
-def approx_curve(summary: StructuralSummary, betas: np.ndarray, gamma: float) -> np.ndarray:
-    """approx_expected_f1 along a beta sweep at fixed gamma."""
-    fn_cols = np.column_stack([fn_vector(float(b), summary.n) for b in betas])
-    w = w_matrix(gamma, summary)
-    quad = np.einsum("db,de,eb->b", fn_cols, w, fn_cols.conj())
-    bad = np.abs(quad.imag) > IMAG_RESIDUE_TOL * (1.0 + np.abs(quad.real))
-    if bad.any():
-        raise ComputationError(f"imaginary residue in approx curve at gamma={gamma:g}")
-    return summary.e_tsize / (1 << summary.n) * quad.real
 
 
 def error_bound(scaled_sizes: np.ndarray, mean_ck_values: np.ndarray) -> float:
@@ -232,16 +242,13 @@ class LandscapeGrid:
 def eval_grid(evaluator, grid: AngleGrid) -> LandscapeGrid:
     """Evaluate a scalar point function on every lattice point."""
     values = np.empty(grid.beta_steps * grid.gamma_steps)
-    i = 0
-    for b in grid.betas():
-        for g in grid.gammas():
-            try:
-                values[i] = evaluator(float(b), float(g))
-            except (UsageError, ComputationError):
-                raise
-            except Exception as exc:  # attach the failing coordinates
-                raise ComputationError(
-                    f"evaluator failed at beta={float(b):g}, gamma={float(g):g}: {exc}"
-                ) from exc
-            i += 1
+    for i, point in enumerate(grid.points()):
+        try:
+            values[i] = evaluator(point.beta, point.gamma)
+        except (UsageError, ComputationError):
+            raise
+        except Exception as exc:  # attach the failing coordinates
+            raise ComputationError(
+                f"evaluator failed at beta={point.beta:g}, gamma={point.gamma:g}: {exc}"
+            ) from exc
     return LandscapeGrid(grid=grid, values=values)

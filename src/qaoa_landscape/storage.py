@@ -9,6 +9,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .core import MAX_WIDTH, Angles, AngleGrid, TargetSpace, UsageError
 from .experiments import ComparisonReport, CrossSection
-from .landscape import LandscapeGrid
+from .landscape import IMAG_RESIDUE_TOL, LandscapeGrid
 from .optimize import OptConfig, OptResult
 from .problems import FAMILIES, Ensemble, Instance
 from .structure import StructuralSummary
@@ -117,20 +118,43 @@ def summary_to_dict(summary: StructuralSummary) -> dict:
     }
 
 
+def _summary_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise UsageError(f"summary {name} is not a rectangular array") from None
+    if array.dtype.kind not in "iuf":
+        raise UsageError(f"summary {name} must hold numbers only")
+    if array.shape != shape:
+        raise UsageError("summary arrays do not match n")
+    if not np.isfinite(array).all():
+        raise UsageError(f"summary {name} must be finite")
+    return array.astype(np.float64)
+
+
 def summary_from_dict(data: dict) -> StructuralSummary:
     if not isinstance(data, dict):
         raise UsageError("summary document must be a JSON object")
     missing = {"n", "count", "mode", "e_tsize", "var_tsize", "e_profile", "e_pair"} - set(data)
     if missing:
         raise UsageError(f"summary document lacks keys: {sorted(missing)}")
-    n = data["n"]
-    profile = np.asarray(data["e_profile"], dtype=np.float64)
-    pair = np.asarray(data["e_pair"], dtype=np.float64)
-    if profile.shape != (n + 1,) or pair.shape != (n + 1, n + 1):
-        raise UsageError("summary arrays do not match n")
+    n, count = data["n"], data["count"]
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_WIDTH:
+        raise UsageError(f"n must be an integer in [1, {MAX_WIDTH}], got {n!r}")
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise UsageError(f"count must be a non-negative integer, got {count!r}")
+    for key in ("e_tsize", "var_tsize"):
+        value = data[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number or not math.isfinite(value):
+            raise UsageError(f"summary {key} must be a finite number, got {value!r}")
+    profile = _summary_array(data["e_profile"], (n + 1,), "e_profile")
+    pair = _summary_array(data["e_pair"], (n + 1, n + 1), "e_pair")
+    if not np.allclose(pair, pair.T, rtol=IMAG_RESIDUE_TOL, atol=IMAG_RESIDUE_TOL):
+        raise UsageError("summary e_pair must be symmetric")
     return StructuralSummary(
-        n=int(n),
-        count=int(data["count"]),
+        n=n,
+        count=count,
         e_tsize=float(data["e_tsize"]),
         var_tsize=float(data["var_tsize"]),
         e_profile=profile,

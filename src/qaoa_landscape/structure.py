@@ -51,14 +51,12 @@ def instance_stats(space: TargetSpace) -> InstanceStats:
     Products are accumulated in exact integer arithmetic before the single
     division, so no rounding drift enters the pair matrix.
     """
-    profiles = space.profiles  # (m, n+1) int64
     m = len(space)
-    pair_sums = profiles.T @ profiles  # int64 matmul, exact
     return InstanceStats(
         n=space.n,
         t_size=m,
-        mean_profile=profiles.sum(axis=0) / m,
-        mean_pair=pair_sums / m,
+        mean_profile=space.profile_sums / m,
+        mean_pair=space.pair_sums / m,
     )
 
 

@@ -97,15 +97,6 @@ class TestLandscapeComparison:
         assert cloud.shape == (len(ensemble.instances), grid.beta_steps)
         assert np.allclose(cloud.mean(axis=0), comparison.cross_section.values)
 
-    def test_thread_count_invisible(self, sat_run):
-        ensemble, grid, comparison = sat_run
-        redo = run_landscape_comparison(ensemble, grid, gamma_c=1.2, threads=4)
-        assert np.array_equal(comparison.mean.values, redo.mean.values)
-        assert np.array_equal(comparison.approx.values, redo.approx.values)
-        assert np.array_equal(
-            comparison.cross_section.values, redo.cross_section.values
-        )
-
 
 class TestSuccessComparison:
     def test_aggregates_consistent(self, success_report):

@@ -15,6 +15,7 @@ from qaoa_landscape.core import (
     default_grid,
 )
 from qaoa_landscape.landscape import (
+    LandscapeForm,
     LandscapeGrid,
     approx_curve,
     approx_expected_f1,
@@ -28,6 +29,7 @@ from qaoa_landscape.landscape import (
     f1_statevector,
     f_n,
     fn_vector,
+    form_bracket,
     mean_ck_squared,
     qaoa_state,
     w_matrix,
@@ -175,6 +177,60 @@ class TestF1:
         f1 = f1_closed(space, beta, gamma)
         scaled = mean_ck_squared(space, beta, gamma) * len(space) / (1 << 6)
         assert abs(f1 - scaled) < 1e-14
+
+
+@st.composite
+def oracle_spaces(draw):
+    """Target spaces with n <= 10: one target, the full space, or a random set."""
+    n = draw(st.integers(1, 10))
+    size = draw(st.sampled_from([1, 1 << n, None]))
+    if size is None:
+        size = draw(st.integers(1, 1 << n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return TargetSpace.from_iterable(n, rng.choice(1 << n, size=size, replace=False))
+
+
+class TestFormAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_spaces(), angles_st)
+    def test_point_curve_and_grid(self, space, angles):
+        beta, gamma = angles
+        grid = AngleGrid(beta, beta + 1.0, gamma, gamma + 2.0, 3, 4)
+        values = f1_closed_grid(space, grid).reshape(3, 4)
+        curve = f1_closed_curve(space, grid.betas(), gamma)
+        to_bracket = (1 << space.n) / len(space)
+        for i, b in enumerate(grid.betas()):
+            assert abs(curve[i] - f1_statevector(space, b, gamma)) < 1e-9
+            for j, g in enumerate(grid.gammas()):
+                want = f1_statevector(space, b, g)
+                assert abs(values[i, j] - want) < 1e-9
+                assert abs(f1_closed(space, b, g) - want) < 1e-9
+                # mean |c_k|^2 averages to 1 over the angles: its natural scale
+                per_target = mean_ck_squared(space, b, g)
+                assert abs(values[i, j] * to_bracket - per_target) <= 1e-12 * max(per_target, 1.0)
+
+    def test_dense_n14(self):
+        rng = np.random.default_rng(14)
+        space = random_space(rng, 14, 8192)
+        for beta, gamma in rng.uniform(0.0, 2 * math.pi, size=(4, 2)):
+            assert abs(f1_closed(space, beta, gamma) - f1_statevector(space, beta, gamma)) < 1e-9
+
+    def test_stacked_form_matches_single_forms(self, rng):
+        spaces = [random_space(rng, 5) for _ in range(3)]
+        summary = aggregate([instance_stats(s) for s in spaces])
+        form = LandscapeForm.stack(*spaces, summary)
+        betas, gammas = np.linspace(0.0, 3.0, 5), np.linspace(0.0, 6.0, 4)
+        values = form.scale[:, None, None] * form_bracket(form, betas, gammas)
+        grid = AngleGrid(0.0, 3.0, 0.0, 6.0, 5, 4)
+        for row, space in zip(values, spaces):
+            assert np.allclose(row.ravel(), f1_closed_grid(space, grid), rtol=0, atol=1e-14)
+        assert np.allclose(values[-1].ravel(), approx_grid(summary, grid), rtol=0, atol=1e-14)
+
+    def test_stack_rejects_mixed_widths(self, rng):
+        with pytest.raises(UsageError):
+            LandscapeForm.stack(random_space(rng, 4), random_space(rng, 5))
+        with pytest.raises(UsageError):
+            LandscapeForm.stack()
 
 
 def n1_summary() -> StructuralSummary:

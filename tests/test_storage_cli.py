@@ -9,7 +9,7 @@ from qaoa_landscape.core import AngleGrid, UsageError
 from qaoa_landscape.experiments import run_success_comparison
 from qaoa_landscape.landscape import LandscapeGrid, eval_grid, f1_closed
 from qaoa_landscape.problems import build_ensemble
-from qaoa_landscape.structure import aggregate, instance_stats
+from qaoa_landscape.structure import StructuralSummary, aggregate, instance_stats
 
 
 @pytest.fixture(scope="module")
@@ -334,19 +334,62 @@ class TestCli:
         assert cli.main(["summarize", "--ensemble", str(bad),
                          "--out", str(tmp_path / "s.json")]) == 1
 
-    def test_computation_errors_exit_2(self, tmp_path):
-        # an asymmetric pair matrix breaks the real-by-construction contract
-        doc = {
-            "n": 1,
-            "count": 1,
-            "mode": "empirical",
-            "e_tsize": 1.0,
-            "var_tsize": 0.0,
-            "e_profile": [1.0, 0.0],
-            "e_pair": [[0.0, 1.0], [0.0, 0.0]],
-        }
-        summ = tmp_path / "broken.json"
-        summ.write_text(json.dumps(doc))
-        code = cli.main(["landscape", "--summary", str(summ), "--grid", "8x8",
+    def test_computation_errors_exit_2(self, tmp_path, monkeypatch):
+        # an asymmetric pair matrix breaks the real-by-construction contract;
+        # files are refused at load time, so hand one over in memory
+        broken = StructuralSummary(
+            n=1, count=1, e_tsize=1.0, var_tsize=0.0,
+            e_profile=np.array([1.0, 0.0]), e_pair=np.array([[0.0, 1.0], [0.0, 0.0]]),
+        )
+        monkeypatch.setattr(storage, "load_summary", lambda path: broken)
+        code = cli.main(["landscape", "--summary", "broken.json", "--grid", "8x8",
                          "--out-prefix", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    @pytest.mark.parametrize("coarse", ["abc", "32", "3x", "1x2x3"])
+    def test_malformed_coarse_exits_1(self, tmp_path, capsys, command, coarse):
+        ens = tmp_path / "e.json"
+        cli.main(["gen", "--family", "uniform", "--n", "3", "--count", "2",
+                  "--t-size", "2", "--out", str(ens)])
+        out = ["--out", str(tmp_path / "o.json")] if command == "optimize" else [
+            "--out-prefix", str(tmp_path / "run")]
+        code = cli.main([command, "--ensemble", str(ens), "--coarse", coarse] + out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: coarse must look like") and err.count("\n") == 1
+
+
+GOOD_SUMMARY = {
+    "n": 1,
+    "count": 1,
+    "mode": "empirical",
+    "e_tsize": 1.0,
+    "var_tsize": 0.0,
+    "e_profile": [1.0, 0.0],
+    "e_pair": [[1.0, 0.0], [0.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n", "1", "n must be an integer"),
+        ("count", "1", "count must be a non-negative integer"),
+        ("e_pair", [[1.0, 0.0], [0.0]], "e_pair is not a rectangular array"),
+        ("e_profile", ["1.0", 0.0], "e_profile must hold numbers only"),
+        ("e_tsize", math.nan, "e_tsize must be a finite number"),
+        ("e_pair", [[1.0, 3.0], [0.0, 0.0]], "e_pair must be symmetric"),
+    ],
+)
+def test_malformed_summary_refused_at_load(tmp_path, capsys, key, value, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(GOOD_SUMMARY | {key: value}))
+    with pytest.raises(UsageError, match=message):
+        storage.load_summary(path)
+    code = cli.main(["landscape", "--summary", str(path), "--grid", "4x4",
+                     "--out-prefix", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x_approx.csv").exists()
