@@ -21,10 +21,10 @@ mass functions' own moments identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import UsageError, binomial, binomial_row
 from .structure import StructuralSummary
@@ -53,8 +53,8 @@ class UniformModel:
 
 def _log_choose(a: float, b: float) -> float:
     if b < 0 or b > a:
-        return -np.inf
-    return float(gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1))
+        return -math.inf
+    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
 
 def pmf_single(model: UniformModel, d: int, x: int) -> float:

@@ -156,9 +156,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_compare(args) -> int:
     ensemble = storage.load_ensemble(args.ensemble)
-    report = run_success_comparison(
-        ensemble, args.shots, args.seed, _opt_config(args), threads=args.threads
-    )
+    report = run_success_comparison(ensemble, args.shots, args.seed, _opt_config(args))
     prefix = Path(args.out_prefix)
     storage.save_report(report, f"{prefix}.csv", f"{prefix}.json")
     config = storage.RunConfig(
@@ -178,8 +176,7 @@ def _cmd_compare(args) -> int:
 def _cmd_sat_alpha(args) -> int:
     alphas = tuple(float(a) for a in args.alphas.split(","))
     results = run_sat_alpha(
-        args.n, alphas, args.count, args.shots, args.seed,
-        config=_opt_config(args), threads=args.threads,
+        args.n, alphas, args.count, args.shots, args.seed, config=_opt_config(args)
     )
     prefix = Path(args.out_prefix)
     combined = []
@@ -228,7 +225,7 @@ def build_parser() -> _Parser:
     group.add_argument("--ensemble")
     p.add_argument("--grid", default="100x100")
     p.add_argument("--gamma-c", dest="gamma_c", type=float)
-    p.add_argument("--threads", type=int, help="accepted; has no effect here")
+    p.add_argument("--threads", type=int, help="accepted; has no effect")
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(handler=_cmd_landscape)
 
@@ -245,7 +242,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ensemble", required=True)
     p.add_argument("--shots", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted; has no effect")
     _add_opt_flags(p)
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(handler=_cmd_compare)
@@ -256,7 +253,7 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--shots", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted; has no effect")
     _add_opt_flags(p)
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(handler=_cmd_sat_alpha)

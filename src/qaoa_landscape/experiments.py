@@ -2,33 +2,27 @@
 
 The non-iterative pipeline optimises angles once per problem on the
 structural approximation and reuses them for every instance; the standard
-pipeline optimises every instance on its own landscape.  Shot noise uses an
-independent RNG stream per (instance, arm), so results do not depend on
-evaluation order or thread count.
+pipeline optimises every instance on its own landscape.  Every measured shot
+hits the target set with probability F1, so an arm's hit count is one
+binomial draw at the exact closed-form F1, from an independent RNG stream per
+(instance, arm); results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Angles, AngleGrid, TargetSpace, UsageError
-from .landscape import LandscapeForm, LandscapeGrid, f1_closed, form_bracket, qaoa_state
+from .core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
+from .landscape import LandscapeForm, LandscapeGrid, f1_closed, form_bracket
 from .optimize import OptConfig, OptResult, optimize_instance, optimize_problem
 from .problems import Ensemble
 from .structure import StructuralSummary, aggregate, instance_stats
 
 
-def _thread_map(fn, items, threads: int | None):
-    """Map preserving item order; thread count never changes the results."""
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+# F1 may leave [0, 1] by rounding only; a larger excursion is a defect
+_PROB_TOL = 1e-9
 
 
 def shot_rng(seed: int, instance_id: int, arm: int) -> np.random.Generator:
@@ -43,19 +37,16 @@ def sample_shots(
 ) -> int:
     """Number of target hits among `shots` measurements of the prepared state.
 
-    Sampling inverts the cumulative distribution of the exact 2^n outcome
-    probabilities, so the hit count is binomial with success probability F1.
+    Each measurement hits the target set with probability F1, independently,
+    so the count is one Binomial(shots, F1) draw, with F1 from the closed
+    form; no statevector is built, so any width the form supports works.
     """
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
-    amps = qaoa_state(space, angles.beta, angles.gamma)
-    probs = np.abs(amps) ** 2
-    cdf = np.cumsum(probs)
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    draws = np.minimum(draws, probs.size - 1)  # guard the cdf's rounding at 1.0
-    is_target = np.zeros(probs.size, dtype=bool)
-    is_target[space.states_array.astype(np.int64)] = True
-    return int(is_target[draws].sum())
+    prob = f1_closed(space, angles.beta, angles.gamma)
+    if not -_PROB_TOL <= prob <= 1.0 + _PROB_TOL:
+        raise ComputationError(f"success probability {prob!r} is not in [0, 1]")
+    return int(rng.binomial(shots, min(max(prob, 0.0), 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,21 +156,21 @@ def run_success_comparison(
     shots: int,
     seed: int,
     config: OptConfig = OptConfig(),
-    threads: int | None = None,
 ) -> ComparisonReport:
     """Per-instance optimisation against one problem-global optimisation."""
     spaces = [inst.target for inst in ensemble.instances]
     summary = aggregate([instance_stats(space) for space in spaces])
     shared: OptResult = optimize_problem(summary, config)
 
-    def run_one(item) -> InstanceComparison:
-        instance_id, space = item
+    records = []
+    for inst in ensemble.instances:
+        space = inst.target
         own = optimize_instance(space, config)
         standard = ArmOutcome(
             angles=own.angles,
             success_prob=own.value,
             shots_hit=sample_shots(
-                space, own.angles, shots, shot_rng(seed, instance_id, STANDARD_ARM)
+                space, own.angles, shots, shot_rng(seed, inst.id, STANDARD_ARM)
             ),
         )
         prob = f1_closed(space, shared.angles.beta, shared.angles.gamma)
@@ -187,13 +178,11 @@ def run_success_comparison(
             angles=shared.angles,
             success_prob=prob,
             shots_hit=sample_shots(
-                space, shared.angles, shots, shot_rng(seed, instance_id, NONITERATIVE_ARM)
+                space, shared.angles, shots, shot_rng(seed, inst.id, NONITERATIVE_ARM)
             ),
         )
-        return InstanceComparison(instance_id, standard, noniterative)
+        records.append(InstanceComparison(inst.id, standard, noniterative))
 
-    items = [(inst.id, inst.target) for inst in ensemble.instances]
-    records = tuple(_thread_map(run_one, items, threads))
     std_probs = np.array([r.standard.success_prob for r in records])
     non_probs = np.array([r.noniterative.success_prob for r in records])
     return ComparisonReport(
@@ -203,7 +192,7 @@ def run_success_comparison(
         seed=seed,
         shared_angles=shared.angles,
         shared_value=shared.value,
-        records=records,
+        records=tuple(records),
         mean_standard=float(std_probs.mean()),
         std_standard=float(std_probs.std()),
         mean_noniterative=float(non_probs.mean()),
@@ -218,7 +207,6 @@ def run_sat_alpha(
     shots: int,
     seed: int,
     config: OptConfig = OptConfig(),
-    threads: int | None = None,
 ):
     """The two-arm study across SAT clause densities alpha = clauses / n.
 
@@ -235,6 +223,6 @@ def run_sat_alpha(
         if num_clauses < 1:
             raise UsageError(f"alpha {alpha} yields no clauses at n={n}")
         ensemble = build_ensemble("sat", n, count, {"num_clauses": num_clauses}, seed)
-        report = run_success_comparison(ensemble, shots, seed, config, threads)
+        report = run_success_comparison(ensemble, shots, seed, config)
         results.append((alpha, ensemble, report))
     return results

@@ -188,7 +188,7 @@ def w_matrix(gamma: float, summary: StructuralSummary) -> np.ndarray:
 
 
 def qaoa_state(space: TargetSpace, beta: float, gamma: float) -> np.ndarray:
-    """Full 2^n statevector after the depth-1 circuit."""
+    """Full 2^n statevector after the depth-1 circuit (oracle route)."""
     n = space.n
     if n > MAX_STATEVECTOR_WIDTH:
         raise UsageError(f"statevector needs n <= {MAX_STATEVECTOR_WIDTH}, got {n}")

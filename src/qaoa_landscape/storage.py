@@ -40,6 +40,9 @@ def _read_json(path: str | Path):
 
 # ---------------------------------------------------------------------------
 # ensembles
+#
+# JSON true/false load as bool, a subclass of int, so integer fields are
+# checked with `type(value) is int` rather than isinstance.
 
 
 def ensemble_to_dict(ensemble: Ensemble) -> dict:
@@ -64,31 +67,47 @@ def ensemble_from_dict(data: dict) -> Ensemble:
     family = data["family"]
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}")
-    n = data["n"]
-    if not isinstance(n, int) or not 1 <= n <= MAX_WIDTH:
+    n, seed = data["n"], data["seed"]
+    if type(n) is not int or not 1 <= n <= MAX_WIDTH:
         raise UsageError(f"n must be an integer in [1, {MAX_WIDTH}], got {n!r}")
+    if type(seed) is not int:
+        raise UsageError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(data["params"], dict):
+        raise UsageError("ensemble params must be a JSON object")
+    if not isinstance(data["instances"], list):
+        raise UsageError("ensemble instances must be a JSON list")
     instances = []
+    seen_ids = set()
     for pos, raw in enumerate(data["instances"]):
         where = f"instances[{pos}]"
         if not isinstance(raw, dict) or "id" not in raw or "targets" not in raw:
             raise UsageError(f"{where}: needs 'id' and 'targets'")
-        targets = raw["targets"]
+        instance_id, targets = raw["id"], raw["targets"]
+        if type(instance_id) is not int:
+            raise UsageError(f"{where}: id must be an integer, got {instance_id!r}")
+        if instance_id in seen_ids:
+            raise UsageError(f"{where}: duplicate instance id {instance_id}")
+        seen_ids.add(instance_id)
+        if not isinstance(targets, list):
+            raise UsageError(f"{where}: targets must be a JSON list")
         if not targets:
             raise UsageError(f"{where}: empty target list")
         for t in targets:
-            if not isinstance(t, int) or not 0 <= t < (1 << n):
+            if type(t) is not int or not 0 <= t < (1 << n):
                 raise UsageError(f"{where}: state {t!r} does not fit {n} bits")
+        if len(set(targets)) != len(targets):
+            raise UsageError(f"{where}: duplicate target states")
         instances.append(
             Instance(
-                id=int(raw["id"]),
-                target=TargetSpace.from_iterable(n, targets),
+                id=instance_id,
+                target=TargetSpace(n, tuple(sorted(targets))),
                 meta=raw.get("meta"),
             )
         )
     return Ensemble(
         family=family,
         n=n,
-        seed=int(data["seed"]),
+        seed=seed,
         params=dict(data["params"]),
         instances=tuple(instances),
     )

@@ -393,3 +393,43 @@ def test_malformed_summary_refused_at_load(tmp_path, capsys, key, value, message
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x_approx.csv").exists()
+
+
+GOOD_ENSEMBLE = {
+    "family": "uniform",
+    "n": 3,
+    "seed": 0,
+    "params": {"t_size": 2},
+    "instances": [{"id": 0, "targets": [1, 6], "meta": None}],
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"seed": "abc"}, "seed must be an integer"),
+        ({"seed": None}, "seed must be an integer"),
+        ({"instances": 3}, "instances must be a JSON list"),
+        ({"params": 3}, "params must be a JSON object"),
+        ({"instances": [{"id": 0, "targets": 3}]}, "targets must be a JSON list"),
+        ({"instances": [{"id": "x", "targets": [1]}]}, "id must be an integer"),
+        ({"instances": [{"id": 0, "targets": [1, 6, 1]}]}, "duplicate target states"),
+        ({"instances": [{"id": 0, "targets": [True]}]}, "state True does not fit"),
+        ({"n": True}, "n must be an integer"),
+        ({"instances": [{"id": False, "targets": [1]}]}, "id must be an integer"),
+        (
+            {"instances": [{"id": 4, "targets": [1]}, {"id": 4, "targets": [2]}]},
+            "duplicate instance id 4",
+        ),
+    ],
+)
+def test_malformed_ensemble_refused_at_load(tmp_path, capsys, change, message):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(GOOD_ENSEMBLE | change))
+    with pytest.raises(UsageError, match=message):
+        storage.load_ensemble(path)
+    code = cli.main(["summarize", "--ensemble", str(path), "--out", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "s.json").exists()
