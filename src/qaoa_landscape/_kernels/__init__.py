@@ -1,7 +1,14 @@
-"""Numpy kernels: pairwise distance profiles and the statevector mixer.
+"""Numpy kernels: distance profiles and the statevector mixer.
 
-`pairwise_profiles` builds every target space's profile matrix;
-`apply_mixer` serves only the statevector oracle.
+Two exact integer routes build a target space's (|T|, n+1) profile matrix
+and give the same int64 values:
+
+* `pairwise_profiles` histograms all |T|^2 pairwise distances, O(|T|^2 n);
+* `shell_profiles` grows Hamming shells around the targets over all 2^n
+  states, one pass per qubit, O(n^2 2^n) integer adds.
+
+`distance_profiles` runs the one that `profile_route` picks from n and |T|
+alone.  `apply_mixer` serves only the statevector oracle.
 """
 
 import math
@@ -11,6 +18,28 @@ import numpy as np
 BACKEND = "numpy"
 
 _ROW_BLOCK = 512  # bounds the m x m distance matrix to ~4 MB per block
+
+PAIRWISE_ROUTE = "pairwise"
+SHELL_ROUTE = "shells"
+
+
+def profile_route(n: int, m: int) -> str:
+    """The profile kernel for m targets of width n: shells or pairwise.
+
+    Shells win when n(n+1) 2^n, twice their integer adds, undercuts the m^2
+    pairs and their (n+1) 2^n table is no larger than one pairwise row block.
+    """
+    table = (n + 1) << n
+    if n * table < m * m and table <= _ROW_BLOCK * m:
+        return SHELL_ROUTE
+    return PAIRWISE_ROUTE
+
+
+def distance_profiles(states: np.ndarray, n: int) -> np.ndarray:
+    """(m, n+1) int64 profile matrix of m distinct states, by the cheaper route."""
+    if profile_route(n, len(states)) == SHELL_ROUTE:
+        return shell_profiles(states, n)
+    return pairwise_profiles(states, n)
 
 
 def pairwise_profiles(states: np.ndarray, n: int) -> np.ndarray:
@@ -29,6 +58,29 @@ def pairwise_profiles(states: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def shell_profiles(states: np.ndarray, n: int) -> np.ndarray:
+    """(m, n+1) int64 matrix equal to `pairwise_profiles(states, n)`.
+
+    shells[d, x] counts the states at distance d from x over the qubits
+    passed so far.  It starts as the indicator of the set at d = 0; the pass
+    over qubit q adds shells[d-1, x ^ 2^q], read from before the pass, into
+    shells[d, x].  After q passes no count sits beyond d = q.
+    """
+    index = np.ascontiguousarray(states, dtype=np.intp)
+    m = index.shape[0]
+    dtype = np.int32 if m <= np.iinfo(np.int32).max else np.int64  # counts <= m
+    shells = np.zeros((n + 1, 1 << n), dtype=dtype)
+    shells[0, index] = 1
+    for q in range(n):
+        view = shells.reshape(n + 1, -1, 2, 1 << q)
+        lo = view[: q + 2, :, 0, :]
+        hi = view[: q + 2, :, 1, :]
+        low_before = lo[:-1].copy()
+        lo[1:] += hi[:-1]
+        hi[1:] += low_before
+    return np.ascontiguousarray(shells[:, index].T, dtype=np.int64)
+
+
 def apply_mixer(amps: np.ndarray, beta: float, n: int) -> None:
     """Apply exp(-i*beta*X) qubit by qubit, in place on a 2^n statevector."""
     c = math.cos(beta)
@@ -41,4 +93,13 @@ def apply_mixer(amps: np.ndarray, beta: float, n: int) -> None:
         view[:, 1, :] = s * lo + c * hi
 
 
-__all__ = ["apply_mixer", "pairwise_profiles", "BACKEND"]
+__all__ = [
+    "apply_mixer",
+    "distance_profiles",
+    "pairwise_profiles",
+    "profile_route",
+    "shell_profiles",
+    "BACKEND",
+    "PAIRWISE_ROUTE",
+    "SHELL_ROUTE",
+]

@@ -14,7 +14,12 @@ from pathlib import Path
 
 from .analytic import MODES, PAPER_MODE, UniformModel, summary_analytic
 from .core import AngleGrid, ComputationError, UsageError
-from .experiments import run_landscape_comparison, run_sat_alpha, run_success_comparison
+from .experiments import (
+    MAX_ALPHA,
+    run_landscape_comparison,
+    run_sat_alpha,
+    run_success_comparison,
+)
 from .landscape import LandscapeGrid, approx_curve, approx_grid
 from .optimize import optimize_instance, optimize_problem
 from .problems import FAMILIES, build_ensemble
@@ -174,7 +179,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sat_alpha(args) -> int:
-    alphas = tuple(float(a) for a in args.alphas.split(","))
+    try:
+        alphas = tuple(float(a) for a in args.alphas.split(","))
+    except ValueError:
+        raise UsageError(f"alphas must be comma-separated numbers, got {args.alphas!r}") from None
     results = run_sat_alpha(
         args.n, alphas, args.count, args.shots, args.seed, config=_opt_config(args)
     )
@@ -249,7 +257,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sat-alpha", help="two-arm study across SAT clause densities")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alphas", default="2,4,6")
+    p.add_argument("--alphas", default="2,4,6", help=f"clause densities, each in (0, {MAX_ALPHA:g}]")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--shots", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)

@@ -105,11 +105,13 @@ class TargetSpace:
 
     @cached_property
     def profiles(self) -> np.ndarray:
-        """(|T|, n+1) matrix; row i is the distance profile of states[i].
+        """(|T|, n+1) int64 matrix; row i is the distance profile of states[i].
 
-        Computed once per target space and reused by every landscape sweep.
+        Computed once per target space by whichever exact kernel costs less
+        at this n and |T|: pairwise distances, O(|T|^2 n), or Hamming shells
+        over all 2^n states, O(n^2 2^n).  Both give the same integers.
         """
-        return _kernels.pairwise_profiles(self.states_array, self.n)
+        return _kernels.distance_profiles(self.states_array, self.n)
 
     @cached_property
     def profile_sums(self) -> np.ndarray:
@@ -123,7 +125,32 @@ class TargetSpace:
         With profile_sums, all that the structure statistics and the
         per-point landscape read from the profiles.
         """
-        return self.profiles.T @ self.profiles
+        return exact_pair_sums(self.profiles)
+
+    @cached_property
+    def mean_profile(self) -> np.ndarray:
+        """(n+1,) float64 profile_sums / |T|: the mean distance profile."""
+        return self.profile_sums / len(self)
+
+    @cached_property
+    def mean_pair(self) -> np.ndarray:
+        """(n+1, n+1) float64 pair_sums / |T|: the mean profile outer product."""
+        return self.pair_sums / len(self)
+
+
+def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
+    """P^T P of a non-negative int64 profile matrix, refused where int64 would wrap.
+
+    Every entry is a sum of m products of two entries of P, so it stays below
+    m * max(P)^2; that bound must stay below 2^63.
+    """
+    m = profiles.shape[0]
+    peak = int(profiles.max(initial=0))
+    if m * peak * peak >= 1 << 63:
+        raise UsageError(
+            f"P^T P of {m} profiles with counts up to {peak} would overflow int64"
+        )
+    return profiles.T @ profiles
 
 
 def distance_profile(space: TargetSpace, k: BitString) -> np.ndarray:

@@ -41,9 +41,13 @@ def sample_shots(
     so the count is one Binomial(shots, F1) draw, with F1 from the closed
     form; no statevector is built, so any width the form supports works.
     """
+    return _draw_hits(f1_closed(space, angles.beta, angles.gamma), shots, rng)
+
+
+def _draw_hits(prob: float, shots: int, rng: np.random.Generator) -> int:
+    """One Binomial(shots, prob) draw at an F1 already in hand."""
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
-    prob = f1_closed(space, angles.beta, angles.gamma)
     if not -_PROB_TOL <= prob <= 1.0 + _PROB_TOL:
         raise ComputationError(f"success probability {prob!r} is not in [0, 1]")
     return int(rng.binomial(shots, min(max(prob, 0.0), 1.0)))
@@ -150,6 +154,11 @@ class ComparisonReport:
 STANDARD_ARM = 0
 NONITERATIVE_ARM = 1
 
+# clause densities above this are more than twice the random 3-SAT threshold
+# (about 4.27): satisfiable draws become so rare that regenerating until one
+# is found need not end
+MAX_ALPHA = 10.0
+
 
 def run_success_comparison(
     ensemble: Ensemble,
@@ -165,21 +174,17 @@ def run_success_comparison(
     records = []
     for inst in ensemble.instances:
         space = inst.target
-        own = optimize_instance(space, config)
+        own = optimize_instance(space, config)  # own.value is F1 at own.angles
         standard = ArmOutcome(
             angles=own.angles,
             success_prob=own.value,
-            shots_hit=sample_shots(
-                space, own.angles, shots, shot_rng(seed, inst.id, STANDARD_ARM)
-            ),
+            shots_hit=_draw_hits(own.value, shots, shot_rng(seed, inst.id, STANDARD_ARM)),
         )
         prob = f1_closed(space, shared.angles.beta, shared.angles.gamma)
         noniterative = ArmOutcome(
             angles=shared.angles,
             success_prob=prob,
-            shots_hit=sample_shots(
-                space, shared.angles, shots, shot_rng(seed, inst.id, NONITERATIVE_ARM)
-            ),
+            shots_hit=_draw_hits(prob, shots, shot_rng(seed, inst.id, NONITERATIVE_ARM)),
         )
         records.append(InstanceComparison(inst.id, standard, noniterative))
 
@@ -211,12 +216,16 @@ def run_sat_alpha(
     """The two-arm study across SAT clause densities alpha = clauses / n.
 
     Returns one (alpha, ensemble, report) triple per density, with
-    floor(alpha * n) clauses per instance.
+    floor(alpha * n) clauses per instance; each alpha must lie in
+    (0, MAX_ALPHA].
     """
     from .problems import build_ensemble
 
     if not alphas:
         raise UsageError("need at least one alpha")
+    for alpha in alphas:
+        if not 0.0 < alpha <= MAX_ALPHA:  # false for nan too
+            raise UsageError(f"alpha must be in (0, {MAX_ALPHA:g}], got {alpha!r}")
     results = []
     for alpha in alphas:
         num_clauses = int(alpha * n)

@@ -102,9 +102,8 @@ class LandscapeForm:
             size, profile, pair = source.e_tsize, source.e_profile, source.e_pair
         elif isinstance(source, InstanceStats):
             size, profile, pair = source.t_size, source.mean_profile, source.mean_pair
-        else:  # a TargetSpace: its cached exact sums
-            size = len(source)
-            profile, pair = source.profile_sums / size, source.pair_sums / size
+        else:  # a TargetSpace: its cached means of the exact sums
+            size, profile, pair = len(source), source.mean_profile, source.mean_pair
         return cls(source.n, size / (1 << source.n), profile, pair)
 
     @classmethod
@@ -130,7 +129,7 @@ def form_bracket(form: LandscapeForm, betas, gammas) -> np.ndarray:
     fn = fn_matrix(betas, form.n)
     quad = ((fn @ form.pair) * fn.conj()).sum(axis=-1)
     residue = np.abs(quad.imag) - IMAG_RESIDUE_TOL * np.abs(quad.real)
-    if np.max(residue) > IMAG_RESIDUE_TOL:
+    if residue.max() > IMAG_RESIDUE_TOL:
         raise ComputationError(f"imaginary residue {np.max(np.abs(quad.imag)):g} in a landscape")
     z = quad.real - np.exp(1j * form.n * np.asarray(betas)) * (form.profile @ fn.T)
     return 1.0 - 2.0 * np.multiply.outer(z, np.exp(-1j * np.asarray(gammas)) - 1.0).real

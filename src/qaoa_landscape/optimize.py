@@ -108,7 +108,7 @@ def _simplex(search: _Search, start: np.ndarray, steps: np.ndarray) -> None:
         vals = [vals[i] for i in order]
         spread = vals[0] - vals[2]
         diameter = max(
-            float(np.max(np.abs(pts[a] - pts[b]))) for a, b in ((0, 1), (0, 2), (1, 2))
+            float(np.abs(pts[a] - pts[b]).max()) for a, b in ((0, 1), (0, 2), (1, 2))
         )
         if spread <= cfg.value_tol and diameter <= cfg.x_tol:
             return

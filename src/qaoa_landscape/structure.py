@@ -51,12 +51,11 @@ def instance_stats(space: TargetSpace) -> InstanceStats:
     Products are accumulated in exact integer arithmetic before the single
     division, so no rounding drift enters the pair matrix.
     """
-    m = len(space)
     return InstanceStats(
         n=space.n,
-        t_size=m,
-        mean_profile=space.profile_sums / m,
-        mean_pair=space.pair_sums / m,
+        t_size=len(space),
+        mean_profile=space.mean_profile,
+        mean_pair=space.mean_pair,
     )
 
 

@@ -14,6 +14,7 @@ from qaoa_landscape.core import (
     binomial_row,
     default_grid,
     distance_profile,
+    exact_pair_sums,
     hamming_distance,
 )
 
@@ -121,6 +122,32 @@ class TestTargetSpace:
             TargetSpace(3, (2, 1))
         with pytest.raises(UsageError):
             TargetSpace(3, (1, 1))
+
+    def test_means_divide_the_exact_sums_once(self, rng):
+        space = random_space(rng, 6, 9)
+        assert np.array_equal(space.mean_profile, space.profile_sums / 9)
+        assert np.array_equal(space.mean_pair, space.pair_sums / 9)
+        assert space.mean_pair is space.mean_pair  # cached, not rebuilt per read
+
+
+class TestExactPairSums:
+    def test_largest_exact_products_pass(self):
+        # one row of 2^31: its square, 2^62, still fits int64
+        profiles = np.array([[1 << 31, 3]], dtype=np.int64)
+        assert exact_pair_sums(profiles).tolist() == [[1 << 62, 3 << 31], [3 << 31, 9]]
+
+    def test_products_that_would_wrap_are_refused(self):
+        # two rows of 2^31: the diagonal sum, 2^63, wraps int64
+        profiles = np.array([[1 << 31, 0], [1 << 31, 0]], dtype=np.int64)
+        with pytest.raises(UsageError, match="overflow int64"):
+            exact_pair_sums(profiles)
+
+    def test_full_space_at_n23_is_refused(self):
+        # every row of the full space at n=23 is C(23, d); sum_x C(23, 11)^2 ~ 1.5e19
+        row = np.array([math.comb(23, d) for d in range(24)], dtype=np.int64)
+        profiles = np.broadcast_to(row, (1 << 23, 24))
+        with pytest.raises(UsageError, match="overflow int64"):
+            exact_pair_sums(profiles)
 
 
 class TestDistanceProfile:

@@ -6,6 +6,7 @@ import pytest
 from qaoa_landscape import experiments
 from qaoa_landscape.core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
 from qaoa_landscape.experiments import (
+    MAX_ALPHA,
     NONITERATIVE_ARM,
     STANDARD_ARM,
     run_landscape_comparison,
@@ -163,6 +164,28 @@ class TestSuccessComparison:
             assert 0 <= rec.standard.shots_hit <= rep.shots
             assert 0 <= rec.noniterative.shots_hit <= rep.shots
 
+    def test_hits_drawn_at_each_arms_probability(self, success_report):
+        ensemble, rep = success_report
+        for inst, rec in zip(ensemble.instances, rep.records):
+            for arm, outcome in ((STANDARD_ARM, rec.standard),
+                                 (NONITERATIVE_ARM, rec.noniterative)):
+                hits = sample_shots(inst.target, outcome.angles, rep.shots,
+                                    shot_rng(rep.seed, inst.id, arm))
+                assert outcome.shots_hit == hits
+
+    def test_no_f1_evaluated_twice_after_search(self, monkeypatch):
+        ensemble = build_ensemble("uniform", 5, 3, {"t_size": 6}, seed=2)
+        calls = []
+
+        def counted(space, beta, gamma):
+            calls.append((id(space), beta, gamma))
+            return f1_closed(space, beta, gamma)
+
+        monkeypatch.setattr(experiments, "f1_closed", counted)
+        run_success_comparison(ensemble, shots=10, seed=2)
+        assert len(calls) == len(ensemble.instances)  # the shared arm, once each
+        assert len(set(calls)) == len(calls)
+
 
 class TestSatAlpha:
     def test_clause_counts(self):
@@ -183,3 +206,8 @@ class TestSatAlpha:
     def test_rejects_zero_clause_density(self):
         with pytest.raises(UsageError):
             run_sat_alpha(5, (0.1,), count=3, shots=10, seed=3)
+
+    def test_accepts_the_largest_alpha(self):
+        (alpha, ensemble, _), = run_sat_alpha(3, (MAX_ALPHA,), count=1, shots=10, seed=3)
+        assert alpha == MAX_ALPHA
+        assert ensemble.params == {"num_clauses": 30}

@@ -3,8 +3,18 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qaoa_landscape._kernels import apply_mixer, pairwise_profiles
+from qaoa_landscape._kernels import (
+    PAIRWISE_ROUTE,
+    SHELL_ROUTE,
+    apply_mixer,
+    pairwise_profiles,
+    profile_route,
+    shell_profiles,
+)
+
+PROFILE_KERNELS = [pairwise_profiles, shell_profiles]
 
 
 def random_states(rng, n, m):
@@ -25,22 +35,66 @@ def random_amps(rng, n):
 
 
 class TestPairwiseProfiles:
-    # m=600 spans two row blocks of the kernel
+    """Each test runs both profile kernels, pairwise and shells."""
+
+    # m=600 spans two row blocks of the pairwise kernel
     @pytest.mark.parametrize("n,m", [(1, 2), (4, 7), (8, 100), (11, 600)])
     def test_matches_brute_force(self, rng, n, m):
         states = random_states(rng, n, m)
-        profiles = pairwise_profiles(states, n)
-        assert profiles.dtype == np.int64
-        assert np.array_equal(profiles, brute_force_profiles(states, n))
+        want = brute_force_profiles(states, n)
+        for kernel in PROFILE_KERNELS:
+            profiles = kernel(states, n)
+            assert profiles.dtype == np.int64
+            assert np.array_equal(profiles, want), kernel.__name__
 
     def test_rows_sum_to_m(self, rng):
         states = random_states(rng, 6, 23)
-        assert np.all(pairwise_profiles(states, 6).sum(axis=1) == 23)
+        for kernel in PROFILE_KERNELS:
+            assert np.all(kernel(states, 6).sum(axis=1) == 23), kernel.__name__
 
     def test_self_distance(self, rng):
         states = random_states(rng, 6, 23)
-        profiles = pairwise_profiles(states, 6)
-        assert np.all(profiles[:, 0] == 1)  # distinct states: only self at d=0
+        for kernel in PROFILE_KERNELS:
+            # distinct states: only self at d=0
+            assert np.all(kernel(states, 6)[:, 0] == 1), kernel.__name__
+
+
+@st.composite
+def state_sets(draw):
+    n = draw(st.integers(1, 10))
+    states = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n))
+    order = draw(st.permutations(sorted(states)))
+    return n, np.array(order, dtype=np.uint64)
+
+
+class TestShellsAgainstPairwise:
+    @settings(max_examples=80, deadline=None)
+    @given(state_sets())
+    def test_equal_int64_arrays(self, case):
+        n, states = case
+        shells = shell_profiles(states, n)
+        pairwise = pairwise_profiles(states, n)
+        assert shells.dtype == pairwise.dtype == np.int64
+        assert np.array_equal(shells, pairwise)
+
+
+class TestProfileRoute:
+    def test_dense_uniform_takes_shells(self):
+        assert profile_route(14, 4096) == SHELL_ROUTE
+
+    def test_qrfactor_takes_pairwise(self):
+        assert profile_route(20, 2) == PAIRWISE_ROUTE
+
+    def test_shells_need_more_pairs_than_adds(self):
+        # n(n+1)2^n is 960 at n=5: 31^2 pairs take shells, 30^2 do not
+        assert profile_route(5, 30) == PAIRWISE_ROUTE
+        assert profile_route(5, 31) == SHELL_ROUTE
+
+    def test_shell_table_capped_at_one_row_block(self):
+        # full space at n=20: far fewer adds than pairs, table within the cap
+        assert profile_route(20, 1 << 20) == SHELL_ROUTE
+        # n=30 with 2^25 targets: adds win, but the 31 * 2^30 table is ~2x a block
+        assert profile_route(30, 1 << 25) == PAIRWISE_ROUTE
 
 
 class TestApplyMixer:

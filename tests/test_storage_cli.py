@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qaoa_landscape import cli, storage
+from qaoa_landscape import cli, problems, storage
 from qaoa_landscape.core import AngleGrid, UsageError
 from qaoa_landscape.experiments import run_success_comparison
 from qaoa_landscape.landscape import LandscapeGrid, eval_grid, f1_closed
@@ -345,6 +345,21 @@ class TestCli:
         code = cli.main(["landscape", "--summary", "broken.json", "--grid", "8x8",
                          "--out-prefix", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "alphas", ["x", "nan", "inf", "1e30", "2,,4", "0", "-1", "2,10.5"]
+    )
+    def test_malformed_alphas_exit_1(self, tmp_path, capsys, monkeypatch, alphas):
+        def refuse(*args):  # an unchecked 1e30 would ask for 5e30 clauses
+            raise AssertionError("an ensemble was generated for a bad alpha")
+
+        monkeypatch.setattr(problems, "build_ensemble", refuse)
+        code = cli.main(["sat-alpha", "--n", "5", "--alphas", alphas, "--count", "1",
+                         "--out-prefix", str(tmp_path / "sa")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: alpha") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["optimize", "compare"])
     @pytest.mark.parametrize("coarse", ["abc", "32", "3x", "1x2x3"])
