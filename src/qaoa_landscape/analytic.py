@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UsageError, binomial, binomial_row
+from .core import MAX_WIDTH, UsageError, binomial, binomial_row
 from .structure import StructuralSummary
 
 PAPER_MODE = "paper"
@@ -43,8 +43,8 @@ class UniformModel:
     mode: str = PAPER_MODE
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 32:
-            raise UsageError(f"n must be in [1, 32], got {self.n}")
+        if not 1 <= self.n <= MAX_WIDTH:
+            raise UsageError(f"n must be in [1, {MAX_WIDTH}], got {self.n}")
         if not 1 <= self.t_size <= (1 << self.n):
             raise UsageError(f"t_size must be in [1, 2^n], got {self.t_size}")
         if self.mode not in MODES:

@@ -7,13 +7,11 @@ Exit codes: 0 on success, 1 on usage errors (bad flags, malformed inputs),
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from pathlib import Path
 
 from .analytic import MODES, PAPER_MODE, UniformModel, summary_analytic
-from .core import AngleGrid, ComputationError, UsageError
+from .core import AngleGrid, ComputationError, UsageError, default_grid
 from .experiments import (
     MAX_ALPHA,
     run_landscape_comparison,
@@ -21,8 +19,9 @@ from .experiments import (
     run_success_comparison,
 )
 from .landscape import LandscapeGrid, approx_curve, approx_grid
-from .optimize import optimize_instance, optimize_problem
+from .optimize import OptConfig, optimize_instance, optimize_problem
 from .problems import FAMILIES, build_ensemble
+from .structure import StructuralSummary, aggregate, instance_stats
 from . import storage
 
 
@@ -44,27 +43,20 @@ def _parse_grid(text: str) -> AngleGrid:
     beta_steps, gamma_steps = _parse_steps(text, "grid", "100x100")
     if beta_steps < 1 or gamma_steps < 1:
         raise UsageError("grid must have at least one point per axis")
-    return AngleGrid(
-        0.0,
-        math.pi,
-        0.0,
-        2.0 * math.pi * (gamma_steps - 1) / gamma_steps,
-        beta_steps,
-        gamma_steps,
-    )
+    return default_grid(beta_steps, gamma_steps)
 
 
-def _opt_config(args) -> "storage.OptConfig":
-    spec = {}
+def _opt_config(args) -> OptConfig:
+    fields = {}
     if args.coarse is not None:
-        cb, cg = _parse_steps(args.coarse, "coarse", "32x32")
-        spec["coarse_beta"] = cb
-        spec["coarse_gamma"] = cg
+        coarse_beta, coarse_gamma = _parse_steps(args.coarse, "coarse", "32x32")
+        fields["coarse_beta"] = coarse_beta
+        fields["coarse_gamma"] = coarse_gamma
     if args.refine_starts is not None:
-        spec["refine_starts"] = args.refine_starts
+        fields["refine_starts"] = args.refine_starts
     if args.max_evals is not None:
-        spec["max_evals"] = args.max_evals
-    return storage.opt_config_from_spec(spec)
+        fields["max_evals"] = args.max_evals
+    return OptConfig(**fields)
 
 
 def _add_opt_flags(parser) -> None:
@@ -96,12 +88,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_summarize(args) -> int:
-    from .structure import aggregate, instance_stats
+def _ensemble_summary(path: str) -> StructuralSummary:
+    ensemble = storage.load_ensemble(path)
+    return aggregate([instance_stats(inst.target) for inst in ensemble.instances])
 
-    ensemble = storage.load_ensemble(args.ensemble)
-    summary = aggregate([instance_stats(inst.target) for inst in ensemble.instances])
-    storage.save_summary(summary, args.out)
+
+def _cmd_summarize(args) -> int:
+    storage.save_summary(_ensemble_summary(args.ensemble), args.out)
     return 0
 
 
@@ -121,10 +114,7 @@ def _cmd_landscape(args) -> int:
         if args.gamma_c is not None:
             betas = grid.betas()
             curve = approx_curve(summary, betas, args.gamma_c)
-            lines = ["beta,value"]
-            for b, v in zip(betas, curve):
-                lines.append(f"{b:.17g},{v:.17g}")
-            Path(f"{prefix}_cross.csv").write_text("\n".join(lines) + "\n")
+            storage.curve_to_csv(betas, curve, f"{prefix}_cross.csv")
         return 0
     ensemble = storage.load_ensemble(args.ensemble)
     gamma_c = args.gamma_c if args.gamma_c is not None else 1.2
@@ -150,11 +140,7 @@ def _cmd_optimize(args) -> int:
     elif args.summary is not None:
         result = optimize_problem(storage.load_summary(args.summary), config)
     else:
-        from .structure import aggregate, instance_stats
-
-        ensemble = storage.load_ensemble(args.ensemble)
-        summary = aggregate([instance_stats(inst.target) for inst in ensemble.instances])
-        result = optimize_problem(summary, config)
+        result = optimize_problem(_ensemble_summary(args.ensemble), config)
     storage.save_optresult(result, args.out)
     return 0
 
@@ -164,17 +150,17 @@ def _cmd_compare(args) -> int:
     report = run_success_comparison(ensemble, args.shots, args.seed, _opt_config(args))
     prefix = Path(args.out_prefix)
     storage.save_report(report, f"{prefix}.csv", f"{prefix}.json")
-    config = storage.RunConfig(
-        seed=args.seed,
-        family=ensemble.family,
-        n=ensemble.n,
-        count=len(ensemble.instances),
-        params=ensemble.params,
-        grid={},
-        optimizer={"shots": args.shots},
-        out_dir=str(prefix.parent),
-    )
-    Path(f"{prefix}_config.json").write_text(json.dumps(config.to_dict(), indent=1) + "\n")
+    config = {
+        "seed": args.seed,
+        "family": ensemble.family,
+        "n": ensemble.n,
+        "count": len(ensemble.instances),
+        "params": ensemble.params,
+        "grid": {},
+        "optimizer": {"shots": args.shots},
+        "out_dir": str(prefix.parent),
+    }
+    storage.write_json(config, f"{prefix}_config.json")
     return 0
 
 
@@ -192,7 +178,7 @@ def _cmd_sat_alpha(args) -> int:
         tag = f"{prefix}_a{alpha:g}"
         storage.save_report(report, f"{tag}.csv", f"{tag}.json")
         combined.append(storage.report_to_dict(report) | {"alpha": alpha})
-    Path(f"{prefix}_summary.json").write_text(json.dumps(combined, indent=1) + "\n")
+    storage.write_json(combined, f"{prefix}_summary.json")
     return 0
 
 

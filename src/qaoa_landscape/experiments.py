@@ -41,13 +41,17 @@ def sample_shots(
     so the count is one Binomial(shots, F1) draw, with F1 from the closed
     form; no statevector is built, so any width the form supports works.
     """
+    _check_shots(shots)
     return _draw_hits(f1_closed(space, angles.beta, angles.gamma), shots, rng)
 
 
-def _draw_hits(prob: float, shots: int, rng: np.random.Generator) -> int:
-    """One Binomial(shots, prob) draw at an F1 already in hand."""
+def _check_shots(shots: int) -> None:
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
+
+
+def _draw_hits(prob: float, shots: int, rng: np.random.Generator) -> int:
+    """One Binomial(shots, prob) draw at an F1 already in hand; shots >= 1."""
     if not -_PROB_TOL <= prob <= 1.0 + _PROB_TOL:
         raise ComputationError(f"success probability {prob!r} is not in [0, 1]")
     return int(rng.binomial(shots, min(max(prob, 0.0), 1.0)))
@@ -167,6 +171,7 @@ def run_success_comparison(
     config: OptConfig = OptConfig(),
 ) -> ComparisonReport:
     """Per-instance optimisation against one problem-global optimisation."""
+    _check_shots(shots)
     spaces = [inst.target for inst in ensemble.instances]
     summary = aggregate([instance_stats(space) for space in spaces])
     shared: OptResult = optimize_problem(summary, config)
@@ -221,6 +226,7 @@ def run_sat_alpha(
     """
     from .problems import build_ensemble
 
+    _check_shots(shots)
     if not alphas:
         raise UsageError("need at least one alpha")
     for alpha in alphas:

@@ -148,6 +148,13 @@ def to_dimacs(cnf: Cnf) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dimacs_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise UsageError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def from_dimacs(text: str) -> Cnf:
     """Parse DIMACS CNF; comment lines ('c ...') are skipped."""
     num_vars = None
@@ -162,12 +169,14 @@ def from_dimacs(text: str) -> Cnf:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise UsageError(f"line {lineno}: malformed problem line {line!r}")
-            num_vars, num_clauses = int(fields[2]), int(fields[3])
+            num_vars, num_clauses = (_dimacs_int(f, lineno) for f in fields[2:])
+            if num_vars < 0:
+                raise UsageError(f"line {lineno}: negative variable count {num_vars}")
             continue
         if num_vars is None:
             raise UsageError(f"line {lineno}: clause before 'p cnf' header")
         for token in line.split():
-            lit = int(token)
+            lit = _dimacs_int(token, lineno)
             if lit == 0:
                 clauses.append(tuple((abs(v) - 1, v < 0) for v in pending))
                 pending = []

@@ -1,5 +1,6 @@
 """On-disk formats: ensemble and summary JSON, grid and report CSV.
 
+Every file the package writes goes through `write_json` or `_write_csv`.
 All floats in CSV are written with 17 significant digits, enough to
 round-trip a double exactly; JSON uses Python's shortest-exact float
 representation.  Writers emit keys in a fixed order so identical inputs
@@ -10,21 +11,36 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_WIDTH, Angles, AngleGrid, TargetSpace, UsageError
+from .core import MAX_WIDTH, TargetSpace, UsageError
 from .experiments import ComparisonReport, CrossSection
 from .landscape import IMAG_RESIDUE_TOL, LandscapeGrid
-from .optimize import OptConfig, OptResult
+from .optimize import OptResult
 from .problems import FAMILIES, Ensemble, Instance
 from .structure import StructuralSummary
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _texts(values) -> list[str]:
+    """Each float as 17 significant digits."""
+    return [format(v, ".17g") for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _write_csv(path: str | Path, header: str, columns: list[list[str]]) -> None:
+    """The header, then row i joining the i-th text of each column.
+
+    Rows are streamed to the file, so no copy of the whole text is held.
+    """
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        out.writelines(",".join(row) + "\n" for row in zip(*columns))
+
+
+def write_json(doc, path: str | Path) -> None:
+    """`doc` as JSON indented by one space, with a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def _read_json(path: str | Path):
@@ -114,7 +130,7 @@ def ensemble_from_dict(data: dict) -> Ensemble:
 
 
 def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(ensemble_to_dict(ensemble), indent=1) + "\n")
+    write_json(ensemble_to_dict(ensemble), path)
 
 
 def load_ensemble(path: str | Path) -> Ensemble:
@@ -183,7 +199,7 @@ def summary_from_dict(data: dict) -> StructuralSummary:
 
 
 def save_summary(summary: StructuralSummary, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(summary_to_dict(summary), indent=1) + "\n")
+    write_json(summary_to_dict(summary), path)
 
 
 def load_summary(path: str | Path) -> StructuralSummary:
@@ -191,44 +207,49 @@ def load_summary(path: str | Path) -> StructuralSummary:
 
 
 # ---------------------------------------------------------------------------
-# grids, cross-sections, reports
+# grids, cross-sections, curves, reports
 
 
 def grid_to_csv(grid: LandscapeGrid, path: str | Path) -> None:
     """One row per lattice point, row-major (beta outer, gamma inner)."""
+    lattice = grid.grid
     header = "beta,gamma,value" + (",stddev" if grid.stddev is not None else "")
-    lines = [header]
-    i = 0
-    for b in grid.grid.betas():
-        for g in grid.grid.gammas():
-            row = f"{_fmt(b)},{_fmt(g)},{_fmt(grid.values[i])}"
-            if grid.stddev is not None:
-                row += f",{_fmt(grid.stddev[i])}"
-            lines.append(row)
-            i += 1
-    Path(path).write_text("\n".join(lines) + "\n")
+    # each axis value is formatted once, then repeated (beta) or tiled (gamma)
+    betas = [text for text in _texts(lattice.betas()) for _ in range(lattice.gamma_steps)]
+    columns = [betas, _texts(lattice.gammas()) * lattice.beta_steps, _texts(grid.values)]
+    if grid.stddev is not None:
+        columns.append(_texts(grid.stddev))
+    _write_csv(path, header, columns)
 
 
 def cross_section_to_csv(section: CrossSection, path: str | Path) -> None:
-    lines = ["beta,value,stddev,approx"]
-    for i, b in enumerate(section.betas):
-        lines.append(
-            f"{_fmt(b)},{_fmt(section.values[i])},"
-            f"{_fmt(section.stddev[i])},{_fmt(section.approx[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [section.betas, section.values, section.stddev, section.approx]
+    _write_csv(path, "beta,value,stddev,approx", [_texts(c) for c in columns])
+
+
+def curve_to_csv(betas, values, path: str | Path) -> None:
+    """A fixed-gamma curve: one row per beta."""
+    _write_csv(path, "beta,value", [_texts(betas), _texts(values)])
 
 
 def report_to_csv(report: ComparisonReport, path: str | Path) -> None:
     """One row per instance per arm."""
-    lines = ["id,arm,beta,gamma,success_prob,shots_hit,shots"]
+    ids, arms, outcomes = [], [], []
     for rec in report.records:
         for arm, outcome in (("standard", rec.standard), ("noniterative", rec.noniterative)):
-            lines.append(
-                f"{rec.id},{arm},{_fmt(outcome.angles.beta)},{_fmt(outcome.angles.gamma)},"
-                f"{_fmt(outcome.success_prob)},{outcome.shots_hit},{report.shots}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+            ids.append(str(rec.id))
+            arms.append(arm)
+            outcomes.append(outcome)
+    columns = [
+        ids,
+        arms,
+        _texts([outcome.angles.beta for outcome in outcomes]),
+        _texts([outcome.angles.gamma for outcome in outcomes]),
+        _texts([outcome.success_prob for outcome in outcomes]),
+        [str(outcome.shots_hit) for outcome in outcomes],
+        [str(report.shots)] * len(outcomes),
+    ]
+    _write_csv(path, "id,arm,beta,gamma,success_prob,shots_hit,shots", columns)
 
 
 def report_to_dict(report: ComparisonReport) -> dict:
@@ -249,7 +270,7 @@ def report_to_dict(report: ComparisonReport) -> dict:
 
 def save_report(report: ComparisonReport, csv_path: str | Path, json_path: str | Path) -> None:
     report_to_csv(report, csv_path)
-    Path(json_path).write_text(json.dumps(report_to_dict(report), indent=1) + "\n")
+    write_json(report_to_dict(report), json_path)
 
 
 def optresult_to_dict(result: OptResult) -> dict:
@@ -262,66 +283,4 @@ def optresult_to_dict(result: OptResult) -> dict:
 
 
 def save_optresult(result: OptResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(optresult_to_dict(result), indent=1) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# run configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A reproducible description of one experiment run."""
-
-    seed: int
-    family: str
-    n: int
-    count: int
-    params: dict
-    grid: dict
-    optimizer: dict
-    out_dir: str
-
-    _FIELDS = ("seed", "family", "n", "count", "params", "grid", "optimizer", "out_dir")
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise UsageError("run config must be a JSON object")
-        unknown = set(data) - set(cls._FIELDS)
-        if unknown:
-            raise UsageError(f"run config has unknown fields: {sorted(unknown)}")
-        missing = set(cls._FIELDS) - set(data)
-        if missing:
-            raise UsageError(f"run config lacks fields: {sorted(missing)}")
-        return cls(**{name: data[name] for name in cls._FIELDS})
-
-
-def angle_grid_from_spec(spec: dict) -> AngleGrid:
-    """Build an AngleGrid from the JSON shape used in run configs."""
-    return AngleGrid(
-        beta_min=float(spec["beta_min"]),
-        beta_max=float(spec["beta_max"]),
-        gamma_min=float(spec["gamma_min"]),
-        gamma_max=float(spec["gamma_max"]),
-        beta_steps=int(spec["beta_steps"]),
-        gamma_steps=int(spec["gamma_steps"]),
-    )
-
-
-def opt_config_from_spec(spec: dict) -> OptConfig:
-    allowed = {
-        "coarse_beta",
-        "coarse_gamma",
-        "refine_starts",
-        "value_tol",
-        "x_tol",
-        "max_evals",
-    }
-    unknown = set(spec) - allowed
-    if unknown:
-        raise UsageError(f"optimizer config has unknown fields: {sorted(unknown)}")
-    return OptConfig(**spec)
+    write_json(optresult_to_dict(result), path)

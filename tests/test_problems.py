@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -158,6 +159,19 @@ class TestDimacs:
             from_dimacs("p cnf 2 2\n1 2 0\n")  # clause count mismatch
         with pytest.raises(UsageError):
             from_dimacs("")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf x 3\n", "line 1: expected an integer, got 'x'"),
+            ("p cnf 2 1.5\n", "line 1: expected an integer, got '1.5'"),
+            ("c note\np cnf 2 1\n1 a 0\n", "line 3: expected an integer, got 'a'"),
+            ("p cnf -1 0\n", "line 1: negative variable count -1"),
+        ],
+    )
+    def test_bad_numbers_name_the_line(self, text, message):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            from_dimacs(text)
 
 
 class TestKClique:

@@ -4,9 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from qaoa_landscape import cli, problems, storage
-from qaoa_landscape.core import AngleGrid, UsageError
-from qaoa_landscape.experiments import run_success_comparison
+from qaoa_landscape import cli, experiments, problems, storage
+from qaoa_landscape.core import AngleGrid, Angles, UsageError
+from qaoa_landscape.experiments import (
+    ArmOutcome,
+    ComparisonReport,
+    CrossSection,
+    InstanceComparison,
+    run_success_comparison,
+)
 from qaoa_landscape.landscape import LandscapeGrid, eval_grid, f1_closed
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate, instance_stats
@@ -168,47 +174,103 @@ class TestReportFiles:
         assert doc["shared_angles"]["beta"] == report.shared_angles.beta
 
 
-class TestRunConfig:
-    def test_round_trip(self):
-        config = storage.RunConfig(
-            seed=3,
-            family="sat",
-            n=8,
-            count=50,
-            params={"num_clauses": 16},
-            grid={"beta_steps": 100},
-            optimizer={"shots": 50},
-            out_dir="out",
+# Awkward doubles for the golden-bytes tests: signed zero, a value that 17
+# digits show inexactly, the smallest subnormal and a huge exponent.
+AWKWARD = np.array([0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324, 1e300, -2.5])
+
+
+class TestGoldenBytes:
+    def test_grid(self, tmp_path):
+        grid = AngleGrid(0.0, 0.1, 0.0, 1.0, 2, 4)
+        path = tmp_path / "g.csv"
+        storage.grid_to_csv(LandscapeGrid(grid=grid, values=AWKWARD), path)
+        assert path.read_text() == (
+            "beta,gamma,value\n"
+            "0,0,0\n"
+            "0,0.33333333333333331,-0\n"
+            "0,0.66666666666666663,1\n"
+            "0,1,0.10000000000000001\n"
+            "0.10000000000000001,0,0.33333333333333331\n"
+            "0.10000000000000001,0.33333333333333331,4.9406564584124654e-324\n"
+            "0.10000000000000001,0.66666666666666663,1.0000000000000001e+300\n"
+            "0.10000000000000001,1,-2.5\n"
         )
-        assert storage.RunConfig.from_dict(config.to_dict()) == config
 
-    def test_rejects_unknown_field(self):
-        doc = storage.RunConfig(1, "sat", 8, 5, {}, {}, {}, ".").to_dict()
-        doc["extra"] = 1
-        with pytest.raises(UsageError, match="unknown fields"):
-            storage.RunConfig.from_dict(doc)
+    def test_grid_with_stddev(self, tmp_path):
+        grid = AngleGrid(0.0, 1.0, 0.0, 1.0, 4, 2)
+        path = tmp_path / "g.csv"
+        storage.grid_to_csv(
+            LandscapeGrid(grid=grid, values=AWKWARD, stddev=AWKWARD[::-1].copy()), path
+        )
+        assert path.read_text() == (
+            "beta,gamma,value,stddev\n"
+            "0,0,0,-2.5\n"
+            "0,1,-0,1.0000000000000001e+300\n"
+            "0.33333333333333331,0,1,4.9406564584124654e-324\n"
+            "0.33333333333333331,1,0.10000000000000001,0.33333333333333331\n"
+            "0.66666666666666663,0,0.33333333333333331,0.10000000000000001\n"
+            "0.66666666666666663,1,4.9406564584124654e-324,1\n"
+            "1,0,1.0000000000000001e+300,-0\n"
+            "1,1,-2.5,0\n"
+        )
 
-    def test_rejects_missing_field(self):
-        doc = storage.RunConfig(1, "sat", 8, 5, {}, {}, {}, ".").to_dict()
-        del doc["seed"]
-        with pytest.raises(UsageError, match="lacks fields"):
-            storage.RunConfig.from_dict(doc)
+    def test_cross_section(self, tmp_path):
+        path = tmp_path / "c.csv"
+        section = CrossSection(
+            gamma_c=1.2, betas=AWKWARD[:4], values=AWKWARD[4:],
+            stddev=AWKWARD[:4], approx=AWKWARD[4:],
+        )
+        storage.cross_section_to_csv(section, path)
+        assert path.read_text() == (
+            "beta,value,stddev,approx\n"
+            "0,0.33333333333333331,0,0.33333333333333331\n"
+            "-0,4.9406564584124654e-324,-0,4.9406564584124654e-324\n"
+            "1,1.0000000000000001e+300,1,1.0000000000000001e+300\n"
+            "0.10000000000000001,-2.5,0.10000000000000001,-2.5\n"
+        )
 
-    def test_grid_spec(self):
-        spec = {
-            "beta_min": 0.0,
-            "beta_max": 1.0,
-            "gamma_min": 0.0,
-            "gamma_max": 2.0,
-            "beta_steps": 5,
-            "gamma_steps": 7,
-        }
-        grid = storage.angle_grid_from_spec(spec)
-        assert grid.beta_steps == 5 and grid.gamma_steps == 7
+    def test_curve(self, tmp_path):
+        path = tmp_path / "c.csv"
+        storage.curve_to_csv(AWKWARD[:4], AWKWARD[4:], path)
+        assert path.read_text() == (
+            "beta,value\n"
+            "0,0.33333333333333331\n"
+            "-0,4.9406564584124654e-324\n"
+            "1,1.0000000000000001e+300\n"
+            "0.10000000000000001,-2.5\n"
+        )
 
-    def test_opt_spec_rejects_unknown(self):
-        with pytest.raises(UsageError, match="unknown fields"):
-            storage.opt_config_from_spec({"bogus": 1})
+    def test_report(self, tmp_path):
+        def arm(beta, gamma, prob, hits):
+            return ArmOutcome(Angles(beta, gamma), prob, hits)
+
+        records = (
+            InstanceComparison(0, arm(0.0, -0.0, 1.0, 3), arm(0.1, 1 / 3, 5e-324, 0)),
+            InstanceComparison(7, arm(1e300, -2.5, 0.1, 5), arm(1 / 3, 0.0, 1 / 3, 1)),
+        )
+        report = ComparisonReport(
+            family="uniform", n=3, shots=5, seed=0, shared_angles=Angles(0.1, 1 / 3),
+            shared_value=1 / 3, records=records, mean_standard=0.1, std_standard=0.0,
+            mean_noniterative=1 / 3, std_noniterative=-0.0,
+        )
+        path = tmp_path / "r.csv"
+        storage.report_to_csv(report, path)
+        assert path.read_text() == (
+            "id,arm,beta,gamma,success_prob,shots_hit,shots\n"
+            "0,standard,0,-0,1,3,5\n"
+            "0,noniterative,0.10000000000000001,0.33333333333333331,"
+            "4.9406564584124654e-324,0,5\n"
+            "7,standard,1.0000000000000001e+300,-2.5,0.10000000000000001,5,5\n"
+            "7,noniterative,0.33333333333333331,0,0.33333333333333331,1,5\n"
+        )
+
+    def test_json(self, tmp_path):
+        path = tmp_path / "d.json"
+        storage.write_json({"values": AWKWARD.tolist(), "nested": {"n": 3, "none": None}}, path)
+        assert path.read_text() == (
+            '{\n "values": [\n  0.0,\n  -0.0,\n  1.0,\n  0.1,\n  0.3333333333333333,\n'
+            '  5e-324,\n  1e+300,\n  -2.5\n ],\n "nested": {\n  "n": 3,\n  "none": null\n }\n}\n'
+        )
 
 
 class TestCli:
@@ -307,10 +369,20 @@ class TestCli:
         assert (tmp_path / "run.csv").exists()
         doc = json.loads((tmp_path / "run.json").read_text())
         assert doc["instances"] == 3
-        config = storage.RunConfig.from_dict(
-            json.loads((tmp_path / "run_config.json").read_text())
-        )
-        assert config.seed == 1 and config.family == "uniform" and config.count == 3
+        config = json.loads((tmp_path / "run_config.json").read_text())
+        assert list(config) == [
+            "seed", "family", "n", "count", "params", "grid", "optimizer", "out_dir"
+        ]
+        assert config == {
+            "seed": 1,
+            "family": "uniform",
+            "n": 4,
+            "count": 3,
+            "params": storage.load_ensemble(ens).params,
+            "grid": {},
+            "optimizer": {"shots": 10},
+            "out_dir": str(tmp_path),
+        }
 
     def test_sat_alpha(self, tmp_path):
         prefix = tmp_path / "sa"
@@ -360,6 +432,27 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: alpha") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["compare", "sat-alpha"])
+    def test_bad_shots_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch, command, shots):
+        ens = tmp_path / "e.json"
+        cli.main(["gen", "--family", "uniform", "--n", "3", "--count", "2",
+                  "--t-size", "2", "--out", str(ens)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work was started for a bad shot count")
+
+        monkeypatch.setattr(problems, "build_ensemble", refuse)
+        monkeypatch.setattr(experiments, "optimize_problem", refuse)
+        monkeypatch.setattr(experiments, "optimize_instance", refuse)
+        source = ["--ensemble", str(ens)] if command == "compare" else ["--n", "12"]
+        code = cli.main([command, *source, "--shots", shots,
+                         "--out-prefix", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: shots must be >= 1, got {shots}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["e.json"]
 
     @pytest.mark.parametrize("command", ["optimize", "compare"])
     @pytest.mark.parametrize("coarse", ["abc", "32", "3x", "1x2x3"])
