@@ -25,7 +25,7 @@ from .landscape import (
     approx_expected_f1,
     c_k,
     error_bound,
-    eval_grid,
+    f1,
     f1_closed,
     f1_statevector,
     f_n,
@@ -63,7 +63,7 @@ __all__ = [
     "default_grid",
     "distance_profile",
     "error_bound",
-    "eval_grid",
+    "f1",
     "f1_closed",
     "f1_statevector",
     "f_n",

@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analytic import MODES, PAPER_MODE, UniformModel, summary_analytic
 from .core import AngleGrid, ComputationError, UsageError, default_grid
 from .experiments import (
@@ -18,8 +20,8 @@ from .experiments import (
     run_sat_alpha,
     run_success_comparison,
 )
-from .landscape import LandscapeGrid, approx_curve, approx_grid
-from .optimize import OptConfig, optimize_instance, optimize_problem
+from .landscape import LandscapeGrid, f1
+from .optimize import optimize_instance, optimize_problem
 from .problems import FAMILIES, build_ensemble
 from .structure import StructuralSummary, aggregate, instance_stats
 from . import storage
@@ -30,39 +32,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_steps(text: str, name: str, example: str) -> tuple[int, int]:
-    """The two integers of a lattice resolution such as the example."""
-    try:
-        first, second = (int(part) for part in text.lower().split("x"))
-    except ValueError:
-        raise UsageError(f"{name} must look like {example!r}, got {text!r}") from None
-    return first, second
-
-
 def _parse_grid(text: str) -> AngleGrid:
-    beta_steps, gamma_steps = _parse_steps(text, "grid", "100x100")
+    try:
+        beta_steps, gamma_steps = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise UsageError(f"grid must look like '100x100', got {text!r}") from None
     if beta_steps < 1 or gamma_steps < 1:
         raise UsageError("grid must have at least one point per axis")
     return default_grid(beta_steps, gamma_steps)
-
-
-def _opt_config(args) -> OptConfig:
-    fields = {}
-    if args.coarse is not None:
-        coarse_beta, coarse_gamma = _parse_steps(args.coarse, "coarse", "32x32")
-        fields["coarse_beta"] = coarse_beta
-        fields["coarse_gamma"] = coarse_gamma
-    if args.refine_starts is not None:
-        fields["refine_starts"] = args.refine_starts
-    if args.max_evals is not None:
-        fields["max_evals"] = args.max_evals
-    return OptConfig(**fields)
-
-
-def _add_opt_flags(parser) -> None:
-    parser.add_argument("--coarse", help="coarse scan resolution, e.g. 32x32")
-    parser.add_argument("--refine-starts", type=int, help="simplex starts (default 4)")
-    parser.add_argument("--max-evals", type=int, help="total evaluation budget")
 
 
 def _family_params(args) -> dict:
@@ -109,12 +86,14 @@ def _cmd_landscape(args) -> int:
     prefix = Path(args.out_prefix)
     if args.summary is not None:
         summary = storage.load_summary(args.summary)
-        values = approx_grid(summary, grid)
-        storage.grid_to_csv(LandscapeGrid(grid=grid, values=values), f"{prefix}_approx.csv")
+        betas, gammas = grid.betas(), grid.gammas()
+        if args.gamma_c is not None:  # one more gamma column: the cross-section
+            gammas = np.append(gammas, args.gamma_c)
+        values = f1(summary, betas, gammas)
+        approx = values[:, : grid.gamma_steps].ravel()
+        storage.grid_to_csv(LandscapeGrid(grid=grid, values=approx), f"{prefix}_approx.csv")
         if args.gamma_c is not None:
-            betas = grid.betas()
-            curve = approx_curve(summary, betas, args.gamma_c)
-            storage.curve_to_csv(betas, curve, f"{prefix}_cross.csv")
+            storage.curve_to_csv(betas, values[:, -1], f"{prefix}_cross.csv")
         return 0
     ensemble = storage.load_ensemble(args.ensemble)
     gamma_c = args.gamma_c if args.gamma_c is not None else 1.2
@@ -128,7 +107,6 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    config = _opt_config(args)
     if args.instance is not None:
         if args.ensemble is None:
             raise UsageError("--instance requires --ensemble")
@@ -136,27 +114,27 @@ def _cmd_optimize(args) -> int:
         matches = [inst for inst in ensemble.instances if inst.id == args.instance]
         if not matches:
             raise UsageError(f"no instance with id {args.instance}")
-        result = optimize_instance(matches[0].target, config)
+        result = optimize_instance(matches[0].target)
     elif args.summary is not None:
-        result = optimize_problem(storage.load_summary(args.summary), config)
+        result = optimize_problem(storage.load_summary(args.summary))
     else:
-        result = optimize_problem(_ensemble_summary(args.ensemble), config)
+        result = optimize_problem(_ensemble_summary(args.ensemble))
     storage.save_optresult(result, args.out)
     return 0
 
 
 def _cmd_compare(args) -> int:
     ensemble = storage.load_ensemble(args.ensemble)
-    report = run_success_comparison(ensemble, args.shots, args.seed, _opt_config(args))
+    report = run_success_comparison(ensemble, args.shots, args.seed)
     prefix = Path(args.out_prefix)
     storage.save_report(report, f"{prefix}.csv", f"{prefix}.json")
     config = {
+        "ensemble": args.ensemble,
         "seed": args.seed,
         "family": ensemble.family,
         "n": ensemble.n,
         "count": len(ensemble.instances),
         "params": ensemble.params,
-        "grid": {},
         "optimizer": {"shots": args.shots},
         "out_dir": str(prefix.parent),
     }
@@ -169,9 +147,7 @@ def _cmd_sat_alpha(args) -> int:
         alphas = tuple(float(a) for a in args.alphas.split(","))
     except ValueError:
         raise UsageError(f"alphas must be comma-separated numbers, got {args.alphas!r}") from None
-    results = run_sat_alpha(
-        args.n, alphas, args.count, args.shots, args.seed, config=_opt_config(args)
-    )
+    results = run_sat_alpha(args.n, alphas, args.count, args.shots, args.seed)
     prefix = Path(args.out_prefix)
     combined = []
     for alpha, _ensemble, report in results:
@@ -228,7 +204,6 @@ def build_parser() -> _Parser:
     group.add_argument("--summary")
     group.add_argument("--ensemble")
     p.add_argument("--instance", type=int)
-    _add_opt_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_optimize)
 
@@ -237,7 +212,6 @@ def build_parser() -> _Parser:
     p.add_argument("--shots", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, help="accepted; has no effect")
-    _add_opt_flags(p)
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(handler=_cmd_compare)
 
@@ -248,7 +222,6 @@ def build_parser() -> _Parser:
     p.add_argument("--shots", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, help="accepted; has no effect")
-    _add_opt_flags(p)
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(handler=_cmd_sat_alpha)
 

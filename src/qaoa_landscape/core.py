@@ -202,12 +202,6 @@ class AngleGrid:
     def gammas(self) -> np.ndarray:
         return np.linspace(self.gamma_min, self.gamma_max, self.gamma_steps)
 
-    def points(self):
-        """Lattice points in row-major order (beta outer, gamma inner)."""
-        for b in self.betas():
-            for g in self.gammas():
-                yield Angles(float(b), float(g))
-
 
 def default_grid(beta_steps: int = 100, gamma_steps: int = 100) -> AngleGrid:
     """Standard plotting window: beta in [0, pi], gamma covering [0, 2*pi)."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
 from .landscape import LandscapeForm, LandscapeGrid, f1_closed, form_bracket
-from .optimize import OptConfig, OptResult, optimize_instance, optimize_problem
+from .optimize import OptResult, optimize_instance, optimize_problem
 from .problems import Ensemble
 from .structure import StructuralSummary, aggregate, instance_stats
 
@@ -164,22 +164,17 @@ NONITERATIVE_ARM = 1
 MAX_ALPHA = 10.0
 
 
-def run_success_comparison(
-    ensemble: Ensemble,
-    shots: int,
-    seed: int,
-    config: OptConfig = OptConfig(),
-) -> ComparisonReport:
+def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> ComparisonReport:
     """Per-instance optimisation against one problem-global optimisation."""
     _check_shots(shots)
     spaces = [inst.target for inst in ensemble.instances]
     summary = aggregate([instance_stats(space) for space in spaces])
-    shared: OptResult = optimize_problem(summary, config)
+    shared: OptResult = optimize_problem(summary)
 
     records = []
     for inst in ensemble.instances:
         space = inst.target
-        own = optimize_instance(space, config)  # own.value is F1 at own.angles
+        own = optimize_instance(space)  # own.value is F1 at own.angles
         standard = ArmOutcome(
             angles=own.angles,
             success_prob=own.value,
@@ -210,14 +205,7 @@ def run_success_comparison(
     )
 
 
-def run_sat_alpha(
-    n: int,
-    alphas: tuple[float, ...],
-    count: int,
-    shots: int,
-    seed: int,
-    config: OptConfig = OptConfig(),
-):
+def run_sat_alpha(n: int, alphas: tuple[float, ...], count: int, shots: int, seed: int):
     """The two-arm study across SAT clause densities alpha = clauses / n.
 
     Returns one (alpha, ensemble, report) triple per density, with
@@ -238,6 +226,6 @@ def run_sat_alpha(
         if num_clauses < 1:
             raise UsageError(f"alpha {alpha} yields no clauses at n={n}")
         ensemble = build_ensemble("sat", n, count, {"num_clauses": num_clauses}, seed)
-        report = run_success_comparison(ensemble, shots, seed, config)
+        report = run_success_comparison(ensemble, shots, seed)
         results.append((alpha, ensemble, report))
     return results

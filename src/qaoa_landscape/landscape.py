@@ -60,23 +60,18 @@ def _exponents(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n - d, d, np.array([1.0, -1j, -1.0, 1j])[d % 4]
 
 
-def fn_vector(beta: float, n: int) -> np.ndarray:
-    """All f_n(beta, d, n) for d = 0..n, as one complex vector."""
-    return fn_matrix(float(beta), n)
-
-
 def c_k(beta: float, gamma: float, profile: np.ndarray, n: int) -> complex:
     """Unnormalised target amplitude of a state with the given profile."""
     if profile.shape != (n + 1,):
         raise UsageError(f"profile must have length n+1 = {n + 1}")
-    fn = fn_vector(beta, n)
+    fn = fn_matrix(beta, n)
     phase = cmath.exp(-1j * gamma) - 1.0
     return complex(phase * (profile @ fn) + binomial_row(n) @ fn)
 
 
 def mean_ck_squared(space: TargetSpace, beta: float, gamma: float) -> float:
     """mean_k |c_k|^2 over the targets, one target at a time (oracle route)."""
-    fn = fn_vector(beta, space.n)
+    fn = fn_matrix(beta, space.n)
     phase = cmath.exp(-1j * gamma) - 1.0
     ck = phase * (space.profiles @ fn) + binomial_row(space.n) @ fn
     return float(np.abs(ck) @ np.abs(ck)) / len(space)
@@ -135,40 +130,26 @@ def form_bracket(form: LandscapeForm, betas, gammas) -> np.ndarray:
     return 1.0 - 2.0 * np.multiply.outer(z, np.exp(-1j * np.asarray(gammas)) - 1.0).real
 
 
-def _f1(source, betas, gammas) -> np.ndarray:
-    """F1 of one source at the outer product of betas and gammas."""
+def f1(source: TargetSpace | InstanceStats | StructuralSummary, betas, gammas) -> np.ndarray:
+    """F1 of one source at the outer product of betas and gammas.
+
+    For a summary this is the structural approximation.  The result has
+    shape shape(betas) + shape(gammas): a lattice is
+    f1(source, grid.betas(), grid.gammas()), beta outer, and a fixed-gamma
+    curve passes one gamma.
+    """
     form = LandscapeForm.of(source)
     return form.scale * form_bracket(form, betas, gammas)
 
 
 def f1_closed(space: TargetSpace, beta: float, gamma: float) -> float:
     """Success probability of the depth-1 circuit, via the landscape form."""
-    return float(_f1(space, beta, gamma))
-
-
-def f1_closed_curve(space: TargetSpace, betas: np.ndarray, gamma: float) -> np.ndarray:
-    """F1 along a beta sweep at fixed gamma."""
-    return _f1(space, betas, gamma)
-
-
-def f1_closed_grid(space: TargetSpace, grid: AngleGrid) -> np.ndarray:
-    """F1 on a lattice, flattened row-major (beta outer, gamma inner)."""
-    return _f1(space, grid.betas(), grid.gammas()).ravel()
+    return float(f1(space, beta, gamma))
 
 
 def approx_expected_f1(summary: StructuralSummary, beta: float, gamma: float) -> float:
     """Expected F1 from structure alone: (E|T|/2^n) * E(mean |c_k|^2)."""
-    return float(_f1(summary, beta, gamma))
-
-
-def approx_grid(summary: StructuralSummary, grid: AngleGrid) -> np.ndarray:
-    """approx_expected_f1 on a lattice, flattened row-major."""
-    return _f1(summary, grid.betas(), grid.gammas()).ravel()
-
-
-def approx_curve(summary: StructuralSummary, betas: np.ndarray, gamma: float) -> np.ndarray:
-    """approx_expected_f1 along a beta sweep at fixed gamma."""
-    return _f1(summary, betas, gamma)
+    return float(f1(summary, beta, gamma))
 
 
 def w_matrix(gamma: float, summary: StructuralSummary) -> np.ndarray:
@@ -236,18 +217,3 @@ class LandscapeGrid:
             raise UsageError("values must be finite")
         if self.stddev is not None and self.stddev.shape != (expected,):
             raise UsageError(f"stddev must have shape ({expected},)")
-
-
-def eval_grid(evaluator, grid: AngleGrid) -> LandscapeGrid:
-    """Evaluate a scalar point function on every lattice point."""
-    values = np.empty(grid.beta_steps * grid.gamma_steps)
-    for i, point in enumerate(grid.points()):
-        try:
-            values[i] = evaluator(point.beta, point.gamma)
-        except (UsageError, ComputationError):
-            raise
-        except Exception as exc:  # attach the failing coordinates
-            raise ComputationError(
-                f"evaluator failed at beta={point.beta:g}, gamma={point.gamma:g}: {exc}"
-            ) from exc
-    return LandscapeGrid(grid=grid, values=values)

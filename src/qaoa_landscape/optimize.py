@@ -23,6 +23,10 @@ from .structure import StructuralSummary
 BETA_PERIOD = math.pi
 GAMMA_PERIOD = 2.0 * math.pi
 
+# a simplex stops once its values spread and its diameter are both this small
+VALUE_TOL = 1e-8
+X_TOL = 1e-8
+
 # classic Nelder-Mead coefficients
 _REFLECT = 1.0
 _EXPAND = 2.0
@@ -42,18 +46,13 @@ class OptConfig:
     coarse_beta: int = 32
     coarse_gamma: int = 32
     refine_starts: int = 4
-    value_tol: float = 1e-8  # simplex value spread at termination
-    x_tol: float = 1e-8  # simplex diameter at termination
     max_evals: int = 10_000
-    keep_trace: bool = False
 
     def __post_init__(self) -> None:
         if self.coarse_beta < 1 or self.coarse_gamma < 1:
             raise UsageError("coarse grid needs at least one point per axis")
         if self.refine_starts < 1:
             raise UsageError("need at least one refinement start")
-        if self.value_tol <= 0 or self.x_tol <= 0:
-            raise UsageError("tolerances must be positive")
         if self.max_evals < self.coarse_beta * self.coarse_gamma:
             raise UsageError("max_evals must cover at least the coarse scan")
 
@@ -65,7 +64,6 @@ class OptResult:
     angles: Angles
     value: float
     evaluations: int
-    trace: tuple[tuple[Angles, float], ...] | None = None
 
 
 class _Search:
@@ -75,7 +73,6 @@ class _Search:
         self.objective = objective
         self.config = config
         self.evaluations = 0
-        self.trace: list[tuple[Angles, float]] | None = [] if config.keep_trace else None
         self.best_value = -math.inf
         self.best_angles: Angles | None = None
 
@@ -85,8 +82,6 @@ class _Search:
         if not math.isfinite(value):
             raise ComputationError(f"objective returned {value} at beta={beta:g}, gamma={gamma:g}")
         self.evaluations += 1
-        if self.trace is not None:
-            self.trace.append((Angles(beta, gamma), value))
         if value > self.best_value:
             self.best_value = value
             self.best_angles = Angles(beta, gamma)
@@ -99,7 +94,6 @@ class _Search:
 
 def _simplex(search: _Search, start: np.ndarray, steps: np.ndarray) -> None:
     """Maximising Nelder-Mead from one start; best point lands in search."""
-    cfg = search.config
     pts = [start.copy(), start + np.array([steps[0], 0.0]), start + np.array([0.0, steps[1]])]
     vals = [search(p) for p in pts]
     while not search.exhausted:
@@ -110,7 +104,7 @@ def _simplex(search: _Search, start: np.ndarray, steps: np.ndarray) -> None:
         diameter = max(
             float(np.abs(pts[a] - pts[b]).max()) for a, b in ((0, 1), (0, 2), (1, 2))
         )
-        if spread <= cfg.value_tol and diameter <= cfg.x_tol:
+        if spread <= VALUE_TOL and diameter <= X_TOL:
             return
         centroid = (pts[0] + pts[1]) / 2.0
         reflected = centroid + _REFLECT * (centroid - pts[2])
@@ -173,10 +167,7 @@ def maximize(objective, config: OptConfig = OptConfig()) -> OptResult:
         _simplex(search, coarse_pts[idx].copy(), steps)
     assert search.best_angles is not None
     return OptResult(
-        angles=search.best_angles,
-        value=search.best_value,
-        evaluations=search.evaluations,
-        trace=tuple(search.trace) if search.trace is not None else None,
+        angles=search.best_angles, value=search.best_value, evaluations=search.evaluations
     )
 
 

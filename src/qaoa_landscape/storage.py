@@ -33,14 +33,21 @@ def _write_csv(path: str | Path, header: str, columns: list[list[str]]) -> None:
 
     Rows are streamed to the file, so no copy of the whole text is held.
     """
-    with open(path, "w") as out:
-        out.write(header + "\n")
-        out.writelines(",".join(row) + "\n" for row in zip(*columns))
+    try:
+        with open(path, "w") as out:
+            out.write(header + "\n")
+            out.writelines(",".join(row) + "\n" for row in zip(*columns))
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(doc, path: str | Path) -> None:
     """`doc` as JSON indented by one space, with a final newline."""
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    text = json.dumps(doc, indent=1) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_json(path: str | Path):

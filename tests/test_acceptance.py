@@ -25,12 +25,10 @@ from qaoa_landscape.analytic import (
 from qaoa_landscape.core import AngleGrid, TargetSpace, binomial
 from qaoa_landscape.experiments import run_landscape_comparison, run_success_comparison
 from qaoa_landscape.landscape import (
-    approx_curve,
-    approx_grid,
+    f1,
     f1_closed,
-    f1_closed_curve,
     f1_statevector,
-    fn_vector,
+    fn_matrix,
     mean_ck_squared,
     w_matrix,
 )
@@ -132,7 +130,7 @@ def test_criterion_03_aggregation_is_exactly_linear():
             spaces = [inst.target for inst in ensemble.instances]
             summary = ensemble_summary(ensemble)
             for beta in grid.betas():
-                fn = fn_vector(float(beta), ensemble.n)
+                fn = fn_matrix(float(beta), ensemble.n)
                 for gamma in grid.gammas():
                     quad = complex(
                         fn @ w_matrix(float(gamma), summary) @ fn.conj()
@@ -176,7 +174,7 @@ def test_criterion_06_exhaustive_two_target_enumeration():
         assert len(spaces) == 28
         summary = aggregate([instance_stats(s) for s in spaces])
         grid = AngleGrid(0.0, math.pi, 0.0, 2 * math.pi * 4 / 5, 5, 5)
-        approx = approx_grid(summary, grid)
+        approx = f1(summary, grid.betas(), grid.gammas()).ravel()
         worst = 0.0
         i = 0
         for beta in grid.betas():
@@ -198,7 +196,7 @@ def test_criterion_07_analytic_uniform_model_tracks_sample(uniform500):
         betas = np.linspace(0.0, math.pi, 100)
         gamma_c = 1.2
         curves = [
-            f1_closed_curve(inst.target, betas, gamma_c)
+            f1(inst.target, betas, gamma_c)
             for inst in uniform500.instances
         ]
         empirical = np.mean(curves, axis=0)
@@ -206,7 +204,7 @@ def test_criterion_07_analytic_uniform_model_tracks_sample(uniform500):
         for mode in (PAPER_MODE, EXACT_MODE):
             summary = summary_analytic(UniformModel(8, 128, mode))
             deviations[mode] = float(
-                np.abs(empirical - approx_curve(summary, betas, gamma_c)).max()
+                np.abs(empirical - f1(summary, betas, gamma_c)).max()
             )
         elapsed = time.perf_counter() - start
         assert deviations[PAPER_MODE] < 0.02
@@ -225,10 +223,10 @@ def test_criterion_08_clustered_error_below_spread(clustered200):
         fractions = {}
         for n, ensemble in clustered200.items():
             spaces = [inst.target for inst in ensemble.instances]
-            curves = np.array([f1_closed_curve(s, betas, gamma_c) for s in spaces])
+            curves = np.array([f1(s, betas, gamma_c) for s in spaces])
             mean = curves.mean(axis=0)
             spread = curves.std(axis=0)
-            approx = approx_curve(ensemble_summary(ensemble), betas, gamma_c)
+            approx = f1(ensemble_summary(ensemble), betas, gamma_c)
             ok = np.abs(mean - approx) <= spread
             fractions[n] = float(ok.mean())
             assert fractions[n] >= 0.98
@@ -371,6 +369,6 @@ def test_criterion_12_pipelines_deterministic_across_threads(tmp_path):
 
         for run in (run_compare, run_landscape):
             baseline = run(1)
-            for threads in (1, 4, None):  # None lets the pool use every core
+            for threads in (1, 4, None):  # None leaves the flag out
                 assert run(threads) == baseline
         info["detail"] = "gen/compare/landscape identical at threads 1, 4, max"

@@ -205,11 +205,6 @@ class TestAngleGrid:
         grid = AngleGrid(0.5, 0.5, 1.0, 1.0, 1, 1)
         assert grid.betas().tolist() == [0.5]
 
-    def test_points_row_major(self):
-        grid = AngleGrid(0.0, 1.0, 0.0, 1.0, 2, 2)
-        pts = list(grid.points())
-        assert [(a.beta, a.gamma) for a in pts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
     def test_validation(self):
         with pytest.raises(UsageError):
             AngleGrid(1.0, 0.0, 0.0, 1.0, 2, 2)

@@ -15,7 +15,7 @@ from qaoa_landscape.experiments import (
     sample_shots,
     shot_rng,
 )
-from qaoa_landscape.landscape import approx_expected_f1, f1_closed, f1_closed_curve
+from qaoa_landscape.landscape import approx_expected_f1, f1, f1_closed
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import aggregate, instance_stats
 
@@ -100,7 +100,7 @@ class TestLandscapeComparison:
         ensemble, grid, comparison = sat_run
         betas = grid.betas()
         direct = np.mean(
-            [f1_closed_curve(inst.target, betas, 1.2) for inst in ensemble.instances],
+            [f1(inst.target, betas, 1.2) for inst in ensemble.instances],
             axis=0,
         )
         assert np.allclose(comparison.cross_section.values, direct, atol=1e-12)

@@ -17,18 +17,14 @@ from qaoa_landscape.core import (
 from qaoa_landscape.landscape import (
     LandscapeForm,
     LandscapeGrid,
-    approx_curve,
     approx_expected_f1,
-    approx_grid,
     c_k,
     error_bound,
-    eval_grid,
+    f1,
     f1_closed,
-    f1_closed_curve,
-    f1_closed_grid,
     f1_statevector,
     f_n,
-    fn_vector,
+    fn_matrix,
     form_bracket,
     mean_ck_squared,
     qaoa_state,
@@ -76,7 +72,7 @@ class TestAmplitudeFactor:
 
     def test_vector_matches_scalar(self):
         for beta in (0.0, 0.3, 1.7, math.pi):
-            vec = fn_vector(beta, 6)
+            vec = fn_matrix(beta, 6)
             for d in range(7):
                 assert cmath.isclose(vec[d], f_n(beta, d, 6), abs_tol=1e-15)
 
@@ -161,22 +157,22 @@ class TestF1:
     def test_grid_and_curve_match_pointwise(self, rng):
         space = random_space(rng, 5, 7)
         grid = AngleGrid(0.0, math.pi, 0.0, 5.0, 4, 3)
-        values = f1_closed_grid(space, grid)
+        values = f1(space, grid.betas(), grid.gammas()).ravel()
         i = 0
         for b in grid.betas():
             for g in grid.gammas():
                 assert abs(values[i] - f1_closed(space, float(b), float(g))) < 1e-12
                 i += 1
-        curve = f1_closed_curve(space, grid.betas(), 1.2)
+        curve = f1(space, grid.betas(), 1.2)
         for j, b in enumerate(grid.betas()):
             assert abs(curve[j] - f1_closed(space, float(b), 1.2)) < 1e-12
 
     def test_mean_ck_squared_scales_f1(self, rng):
         space = random_space(rng, 6, 9)
         beta, gamma = 0.9, 2.2
-        f1 = f1_closed(space, beta, gamma)
+        closed = f1_closed(space, beta, gamma)
         scaled = mean_ck_squared(space, beta, gamma) * len(space) / (1 << 6)
-        assert abs(f1 - scaled) < 1e-14
+        assert abs(closed - scaled) < 1e-14
 
 
 @st.composite
@@ -196,8 +192,8 @@ class TestFormAgainstOracles:
     def test_point_curve_and_grid(self, space, angles):
         beta, gamma = angles
         grid = AngleGrid(beta, beta + 1.0, gamma, gamma + 2.0, 3, 4)
-        values = f1_closed_grid(space, grid).reshape(3, 4)
-        curve = f1_closed_curve(space, grid.betas(), gamma)
+        values = f1(space, grid.betas(), grid.gammas())
+        curve = f1(space, grid.betas(), gamma)
         to_bracket = (1 << space.n) / len(space)
         for i, b in enumerate(grid.betas()):
             assert abs(curve[i] - f1_statevector(space, b, gamma)) < 1e-9
@@ -221,10 +217,9 @@ class TestFormAgainstOracles:
         form = LandscapeForm.stack(*spaces, summary)
         betas, gammas = np.linspace(0.0, 3.0, 5), np.linspace(0.0, 6.0, 4)
         values = form.scale[:, None, None] * form_bracket(form, betas, gammas)
-        grid = AngleGrid(0.0, 3.0, 0.0, 6.0, 5, 4)
         for row, space in zip(values, spaces):
-            assert np.allclose(row.ravel(), f1_closed_grid(space, grid), rtol=0, atol=1e-14)
-        assert np.allclose(values[-1].ravel(), approx_grid(summary, grid), rtol=0, atol=1e-14)
+            assert np.allclose(row, f1(space, betas, gammas), rtol=0, atol=1e-14)
+        assert np.allclose(values[-1], f1(summary, betas, gammas), rtol=0, atol=1e-14)
 
     def test_stack_rejects_mixed_widths(self, rng):
         with pytest.raises(UsageError):
@@ -297,13 +292,13 @@ class TestApproximation:
     def test_grid_and_curve_match_pointwise(self, rng):
         summary = aggregate([instance_stats(random_space(rng, 5)) for _ in range(3)])
         grid = AngleGrid(0.0, math.pi, 0.0, 5.0, 4, 3)
-        values = approx_grid(summary, grid)
+        values = f1(summary, grid.betas(), grid.gammas()).ravel()
         i = 0
         for b in grid.betas():
             for g in grid.gammas():
                 assert abs(values[i] - approx_expected_f1(summary, float(b), float(g))) < 1e-12
                 i += 1
-        curve = approx_curve(summary, grid.betas(), 1.2)
+        curve = f1(summary, grid.betas(), 1.2)
         for j, b in enumerate(grid.betas()):
             assert abs(curve[j] - approx_expected_f1(summary, float(b), 1.2)) < 1e-12
 
@@ -324,7 +319,8 @@ class TestApproximation:
     def test_runtime_100x100_at_n11(self):
         summary = summary_analytic(UniformModel(11, 1024, "paper"))
         start = time.time()
-        eval_grid(lambda b, g: approx_expected_f1(summary, b, g), default_grid(100, 100))
+        grid = default_grid(100, 100)
+        f1(summary, grid.betas(), grid.gammas())
         assert time.time() - start < 1.0
 
 
@@ -353,21 +349,13 @@ class TestErrorBound:
 
 class TestEvalGrid:
     def test_row_major_order(self):
-        grid = AngleGrid(0.0, 1.0, 0.0, 1.0, 2, 3)
-        result = eval_grid(lambda b, g: 10 * b + g, grid)
-        want = [10 * b + g for b in grid.betas() for g in grid.gammas()]
-        assert np.allclose(result.values, want, atol=1e-15)
-
-    def test_error_carries_coordinates(self):
-        grid = AngleGrid(0.0, 1.0, 0.0, 1.0, 2, 2)
-
-        def bad(beta, gamma):
-            if beta > 0.5:
-                raise ValueError("boom")
-            return 0.0
-
-        with pytest.raises(ComputationError, match="beta=1"):
-            eval_grid(bad, grid)
+        # T = {1} at n=1 has F1 = (1 + sin(2*beta)*sin(gamma)) / 2
+        grid = AngleGrid(0.1, 1.0, 0.2, 1.0, 2, 3)
+        values = f1(TargetSpace(1, (1,)), grid.betas(), grid.gammas()).ravel()
+        want = [
+            (1 + math.sin(2 * b) * math.sin(g)) / 2 for b in grid.betas() for g in grid.gammas()
+        ]
+        assert np.allclose(values, want, rtol=0, atol=1e-15)
 
     def test_landscape_grid_shape_checked(self):
         grid = AngleGrid(0.0, 1.0, 0.0, 1.0, 2, 2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qaoa_landscape import cli, experiments, problems, storage
-from qaoa_landscape.core import AngleGrid, Angles, UsageError
+from qaoa_landscape.core import AngleGrid, Angles, UsageError, default_grid
 from qaoa_landscape.experiments import (
     ArmOutcome,
     ComparisonReport,
@@ -13,7 +13,7 @@ from qaoa_landscape.experiments import (
     InstanceComparison,
     run_success_comparison,
 )
-from qaoa_landscape.landscape import LandscapeGrid, eval_grid, f1_closed
+from qaoa_landscape.landscape import LandscapeGrid, f1, f1_closed
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate, instance_stats
 
@@ -123,7 +123,8 @@ class TestSummaryJson:
 class TestGridCsv:
     def test_round_trip_and_order(self, tmp_path):
         grid = AngleGrid(0.0, 1.0, 0.0, 2.0, 3, 4)
-        result = eval_grid(lambda b, g: math.sin(1 + b + 2 * g), grid)
+        values = np.sin(1 + grid.betas()[:, None] + 2 * grid.gammas()).ravel()
+        result = LandscapeGrid(grid=grid, values=values)
         path = tmp_path / "g.csv"
         storage.grid_to_csv(result, path)
         lines = path.read_text().splitlines()
@@ -318,6 +319,27 @@ class TestCli:
         assert cross[0] == "beta,value"
         assert len(cross) == 1 + 6
 
+    @pytest.mark.parametrize("gamma_c", [None, "1.2"])
+    def test_landscape_summary_values_are_f1(self, tmp_path, gamma_c):
+        # the grid and the cross-section come from one evaluation; each must
+        # equal its own evaluation bit for bit
+        summ = tmp_path / "s.json"
+        cli.main(["analytic-uniform", "--n", "7", "--t-size", "9", "--out", str(summ)])
+        argv = ["landscape", "--summary", str(summ), "--grid", "7x5",
+                "--out-prefix", str(tmp_path / "ls")]
+        if gamma_c is not None:
+            argv += ["--gamma-c", gamma_c]
+        assert cli.main(argv) == 0
+        summary = storage.load_summary(summ)
+        grid = default_grid(7, 5)
+        approx = np.loadtxt(tmp_path / "ls_approx.csv", delimiter=",", skiprows=1)
+        assert approx[:, 2].tolist() == f1(summary, grid.betas(), grid.gammas()).ravel().tolist()
+        cross_path = tmp_path / "ls_cross.csv"
+        assert cross_path.exists() == (gamma_c is not None)
+        if gamma_c is not None:
+            cross = np.loadtxt(cross_path, delimiter=",", skiprows=1)
+            assert cross[:, 1].tolist() == f1(summary, grid.betas(), float(gamma_c)).tolist()
+
     def test_landscape_from_ensemble(self, tmp_path):
         ens = tmp_path / "e.json"
         cli.main(["gen", "--family", "uniform", "--n", "4", "--count", "3",
@@ -371,15 +393,15 @@ class TestCli:
         assert doc["instances"] == 3
         config = json.loads((tmp_path / "run_config.json").read_text())
         assert list(config) == [
-            "seed", "family", "n", "count", "params", "grid", "optimizer", "out_dir"
+            "ensemble", "seed", "family", "n", "count", "params", "optimizer", "out_dir"
         ]
         assert config == {
+            "ensemble": str(ens),
             "seed": 1,
             "family": "uniform",
             "n": 4,
             "count": 3,
             "params": storage.load_ensemble(ens).params,
-            "grid": {},
             "optimizer": {"shots": 10},
             "out_dir": str(tmp_path),
         }
@@ -454,18 +476,45 @@ class TestCli:
         assert err == f"error: shots must be >= 1, got {shots}\n"
         assert [path.name for path in tmp_path.iterdir()] == ["e.json"]
 
-    @pytest.mark.parametrize("command", ["optimize", "compare"])
-    @pytest.mark.parametrize("coarse", ["abc", "32", "3x", "1x2x3"])
-    def test_malformed_coarse_exits_1(self, tmp_path, capsys, command, coarse):
+    @pytest.mark.parametrize("command", ["optimize", "compare", "sat-alpha"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--coarse", "32x32"), ("--refine-starts", "4"), ("--max-evals", "10000")]
+    )
+    def test_removed_optimiser_flags_exit_1(self, tmp_path, capsys, command, flag, value):
         ens = tmp_path / "e.json"
         cli.main(["gen", "--family", "uniform", "--n", "3", "--count", "2",
                   "--t-size", "2", "--out", str(ens)])
-        out = ["--out", str(tmp_path / "o.json")] if command == "optimize" else [
-            "--out-prefix", str(tmp_path / "run")]
-        code = cli.main([command, "--ensemble", str(ens), "--coarse", coarse] + out)
+        # --threads 1 stays accepted: only the removed flag is named
+        argv = {
+            "optimize": ["optimize", "--ensemble", str(ens), "--out", str(tmp_path / "o.json")],
+            "compare": ["compare", "--ensemble", str(ens), "--threads", "1",
+                        "--out-prefix", str(tmp_path / "run")],
+            "sat-alpha": ["sat-alpha", "--n", "4", "--threads", "1",
+                          "--out-prefix", str(tmp_path / "run")],
+        }[command]
+        code = cli.main(argv + [flag, value])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: coarse must look like") and err.count("\n") == 1
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["e.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "uniform", "--n", "3", "--count", "1", "--t-size", "2",
+             "--out", "nodir/x.json"],
+            ["landscape", "--summary", "s.json", "--grid", "3x3", "--out-prefix", "nodir/p"],
+        ],
+        ids=["gen", "landscape"],
+    )
+    def test_output_in_missing_directory_exits_1(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        storage.write_json(GOOD_SUMMARY, "s.json")
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot write nodir/") and err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.json"]
 
 
 GOOD_SUMMARY = {
