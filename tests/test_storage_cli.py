@@ -498,6 +498,21 @@ class TestCli:
         assert err == f"error: unrecognized arguments: {flag} {value}\n"
         assert [path.name for path in tmp_path.iterdir()] == ["e.json"]
 
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    @pytest.mark.parametrize("coarse", ["abc", "32", "3x", "1x2x3"])
+    def test_malformed_coarse_exits_1(self, tmp_path, capsys, command, coarse):
+        # --coarse is gone, so a malformed value is still refused before any work
+        ens = tmp_path / "e.json"
+        cli.main(["gen", "--family", "uniform", "--n", "3", "--count", "2",
+                  "--t-size", "2", "--out", str(ens)])
+        out = ["--out", str(tmp_path / "o.json")] if command == "optimize" else [
+            "--out-prefix", str(tmp_path / "run")]
+        code = cli.main([command, "--ensemble", str(ens), "--coarse", coarse] + out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: unrecognized arguments: --coarse {coarse}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["e.json"]
+
     @pytest.mark.parametrize(
         "argv",
         [
