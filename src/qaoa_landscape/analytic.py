@@ -7,13 +7,13 @@ hypergeometric over the C(n, d) states of that shell, and counts of two
 shells are jointly multivariate hypergeometric.  Distance 0 always counts
 exactly the reference itself.
 
-Two moment conventions are provided:
+Two moment conventions are provided, both the moments of one hypergeometric
+model that differ only in (population, draws):
 
-* ``paper``: first moments t * C(n, d) / 2^n with the matching covariance
-  model (a without-replacement correction factor (2^n - t) / (2^n - 1));
-* ``exact_hypergeometric``: the moments of the distribution above, i.e.
-  (t - 1) * C(n, d) / (2^n - 1) and the standard multivariate
-  hypergeometric covariances.
+* ``paper``: (2^n, t), so first moments t * C(n, d) / 2^n and the
+  without-replacement correction factor (2^n - t) / (2^n - 1);
+* ``exact_hypergeometric``: (2^n - 1, t - 1), the distribution above, so
+  first moments (t - 1) * C(n, d) / (2^n - 1).
 
 The two agree as 2^n grows; only the exact mode matches the probability
 mass functions' own moments identically.
@@ -101,13 +101,18 @@ def pmf_joint(model: UniformModel, d1: int, x1: int, d2: int, x2: int) -> float:
     return float(np.exp(log_p))
 
 
+def _population_draws(model: UniformModel) -> tuple[int, int]:
+    """(population, draws) of the hypergeometric model behind model.mode."""
+    size = 1 << model.n
+    if model.mode == PAPER_MODE:
+        return size, model.t_size
+    return size - 1, model.t_size - 1
+
+
 def expected_profile(model: UniformModel) -> np.ndarray:
     """Expected distance profile of a member reference, length n+1."""
-    shells = binomial_row(model.n)
-    if model.mode == PAPER_MODE:
-        profile = model.t_size * shells / (1 << model.n)
-    else:
-        profile = (model.t_size - 1) * shells / ((1 << model.n) - 1)
+    population, draws = _population_draws(model)
+    profile = draws * binomial_row(model.n) / population
     profile[0] = 1.0
     return profile
 
@@ -118,17 +123,8 @@ def covariance(model: UniformModel, d1: int, d2: int) -> float:
         raise UsageError(f"need 0 <= d <= n, got d1={d1}, d2={d2}")
     if d1 == 0 or d2 == 0:
         return 0.0
-    size = 1 << model.n
-    t = model.t_size
-    if model.mode == PAPER_MODE:
-        correction = t * (size - t) / (size - 1)
-        p1 = binomial(model.n, d1) / size
-        if d1 == d2:
-            return correction * p1 * (1.0 - p1)
-        return -correction * p1 * binomial(model.n, d2) / size
-    population = size - 1
-    draws = t - 1
-    if population == 1:
+    population, draws = _population_draws(model)
+    if population == 1:  # exact mode at n = 1: no other state to draw
         return 0.0
     correction = draws * (population - draws) / (population - 1)
     p1 = binomial(model.n, d1) / population

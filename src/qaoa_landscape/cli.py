@@ -14,15 +14,10 @@ import numpy as np
 
 from .analytic import MODES, PAPER_MODE, UniformModel, summary_analytic
 from .core import AngleGrid, ComputationError, UsageError, default_grid
-from .experiments import (
-    MAX_ALPHA,
-    run_landscape_comparison,
-    run_sat_alpha,
-    run_success_comparison,
-)
+from .experiments import run_landscape_comparison, run_sat_alpha, run_success_comparison
 from .landscape import LandscapeGrid, f1
 from .optimize import optimize_instance, optimize_problem
-from .problems import FAMILIES, build_ensemble
+from .problems import FAMILIES, FAMILY_PARAMS, MAX_ALPHA, build_ensemble
 from .structure import StructuralSummary, aggregate, instance_stats
 from . import storage
 
@@ -42,21 +37,16 @@ def _parse_grid(text: str) -> AngleGrid:
     return default_grid(beta_steps, gamma_steps)
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy seeds its streams from non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _family_params(args) -> dict:
-    params = {}
-    for flag, key in (
-        ("t_size", "t_size"),
-        ("num_seeds", "num_seeds"),
-        ("per_seed", "per_seed"),
-        ("dedupe", "dedupe"),
-        ("clauses", "num_clauses"),
-        ("k", "k"),
-        ("edge_prob", "edge_prob"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            params[key] = value
-    return params
+    keys = (key for spec in FAMILY_PARAMS.values() for key in spec)
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _cmd_gen(args) -> int:
@@ -83,6 +73,8 @@ def _cmd_analytic_uniform(args) -> int:
 
 def _cmd_landscape(args) -> int:
     grid = _parse_grid(args.grid)
+    if args.gamma_c is not None and not np.isfinite(args.gamma_c):
+        raise UsageError(f"gamma-c must be finite, got {args.gamma_c!r}")
     prefix = Path(args.out_prefix)
     if args.summary is not None:
         summary = storage.load_summary(args.summary)
@@ -166,13 +158,13 @@ def build_parser() -> _Parser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--t-size", dest="t_size", type=int)
     p.add_argument("--num-seeds", dest="num_seeds", type=int)
     p.add_argument("--per-seed", dest="per_seed", type=int)
     p.add_argument("--dedupe", choices=("retry", "drop"))
-    p.add_argument("--clauses", type=int)
+    p.add_argument("--clauses", dest="num_clauses", type=int, help=f"at most {MAX_ALPHA:g} * n")
     p.add_argument("--k", type=int)
     p.add_argument("--edge-prob", dest="edge_prob", type=float)
     p.set_defaults(handler=_cmd_gen)
@@ -210,7 +202,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="standard vs non-iterative pipelines")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--shots", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=int, help="accepted; has no effect")
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(handler=_cmd_compare)
@@ -220,7 +212,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alphas", default="2,4,6", help=f"clause densities, each in (0, {MAX_ALPHA:g}]")
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--shots", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=int, help="accepted; has no effect")
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(handler=_cmd_sat_alpha)

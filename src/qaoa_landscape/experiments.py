@@ -17,7 +17,7 @@ import numpy as np
 from .core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
 from .landscape import LandscapeForm, LandscapeGrid, f1_closed, form_bracket
 from .optimize import OptResult, optimize_instance, optimize_problem
-from .problems import Ensemble
+from .problems import MAX_ALPHA, Ensemble
 from .structure import StructuralSummary, aggregate, instance_stats
 
 
@@ -157,11 +157,6 @@ class ComparisonReport:
 
 STANDARD_ARM = 0
 NONITERATIVE_ARM = 1
-
-# clause densities above this are more than twice the random 3-SAT threshold
-# (about 4.27): satisfiable draws become so rare that regenerating until one
-# is found need not end
-MAX_ALPHA = 10.0
 
 
 def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> ComparisonReport:

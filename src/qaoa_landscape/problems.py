@@ -14,9 +14,25 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import MAX_STATEVECTOR_WIDTH, MAX_WIDTH, ComputationError, TargetSpace, UsageError
+from .core import MAX_STATEVECTOR_WIDTH, MAX_WIDTH, TargetSpace, UsageError
 
-FAMILIES = ("uniform", "clustered", "sat", "kclique", "qrfactor")
+# each family's generator settings and their defaults (None: required); the
+# key order is the order in which an ensemble file records its params
+FAMILY_PARAMS = {
+    "uniform": {"t_size": None},
+    "clustered": {"num_seeds": 3, "per_seed": 30, "dedupe": "retry"},
+    "sat": {"num_clauses": None},
+    "kclique": {"k": 3, "edge_prob": 0.5},
+    "qrfactor": {},
+}
+FAMILIES = tuple(FAMILY_PARAMS)
+
+# clause densities above this are more than twice the random 3-SAT threshold
+# (about 4.27): satisfiable draws become so rare that MAX_DRAWS would run out
+MAX_ALPHA = 10.0
+
+# draws per instance; a SAT or k-clique draw without a target is redrawn
+MAX_DRAWS = 10_000
 
 _WALK_RETRY_CAP = 1_000_000
 
@@ -68,6 +84,8 @@ def sample_clustered(
     is rerun, so |T| = num_seeds * (per_seed + 1) exactly; with
     dedupe="drop" such walks are discarded and |T| may come out smaller.
     """
+    if not 1 <= n <= MAX_WIDTH:
+        raise UsageError(f"n must be in [1, {MAX_WIDTH}], got {n}")
     if dedupe not in ("retry", "drop"):
         raise UsageError(f"dedupe must be 'retry' or 'drop', got {dedupe!r}")
     if num_seeds < 1 or per_seed < 0:
@@ -87,7 +105,7 @@ def sample_clustered(
                 if dedupe == "drop":
                     break
             else:
-                raise ComputationError("random walk failed to find a new state")
+                raise UsageError(f"random walks found no new state for {planned} states at n={n}")
     return TargetSpace.from_iterable(n, collected)
 
 
@@ -109,6 +127,8 @@ def gen_sat(n: int, num_clauses: int, rng: np.random.Generator) -> Cnf:
         raise UsageError(f"3-SAT needs n >= 3, got {n}")
     if num_clauses < 1:
         raise UsageError("need at least one clause")
+    if num_clauses > MAX_ALPHA * n:
+        raise UsageError(f"{num_clauses} clauses exceed {MAX_ALPHA:g} * n = {MAX_ALPHA * n:g}")
     clauses = []
     for _ in range(num_clauses):
         variables = rng.choice(n, size=3, replace=False)
@@ -294,17 +314,8 @@ class Ensemble:
     instances: tuple[Instance, ...]
 
 
-_FAMILY_PARAMS = {
-    "uniform": {"t_size": None},
-    "clustered": {"num_seeds": 3, "per_seed": 30, "dedupe": "retry"},
-    "sat": {"num_clauses": None},
-    "kclique": {"k": 3, "edge_prob": 0.5},
-    "qrfactor": {},
-}
-
-
 def _resolve_params(family: str, params: dict) -> dict:
-    spec = _FAMILY_PARAMS[family]
+    spec = FAMILY_PARAMS[family]
     unknown = set(params) - set(spec)
     if unknown:
         raise UsageError(f"unknown params for family {family!r}: {sorted(unknown)}")
@@ -317,31 +328,29 @@ def _resolve_params(family: str, params: dict) -> dict:
     return resolved
 
 
-def _build_instance(family: str, n: int, params: dict, rng) -> tuple[TargetSpace, dict | None]:
+def _build_instance(
+    family: str, n: int, params: dict, rng
+) -> tuple[TargetSpace, dict | None] | None:
+    """One draw of one instance; None if it has no target (SAT, k-clique)."""
     if family == "uniform":
         return sample_uniform(n, params["t_size"], rng), None
     if family == "clustered":
         space = sample_clustered(n, params["num_seeds"], params["per_seed"], rng, params["dedupe"])
         return space, None
     if family == "sat":
-        while True:  # regenerate until satisfiable
-            cnf = gen_sat(n, params["num_clauses"], rng)
-            space = enumerate_sat(cnf)
-            if space is not None:
-                return space, {"dimacs": to_dimacs(cnf)}
+        cnf = gen_sat(n, params["num_clauses"], rng)
+        space = enumerate_sat(cnf)
+        return None if space is None else (space, {"dimacs": to_dimacs(cnf)})
     if family == "kclique":
-        while True:  # regenerate until some k-clique exists
-            graph = gen_graph(n, params["edge_prob"], rng)
-            space = enumerate_kcliques(graph, params["k"])
-            if space is not None:
-                return space, {"k": params["k"], "edges": [list(e) for e in graph.edges]}
-    if family == "qrfactor":
-        return sample_qr(n, rng)
-    raise UsageError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        graph = gen_graph(n, params["edge_prob"], rng)
+        space = enumerate_kcliques(graph, params["k"])
+        meta = {"k": params["k"], "edges": [list(e) for e in graph.edges]}
+        return None if space is None else (space, meta)
+    return sample_qr(n, rng)
 
 
 def build_ensemble(family: str, n: int, count: int, params: dict, seed: int) -> Ensemble:
-    """Generate a reproducible ensemble of target-space instances."""
+    """Generate a reproducible ensemble; each instance gets at most MAX_DRAWS draws."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if count < 1:
@@ -350,6 +359,13 @@ def build_ensemble(family: str, n: int, count: int, params: dict, seed: int) -> 
     instances = []
     for instance_id in range(count):
         rng = instance_rng(seed, instance_id)
-        space, meta = _build_instance(family, n, resolved, rng)
+        for _ in range(MAX_DRAWS):
+            drawn = _build_instance(family, n, resolved, rng)
+            if drawn is not None:
+                break
+        else:
+            raise UsageError(f"{family} n={n} {resolved}: no target in {MAX_DRAWS} draws "
+                             f"of instance {instance_id}")
+        space, meta = drawn
         instances.append(Instance(id=instance_id, target=space, meta=meta))
     return Ensemble(family=family, n=n, seed=seed, params=resolved, instances=tuple(instances))

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from qaoa_landscape import problems
 from qaoa_landscape.core import UsageError
 from qaoa_landscape.problems import (
     Cnf,
@@ -72,6 +73,16 @@ class TestClustered:
         with pytest.raises(UsageError):
             sample_clustered(5, 1, 1, rng, dedupe="maybe")
 
+    @pytest.mark.parametrize("n", [-1, 0, 33])
+    def test_width_validated(self, rng, n):
+        with pytest.raises(UsageError, match="n must be in"):
+            sample_clustered(n, 1, 0, rng)
+
+    def test_exhausted_walks_are_a_usage_error(self, rng, monkeypatch):
+        monkeypatch.setattr(problems, "_WALK_RETRY_CAP", 1)
+        with pytest.raises(UsageError, match="16 states at n=4"):
+            sample_clustered(4, 1, 15, rng)  # the whole space from one seed
+
     def test_walk_length_geometric(self):
         # flips per walk are geometric with continue probability 1/2, mean 1
         rng = np.random.default_rng(7)
@@ -97,6 +108,11 @@ class TestSat:
     def test_needs_three_vars(self, rng):
         with pytest.raises(UsageError):
             gen_sat(2, 1, rng)
+
+    def test_density_bounded(self, rng):
+        assert len(gen_sat(5, 50, rng).clauses) == 50
+        with pytest.raises(UsageError, match=re.escape("51 clauses exceed 10 * n = 50")):
+            gen_sat(5, 51, rng)
 
     def test_single_clause_excludes_one_state(self):
         cnf = Cnf(num_vars=3, clauses=(((0, False), (1, False), (2, False)),))
@@ -295,3 +311,39 @@ class TestEnsembles:
         a = instance_rng(1, 0).random(4)
         b = instance_rng(1, 1).random(4)
         assert not np.allclose(a, b)
+
+
+class TestDrawCap:
+    def test_kclique_without_edges_stops_at_the_cap(self, monkeypatch):
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return gen_graph(*args)
+
+        monkeypatch.setattr(problems, "MAX_DRAWS", 3)
+        monkeypatch.setattr(problems, "gen_graph", counted)
+        message = "kclique n=5 {'k': 3, 'edge_prob': 0.0}: no target in 3 draws of instance 0"
+        with pytest.raises(UsageError, match=re.escape(message)):
+            build_ensemble("kclique", 5, 1, {"edge_prob": 0.0}, seed=0)
+        assert len(draws) == 3
+
+    def test_unsatisfiable_first_draw_stops_at_a_cap_of_one(self, monkeypatch):
+        assert enumerate_sat(gen_sat(5, 50, instance_rng(0, 0))) is None
+        monkeypatch.setattr(problems, "MAX_DRAWS", 1)
+        message = "sat n=5 {'num_clauses': 50}: no target in 1 draws of instance 0"
+        with pytest.raises(UsageError, match=re.escape(message)):
+            build_ensemble("sat", 5, 1, {"num_clauses": 50}, seed=0)
+
+    def test_redraws_continue_the_instance_stream(self):
+        # the first draw above is unsatisfiable; the accepted one comes later
+        # from the same stream, so it is what a loop of bare draws finds
+        (inst,) = build_ensemble("sat", 5, 1, {"num_clauses": 50}, seed=0).instances
+        rng = instance_rng(0, 0)
+        while True:
+            cnf = gen_sat(5, 50, rng)
+            space = enumerate_sat(cnf)
+            if space is not None:
+                break
+        assert inst.target.states == space.states
+        assert inst.meta == {"dimacs": to_dimacs(cnf)}

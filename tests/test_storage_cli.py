@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qaoa_landscape import cli, experiments, problems, storage
 from qaoa_landscape.core import AngleGrid, Angles, UsageError, default_grid
@@ -513,6 +519,78 @@ class TestCli:
         assert err == f"error: unrecognized arguments: --coarse {coarse}\n"
         assert [path.name for path in tmp_path.iterdir()] == ["e.json"]
 
+    @pytest.mark.parametrize("gamma_c", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["--summary", "--ensemble"])
+    def test_non_finite_gamma_c_exits_1(self, tmp_path, capsys, source, gamma_c):
+        source_doc = GOOD_SUMMARY if source == "--summary" else GOOD_ENSEMBLE
+        storage.write_json(source_doc, tmp_path / "in.json")
+        code = cli.main(["landscape", source, str(tmp_path / "in.json"), "--grid", "3x3",
+                         f"--gamma-c={gamma_c}", "--out-prefix", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: gamma-c must be finite, got {float(gamma_c)!r}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "kclique", "--n", "5", "--edge-prob", "0"],
+             "error: kclique n=5 {'k': 3, 'edge_prob': 0.0}: no target in 10000 draws"),
+            (["--family", "kclique", "--n", "4", "--k", "4", "--edge-prob", "0.01"],
+             "error: kclique n=4 {'k': 4, 'edge_prob': 0.01}: no target in 10000 draws"),
+        ],
+        ids=["no-edges", "sparse-k4"],
+    )
+    def test_hopeless_generation_exits_1(self, tmp_path, capsys, flags, message):
+        code = cli.main(["gen", *flags, "--count", "1", "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == message + " of instance 0\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_sat_density_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError("a formula was drawn for a refused density")
+
+        argv = ["gen", "--family", "sat", "--n", "5", "--count", "1"]
+        with monkeypatch.context() as patch:
+            patch.setattr(problems, "instance_rng", lambda seed, instance_id: NoDraws())
+            code = cli.main(argv + ["--clauses", "51", "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: 51 clauses exceed 10 * n = 50\n"
+        assert not list(tmp_path.iterdir())
+        assert cli.main(argv + ["--clauses", "50", "--out", str(tmp_path / "e.json")]) == 0
+        assert storage.load_ensemble(tmp_path / "e.json").params == {"num_clauses": 50}
+
+    def test_exhausted_clustered_walks_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(problems, "_WALK_RETRY_CAP", 1)
+        code = cli.main(["gen", "--family", "clustered", "--n", "4", "--count", "1",
+                         "--num-seeds", "1", "--per-seed", "15",
+                         "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: random walks found no new state for 16 states at n=4\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["gen", "compare", "sat-alpha"])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_exits_1(self, tmp_path, capsys, command, seed):
+        storage.write_json(GOOD_ENSEMBLE, tmp_path / "e.json")
+        argv = {
+            "gen": ["gen", "--family", "uniform", "--n", "3", "--count", "1", "--t-size", "2",
+                    "--out", str(tmp_path / "x.json")],
+            "compare": ["compare", "--ensemble", str(tmp_path / "e.json"),
+                        "--out-prefix", str(tmp_path / "run")],
+            "sat-alpha": ["sat-alpha", "--n", "4", "--out-prefix", str(tmp_path / "run")],
+        }[command]
+        code = cli.main(argv + [f"--seed={seed}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: argument --seed: must be a non-negative integer, got {seed!r}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["e.json"]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -605,3 +683,44 @@ def test_malformed_ensemble_refused_at_load(tmp_path, capsys, change, message):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "s.json").exists()
+
+
+_ODD_INTS = st.one_of(st.integers(-2, 70), st.sampled_from([2**31, 2**63, 10**30, -(10**30)]))
+_GEN_FLAGS = {
+    "--t-size": _ODD_INTS,
+    "--num-seeds": _ODD_INTS,
+    "--per-seed": _ODD_INTS,
+    "--dedupe": st.sampled_from(["retry", "drop"]),
+    "--clauses": _ODD_INTS,
+    "--k": _ODD_INTS,
+    "--edge-prob": st.one_of(
+        st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, -math.inf, 1e300])
+    ),
+    "--seed": _ODD_INTS,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(problems.FAMILIES),
+    n=st.integers(-1, 6),
+    count=st.integers(-1, 3),
+    flags=st.fixed_dictionaries({}, optional=_GEN_FLAGS),
+)
+def test_gen_exits_0_or_1_with_one_error_line(family, n, count, flags):
+    argv = ["gen", "--family", family, "--n", str(n), "--count", str(count)]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    # small caps keep hopeless draws and exhausted walks quick
+    with tempfile.TemporaryDirectory() as work, \
+            mock.patch.object(problems, "MAX_DRAWS", 5), \
+            mock.patch.object(problems, "_WALK_RETRY_CAP", 50), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        out = Path(work) / "e.json"
+        code = cli.main(argv + ["--out", str(out)])
+        written = out.exists()
+    assert code in (0, 1)
+    if code == 0:
+        assert written and err.getvalue() == ""
+    else:
+        assert not written
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
