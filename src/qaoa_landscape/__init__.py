@@ -33,7 +33,7 @@ from .landscape import (
 )
 from .optimize import OptConfig, OptResult, maximize, optimize_instance, optimize_problem
 from .problems import Ensemble, Instance, build_ensemble
-from .structure import InstanceStats, StructuralSummary, aggregate, instance_stats
+from .structure import StructuralSummary, aggregate
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "Ensemble",
     "EXACT_MODE",
     "Instance",
-    "InstanceStats",
     "LandscapeGrid",
     "MODES",
     "OptConfig",
@@ -68,7 +67,6 @@ __all__ = [
     "f1_statevector",
     "f_n",
     "hamming_distance",
-    "instance_stats",
     "maximize",
     "optimize_instance",
     "optimize_problem",

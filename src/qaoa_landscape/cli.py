@@ -18,7 +18,7 @@ from .experiments import run_landscape_comparison, run_sat_alpha, run_success_co
 from .landscape import LandscapeGrid, f1
 from .optimize import optimize_instance, optimize_problem
 from .problems import FAMILIES, FAMILY_PARAMS, MAX_ALPHA, build_ensemble
-from .structure import StructuralSummary, aggregate, instance_stats
+from .structure import StructuralSummary, aggregate
 from . import storage
 
 
@@ -57,7 +57,7 @@ def _cmd_gen(args) -> int:
 
 def _ensemble_summary(path: str) -> StructuralSummary:
     ensemble = storage.load_ensemble(path)
-    return aggregate([instance_stats(inst.target) for inst in ensemble.instances])
+    return aggregate([inst.target for inst in ensemble.instances])
 
 
 def _cmd_summarize(args) -> int:

@@ -73,7 +73,13 @@ def binomial_row(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TargetSpace:
-    """A non-empty set of n-bit target states."""
+    """A non-empty set of n-bit target states, and its distance statistics.
+
+    The one validator of a target set: every state is an int (bool refused)
+    that fits n bits, and the states are distinct and ascending.  The space
+    also owns everything the landscape reads from it: |T|, the mean distance
+    profile and the mean pair matrix, each computed once.
+    """
 
     n: int
     states: tuple[int, ...]
@@ -82,14 +88,14 @@ class TargetSpace:
         if not 1 <= self.n <= MAX_WIDTH:
             raise UsageError(f"n must be in [1, {MAX_WIDTH}], got {self.n}")
         if not self.states:
-            raise UsageError("target space must not be empty")
+            raise UsageError("empty target list")
         limit = 1 << self.n
         prev = -1
         for s in self.states:
-            if not isinstance(s, int) or not 0 <= s < limit:
+            if type(s) is not int or not 0 <= s < limit:
                 raise UsageError(f"state {s!r} does not fit {self.n} bits")
             if s <= prev:
-                raise UsageError("states must be strictly ascending")
+                raise UsageError("duplicate target states" if s == prev else "states must ascend")
             prev = s
 
     @classmethod
@@ -114,28 +120,14 @@ class TargetSpace:
         return _kernels.distance_profiles(self.states_array, self.n)
 
     @cached_property
-    def profile_sums(self) -> np.ndarray:
-        """(n+1,) int64 column sums of the profile matrix."""
-        return self.profiles.sum(axis=0)
-
-    @cached_property
-    def pair_sums(self) -> np.ndarray:
-        """(n+1, n+1) int64 P^T P of the profile matrix, exact.
-
-        With profile_sums, all that the structure statistics and the
-        per-point landscape read from the profiles.
-        """
-        return exact_pair_sums(self.profiles)
-
-    @cached_property
     def mean_profile(self) -> np.ndarray:
-        """(n+1,) float64 profile_sums / |T|: the mean distance profile."""
-        return self.profile_sums / len(self)
+        """(n+1,) float64 mean distance profile: exact int64 column sums / |T|."""
+        return self.profiles.sum(axis=0) / len(self)
 
     @cached_property
     def mean_pair(self) -> np.ndarray:
-        """(n+1, n+1) float64 pair_sums / |T|: the mean profile outer product."""
-        return self.pair_sums / len(self)
+        """(n+1, n+1) float64 mean profile outer product: exact P^T P / |T|."""
+        return exact_pair_sums(self.profiles) / len(self)
 
 
 def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:

@@ -18,11 +18,14 @@ from .core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
 from .landscape import LandscapeForm, LandscapeGrid, f1_closed, form_bracket
 from .optimize import OptResult, optimize_instance, optimize_problem
 from .problems import MAX_ALPHA, Ensemble
-from .structure import StructuralSummary, aggregate, instance_stats
+from .structure import StructuralSummary, aggregate
 
 
 # F1 may leave [0, 1] by rounding only; a larger excursion is a defect
 _PROB_TOL = 1e-9
+
+# the largest trial count that Generator.binomial takes (a C int64)
+MAX_SHOTS = (1 << 63) - 1
 
 
 def shot_rng(seed: int, instance_id: int, arm: int) -> np.random.Generator:
@@ -46,8 +49,8 @@ def sample_shots(
 
 
 def _check_shots(shots: int) -> None:
-    if shots < 1:
-        raise UsageError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise UsageError(f"shots must be in [1, 2**63 - 1], got {shots}")
 
 
 def _draw_hits(prob: float, shots: int, rng: np.random.Generator) -> int:
@@ -66,7 +69,6 @@ class CrossSection:
     values: np.ndarray  # ensemble mean F1 per beta
     stddev: np.ndarray
     approx: np.ndarray
-    cloud: np.ndarray | None = None  # (instances, betas) individual values
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,16 +84,16 @@ class LandscapeComparison:
 
 
 def run_landscape_comparison(
-    ensemble: Ensemble, grid: AngleGrid, gamma_c: float = 1.2, keep_cloud: bool = False
+    ensemble: Ensemble, grid: AngleGrid, gamma_c: float = 1.2
 ) -> LandscapeComparison:
     """Empirical mean landscape vs the structural approximation on one grid.
 
     One form stacks the instances and, last, their summary; its last gamma
     column is the cross-section at gamma_c.
     """
-    stats = [instance_stats(inst.target) for inst in ensemble.instances]
-    summary = aggregate(stats)
-    form = LandscapeForm.stack(*stats, summary)
+    spaces = [inst.target for inst in ensemble.instances]
+    summary = aggregate(spaces)
+    form = LandscapeForm.stack(*spaces, summary)
     betas = grid.betas()
     bracket = form_bracket(form, betas, np.append(grid.gammas(), gamma_c))
     f1 = form.scale[:, None, None] * bracket
@@ -110,7 +112,6 @@ def run_landscape_comparison(
         values=section.mean(axis=0),
         stddev=section.std(axis=0),
         approx=approx[:, -1],
-        cloud=section if keep_cloud else None,
     )
     return LandscapeComparison(
         summary=summary,
@@ -162,8 +163,7 @@ NONITERATIVE_ARM = 1
 def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> ComparisonReport:
     """Per-instance optimisation against one problem-global optimisation."""
     _check_shots(shots)
-    spaces = [inst.target for inst in ensemble.instances]
-    summary = aggregate([instance_stats(space) for space in spaces])
+    summary = aggregate([inst.target for inst in ensemble.instances])
     shared: OptResult = optimize_problem(summary)
 
     records = []

@@ -11,11 +11,12 @@ Q = mean_k profile_k profile_k^T:
 
     F1 = (|T| / 2^n) * [|phi|^2 fn^T Q conj(fn) + 2 Re(phi exp(i*beta*n) p . fn) + 1]
 
-Building (p, Q) costs O(|T| n^2) once; then every angle pair costs O(n^2),
-whatever |T| is.  The bracket is linear in (p, Q), so the structural
-approximation of an ensemble is the same expression with the expected size,
-profile and pair matrix.  A ``LandscapeForm`` holds any stack of these and
-is evaluated with one (beta x d) matrix of mixer factors, one batched
+A ``TargetSpace`` builds (p, Q) once, in O(|T| n^2); then every angle pair
+costs O(n^2), whatever |T| is.  The bracket is linear in (p, Q), so the
+structural approximation of an ensemble is the same expression with a
+``StructuralSummary``'s expected size, profile and pair matrix.  These two
+are the only landscape sources.  A ``LandscapeForm`` holds any stack of them
+and is evaluated with one (beta x d) matrix of mixer factors, one batched
 contraction and a broadcast over gamma.  ``c_k``, ``mean_ck_squared`` and
 ``w_matrix`` (per target, binomial basis) and ``f1_statevector`` (the full
 2^n state) are independent oracles for it.
@@ -34,7 +35,7 @@ from . import _kernels
 from .core import (
     MAX_STATEVECTOR_WIDTH, AngleGrid, ComputationError, TargetSpace, UsageError, binomial_row,
 )
-from .structure import InstanceStats, StructuralSummary
+from .structure import StructuralSummary
 
 # a scaled |imag| above this in a real-by-construction result is a defect, not rounding
 IMAG_RESIDUE_TOL = 1e-9
@@ -91,13 +92,11 @@ class LandscapeForm:
     pair: np.ndarray  # (..., n+1, n+1)  mean profile outer product
 
     @classmethod
-    def of(cls, source: TargetSpace | InstanceStats | StructuralSummary) -> "LandscapeForm":
-        """The landscape of one target space, instance or ensemble summary."""
+    def of(cls, source: TargetSpace | StructuralSummary) -> "LandscapeForm":
+        """The landscape of one target space or ensemble summary."""
         if isinstance(source, StructuralSummary):
             size, profile, pair = source.e_tsize, source.e_profile, source.e_pair
-        elif isinstance(source, InstanceStats):
-            size, profile, pair = source.t_size, source.mean_profile, source.mean_pair
-        else:  # a TargetSpace: its cached means of the exact sums
+        else:
             size, profile, pair = len(source), source.mean_profile, source.mean_pair
         return cls(source.n, size / (1 << source.n), profile, pair)
 
@@ -130,7 +129,7 @@ def form_bracket(form: LandscapeForm, betas, gammas) -> np.ndarray:
     return 1.0 - 2.0 * np.multiply.outer(z, np.exp(-1j * np.asarray(gammas)) - 1.0).real
 
 
-def f1(source: TargetSpace | InstanceStats | StructuralSummary, betas, gammas) -> np.ndarray:
+def f1(source: TargetSpace | StructuralSummary, betas, gammas) -> np.ndarray:
     """F1 of one source at the outer product of betas and gammas.
 
     For a summary this is the structural approximation.  The result has

@@ -353,6 +353,8 @@ def build_ensemble(family: str, n: int, count: int, params: dict, seed: int) -> 
     """Generate a reproducible ensemble; each instance gets at most MAX_DRAWS draws."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if not 1 <= n <= MAX_WIDTH:
+        raise UsageError(f"n must be in [1, {MAX_WIDTH}], got {n}")
     if count < 1:
         raise UsageError(f"count must be >= 1, got {count}")
     resolved = _resolve_params(family, params)

@@ -113,20 +113,13 @@ def ensemble_from_dict(data: dict) -> Ensemble:
         seen_ids.add(instance_id)
         if not isinstance(targets, list):
             raise UsageError(f"{where}: targets must be a JSON list")
-        if not targets:
-            raise UsageError(f"{where}: empty target list")
-        for t in targets:
-            if type(t) is not int or not 0 <= t < (1 << n):
-                raise UsageError(f"{where}: state {t!r} does not fit {n} bits")
-        if len(set(targets)) != len(targets):
-            raise UsageError(f"{where}: duplicate target states")
-        instances.append(
-            Instance(
-                id=instance_id,
-                target=TargetSpace(n, tuple(sorted(targets))),
-                meta=raw.get("meta"),
-            )
-        )
+        try:
+            target = TargetSpace(n, tuple(sorted(targets)))
+        except TypeError:  # sorted() met values of kinds that do not compare
+            raise UsageError(f"{where}: targets must all be integers") from None
+        except UsageError as exc:
+            raise UsageError(f"{where}: {exc}") from None
+        instances.append(Instance(id=instance_id, target=target, meta=raw.get("meta")))
     return Ensemble(
         family=family,
         n=n,

@@ -34,7 +34,7 @@ from qaoa_landscape.landscape import (
 )
 from qaoa_landscape.optimize import maximize
 from qaoa_landscape.problems import build_ensemble
-from qaoa_landscape.structure import aggregate, instance_stats
+from qaoa_landscape.structure import aggregate
 
 
 @contextmanager
@@ -54,7 +54,7 @@ def random_space(rng, n, size):
 
 
 def ensemble_summary(ensemble):
-    return aggregate([instance_stats(inst.target) for inst in ensemble.instances])
+    return aggregate([inst.target for inst in ensemble.instances])
 
 
 @pytest.fixture(scope="session")
@@ -172,7 +172,7 @@ def test_criterion_06_exhaustive_two_target_enumeration():
             for pair in itertools.combinations(range(8), 2)
         ]
         assert len(spaces) == 28
-        summary = aggregate([instance_stats(s) for s in spaces])
+        summary = aggregate(spaces)
         grid = AngleGrid(0.0, math.pi, 0.0, 2 * math.pi * 4 / 5, 5, 5)
         approx = f1(summary, grid.betas(), grid.gammas()).ravel()
         worst = 0.0

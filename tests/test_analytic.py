@@ -15,7 +15,6 @@ from qaoa_landscape.analytic import (
     summary_analytic,
 )
 from qaoa_landscape.core import TargetSpace, UsageError, binomial, binomial_row
-from qaoa_landscape.structure import instance_stats
 
 
 class TestModel:

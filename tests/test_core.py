@@ -118,15 +118,22 @@ class TestTargetSpace:
             TargetSpace(3, (8,))
 
     def test_rejects_unsorted(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="states must ascend"):
             TargetSpace(3, (2, 1))
-        with pytest.raises(UsageError):
+
+    def test_rejects_duplicates(self):
+        with pytest.raises(UsageError, match="duplicate target states"):
             TargetSpace(3, (1, 1))
+
+    @pytest.mark.parametrize("state", [True, False, 1.0])
+    def test_rejects_non_int_states(self, state):
+        with pytest.raises(UsageError, match="does not fit 3 bits"):
+            TargetSpace(3, (state,))
 
     def test_means_divide_the_exact_sums_once(self, rng):
         space = random_space(rng, 6, 9)
-        assert np.array_equal(space.mean_profile, space.profile_sums / 9)
-        assert np.array_equal(space.mean_pair, space.pair_sums / 9)
+        assert np.array_equal(space.mean_profile, space.profiles.sum(0) / 9)
+        assert np.array_equal(space.mean_pair, exact_pair_sums(space.profiles) / 9)
         assert space.mean_pair is space.mean_pair  # cached, not rebuilt per read
 
 

@@ -17,7 +17,7 @@ from qaoa_landscape.experiments import (
 )
 from qaoa_landscape.landscape import approx_expected_f1, f1, f1_closed
 from qaoa_landscape.problems import build_ensemble
-from qaoa_landscape.structure import aggregate, instance_stats
+from qaoa_landscape.structure import aggregate
 
 
 class TestSampleShots:
@@ -110,14 +110,6 @@ class TestLandscapeComparison:
         point = approx_expected_f1(comparison.summary, grid.beta_min, grid.gamma_min)
         assert abs(comparison.approx.values[0] - point) < 1e-12
 
-    def test_cloud_kept_on_request(self, sat_run):
-        ensemble, grid, _ = sat_run
-        comparison = run_landscape_comparison(ensemble, grid, keep_cloud=True)
-        cloud = comparison.cross_section.cloud
-        assert cloud is not None
-        assert cloud.shape == (len(ensemble.instances), grid.beta_steps)
-        assert np.allclose(cloud.mean(axis=0), comparison.cross_section.values)
-
 
 class TestSuccessComparison:
     def test_aggregates_consistent(self, success_report):
@@ -150,9 +142,7 @@ class TestSuccessComparison:
 
     def test_shared_value_is_approximation(self, success_report):
         ensemble, rep = success_report
-        summary = aggregate(
-            [instance_stats(inst.target) for inst in ensemble.instances]
-        )
+        summary = aggregate([inst.target for inst in ensemble.instances])
         want = approx_expected_f1(
             summary, rep.shared_angles.beta, rep.shared_angles.gamma
         )

@@ -31,7 +31,7 @@ from qaoa_landscape.landscape import (
     w_matrix,
 )
 from qaoa_landscape.problems import build_ensemble
-from qaoa_landscape.structure import StructuralSummary, aggregate, instance_stats
+from qaoa_landscape.structure import StructuralSummary, aggregate
 
 from conftest import random_space
 
@@ -213,7 +213,7 @@ class TestFormAgainstOracles:
 
     def test_stacked_form_matches_single_forms(self, rng):
         spaces = [random_space(rng, 5) for _ in range(3)]
-        summary = aggregate([instance_stats(s) for s in spaces])
+        summary = aggregate(spaces)
         form = LandscapeForm.stack(*spaces, summary)
         betas, gammas = np.linspace(0.0, 3.0, 5), np.linspace(0.0, 6.0, 4)
         values = form.scale[:, None, None] * form_bracket(form, betas, gammas)
@@ -250,7 +250,7 @@ class TestApproximation:
         assert cmath.isclose(w[1, 1], 1.0, abs_tol=1e-14)
 
     def test_w_matrix_conjugate_pairing(self, rng):
-        summary = aggregate([instance_stats(random_space(rng, 5)) for _ in range(4)])
+        summary = aggregate([random_space(rng, 5) for _ in range(4)])
         for gamma in (0.3, 1.2, 4.0):
             w = w_matrix(gamma, summary)
             assert np.allclose(w, w.conj().T, atol=1e-12)
@@ -264,7 +264,7 @@ class TestApproximation:
             assert abs(approx_expected_f1(summary, beta, gamma) - want) < 1e-12
 
     def test_beta_zero_gives_scaled_size(self, rng):
-        summary = aggregate([instance_stats(random_space(rng, 6)) for _ in range(5)])
+        summary = aggregate([random_space(rng, 6) for _ in range(5)])
         for gamma in (0.0, 0.9, 3.3):
             want = summary.e_tsize / 64
             assert abs(approx_expected_f1(summary, 0.0, gamma) - want) < 1e-12
@@ -272,7 +272,7 @@ class TestApproximation:
     def test_single_instance_approx_is_exact(self, rng):
         # one instance: the approximation reproduces its landscape identically
         space = random_space(rng, 6, 12)
-        summary = aggregate([instance_stats(space)])
+        summary = aggregate([space])
         for _ in range(20):
             beta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
             assert abs(approx_expected_f1(summary, beta, gamma) - f1_closed(space, beta, gamma)) < 1e-12
@@ -281,7 +281,7 @@ class TestApproximation:
         # ensemble mean of per-instance mean |c_k|^2 == aggregated evaluation
         ensemble = build_ensemble("sat", 6, 15, {"num_clauses": 12}, seed=9)
         spaces = [inst.target for inst in ensemble.instances]
-        summary = aggregate([instance_stats(s) for s in spaces])
+        summary = aggregate(spaces)
         rng = np.random.default_rng(1)
         for _ in range(10):
             beta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
@@ -290,7 +290,7 @@ class TestApproximation:
             assert abs(direct - via_summary) <= 1e-9 * max(1.0, abs(direct))
 
     def test_grid_and_curve_match_pointwise(self, rng):
-        summary = aggregate([instance_stats(random_space(rng, 5)) for _ in range(3)])
+        summary = aggregate([random_space(rng, 5) for _ in range(3)])
         grid = AngleGrid(0.0, math.pi, 0.0, 5.0, 4, 3)
         values = f1(summary, grid.betas(), grid.gammas()).ravel()
         i = 0

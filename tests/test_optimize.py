@@ -12,7 +12,7 @@ from qaoa_landscape.optimize import (
     optimize_problem,
     reduce_angles,
 )
-from qaoa_landscape.structure import StructuralSummary, aggregate, instance_stats
+from qaoa_landscape.structure import StructuralSummary, aggregate
 
 from conftest import random_space
 
@@ -114,7 +114,7 @@ class TestInstanceAndProblem:
         assert result.value >= len(space) / 32 - 1e-12
 
     def test_problem_value_matches_approximation(self, rng):
-        summary = aggregate([instance_stats(random_space(rng, 5)) for _ in range(4)])
+        summary = aggregate([random_space(rng, 5) for _ in range(4)])
         result = optimize_problem(summary)
         want = approx_expected_f1(summary, result.angles.beta, result.angles.gamma)
         assert abs(result.value - want) < 1e-12

@@ -21,7 +21,7 @@ from qaoa_landscape.experiments import (
 )
 from qaoa_landscape.landscape import LandscapeGrid, f1, f1_closed
 from qaoa_landscape.problems import build_ensemble
-from qaoa_landscape.structure import StructuralSummary, aggregate, instance_stats
+from qaoa_landscape.structure import StructuralSummary, aggregate
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +94,7 @@ class TestEnsembleJson:
 
 class TestSummaryJson:
     def test_round_trip_exact(self, sat_ensemble, tmp_path):
-        summary = aggregate(
-            [instance_stats(inst.target) for inst in sat_ensemble.instances]
-        )
+        summary = aggregate([inst.target for inst in sat_ensemble.instances])
         path = tmp_path / "s.json"
         storage.save_summary(summary, path)
         back = storage.load_summary(path)
@@ -461,7 +459,7 @@ class TestCli:
         assert err.startswith("error: alpha") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("shots", ["0", "-3"])
+    @pytest.mark.parametrize("shots", ["0", "-3", "1000000000000000000000000000000"])
     @pytest.mark.parametrize("command", ["compare", "sat-alpha"])
     def test_bad_shots_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch, command, shots):
         ens = tmp_path / "e.json"
@@ -479,7 +477,7 @@ class TestCli:
                          "--out-prefix", str(tmp_path / "run")])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == f"error: shots must be >= 1, got {shots}\n"
+        assert err == f"error: shots must be in [1, 2**63 - 1], got {shots}\n"
         assert [path.name for path in tmp_path.iterdir()] == ["e.json"]
 
     @pytest.mark.parametrize("command", ["optimize", "compare", "sat-alpha"])
@@ -563,6 +561,21 @@ class TestCli:
         assert not list(tmp_path.iterdir())
         assert cli.main(argv + ["--clauses", "50", "--out", str(tmp_path / "e.json")]) == 0
         assert storage.load_ensemble(tmp_path / "e.json").params == {"num_clauses": 50}
+
+    @pytest.mark.parametrize("n", ["0", "33", "34", str(10**30)])
+    @pytest.mark.parametrize("family", problems.FAMILIES)
+    def test_width_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, family, n):
+        def refuse(seed, instance_id):
+            raise AssertionError("an instance was drawn for a refused width")
+
+        monkeypatch.setattr(problems, "instance_rng", refuse)
+        params = {"uniform": ["--t-size", "1"], "sat": ["--clauses", "3"]}.get(family, [])
+        code = cli.main(["gen", "--family", family, "--n", n, "--count", "1", *params,
+                         "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: n must be in [1, 32], got {n}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_exhausted_clustered_walks_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(problems, "_WALK_RETRY_CAP", 1)
@@ -671,6 +684,9 @@ GOOD_ENSEMBLE = {
             {"instances": [{"id": 4, "targets": [1]}, {"id": 4, "targets": [2]}]},
             "duplicate instance id 4",
         ),
+        ({"instances": [{"id": 0, "targets": [1, "a"]}]}, "targets must all be integers"),
+        ({"instances": [{"id": 0, "targets": [1, None]}]}, "targets must all be integers"),
+        ({"instances": [{"id": 0, "targets": [1, 8]}]}, r"instances\[0\]: state 8 does not fit"),
     ],
 )
 def test_malformed_ensemble_refused_at_load(tmp_path, capsys, change, message):
