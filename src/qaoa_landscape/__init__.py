@@ -31,7 +31,9 @@ from .landscape import (
     f_n,
     w_matrix,
 )
-from .optimize import OptConfig, OptResult, maximize, optimize_instance, optimize_problem
+from .optimize import (
+    OptConfig, OptResult, best_angles, maximize, optimize_instance, optimize_problem,
+)
 from .problems import Ensemble, Instance, build_ensemble
 from .structure import StructuralSummary, aggregate
 
@@ -56,6 +58,7 @@ __all__ = [
     "UsageError",
     "aggregate",
     "approx_expected_f1",
+    "best_angles",
     "binomial",
     "build_ensemble",
     "c_k",

@@ -16,7 +16,7 @@ from .analytic import MODES, PAPER_MODE, UniformModel, summary_analytic
 from .core import AngleGrid, ComputationError, UsageError, default_grid
 from .experiments import run_landscape_comparison, run_sat_alpha, run_success_comparison
 from .landscape import LandscapeGrid, f1
-from .optimize import optimize_instance, optimize_problem
+from .optimize import best_angles, optimize_problem
 from .problems import FAMILIES, FAMILY_PARAMS, MAX_ALPHA, build_ensemble
 from .structure import StructuralSummary, aggregate
 from . import storage
@@ -106,7 +106,7 @@ def _cmd_optimize(args) -> int:
         matches = [inst for inst in ensemble.instances if inst.id == args.instance]
         if not matches:
             raise UsageError(f"no instance with id {args.instance}")
-        result = optimize_instance(matches[0].target)
+        result = best_angles(matches[0].target)
     elif args.summary is not None:
         result = optimize_problem(storage.load_summary(args.summary))
     else:

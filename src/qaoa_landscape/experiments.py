@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
 from .landscape import LandscapeForm, LandscapeGrid, f1_closed, form_bracket
-from .optimize import OptResult, optimize_instance, optimize_problem
+from .optimize import OptResult, best_angles, optimize_problem
 from .problems import MAX_ALPHA, Ensemble
 from .structure import StructuralSummary, aggregate
 
@@ -169,7 +169,7 @@ def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> Compari
     records = []
     for inst in ensemble.instances:
         space = inst.target
-        own = optimize_instance(space)  # own.value is F1 at own.angles
+        own = best_angles(space)  # own.value is F1 at own.angles
         standard = ArmOutcome(
             angles=own.angles,
             success_prob=own.value,

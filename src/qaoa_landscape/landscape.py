@@ -110,6 +110,23 @@ class LandscapeForm:
         return cls(forms[0].n, *map(np.array, columns))
 
 
+def form_z(form: LandscapeForm, betas) -> np.ndarray:
+    """z = q - exp(i*beta*n) * p . fn of each landscape at each beta.
+
+    betas is a scalar or a 1-d array; the result has shape
+    form.scale.shape + shape(betas).  q = fn^T Q conj(fn) is real by
+    construction, so a larger imaginary part than rounding explains raises
+    ComputationError.  The bracket at (beta, gamma) is
+    1 - 2 Re(z * phi(gamma)).
+    """
+    fn = fn_matrix(betas, form.n)
+    quad = ((fn @ form.pair) * fn.conj()).sum(axis=-1)
+    residue = np.abs(quad.imag) - IMAG_RESIDUE_TOL * np.abs(quad.real)
+    if residue.max() > IMAG_RESIDUE_TOL:
+        raise ComputationError(f"imaginary residue {np.max(np.abs(quad.imag)):g} in a landscape")
+    return quad.real - np.exp(1j * form.n * np.asarray(betas)) * (form.profile @ fn.T)
+
+
 def form_bracket(form: LandscapeForm, betas, gammas) -> np.ndarray:
     """mean_k |c_k|^2 of each landscape at each (beta, gamma) of the outer product.
 
@@ -117,15 +134,10 @@ def form_bracket(form: LandscapeForm, betas, gammas) -> np.ndarray:
     form.scale.shape + shape(betas) + shape(gammas).
 
     With q = fn^T Q conj(fn), |phi|^2 = -2 Re(phi) turns the bracket into
-    1 - 2 Re(phi * (q - exp(i*beta*n) * p . fn)): one complex number per
-    (landscape, beta), combined with phi(gamma) as an outer product.
+    1 - 2 Re(phi * z): one complex number z per (landscape, beta), from
+    form_z, combined with phi(gamma) as an outer product.
     """
-    fn = fn_matrix(betas, form.n)
-    quad = ((fn @ form.pair) * fn.conj()).sum(axis=-1)
-    residue = np.abs(quad.imag) - IMAG_RESIDUE_TOL * np.abs(quad.real)
-    if residue.max() > IMAG_RESIDUE_TOL:
-        raise ComputationError(f"imaginary residue {np.max(np.abs(quad.imag)):g} in a landscape")
-    z = quad.real - np.exp(1j * form.n * np.asarray(betas)) * (form.profile @ fn.T)
+    z = form_z(form, betas)
     return 1.0 - 2.0 * np.multiply.outer(z, np.exp(-1j * np.asarray(gammas)) - 1.0).real
 
 

@@ -167,6 +167,17 @@ def _summary_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return array.astype(np.float64)
 
 
+def _summary_number(data: dict, key: str) -> float:
+    value = data[key]
+    try:  # bools are refused: JSON true/false are not sizes
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise UsageError(f"summary {key} must be a finite number, got {value!r}")
+    return number
+
+
 def summary_from_dict(data: dict) -> StructuralSummary:
     if not isinstance(data, dict):
         raise UsageError("summary document must be a JSON object")
@@ -178,11 +189,11 @@ def summary_from_dict(data: dict) -> StructuralSummary:
         raise UsageError(f"n must be an integer in [1, {MAX_WIDTH}], got {n!r}")
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise UsageError(f"count must be a non-negative integer, got {count!r}")
-    for key in ("e_tsize", "var_tsize"):
-        value = data[key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or not math.isfinite(value):
-            raise UsageError(f"summary {key} must be a finite number, got {value!r}")
+    e_tsize, var_tsize = _summary_number(data, "e_tsize"), _summary_number(data, "var_tsize")
+    if not 1.0 <= e_tsize <= 1 << n:  # a mean of target-set sizes |T| in [1, 2^n]
+        raise UsageError(f"summary e_tsize must be in [1, 2^{n}], got {data['e_tsize']!r}")
+    if var_tsize < 0.0:
+        raise UsageError(f"summary var_tsize must be non-negative, got {data['var_tsize']!r}")
     profile = _summary_array(data["e_profile"], (n + 1,), "e_profile")
     pair = _summary_array(data["e_pair"], (n + 1, n + 1), "e_pair")
     if not np.allclose(pair, pair.T, rtol=IMAG_RESIDUE_TOL, atol=IMAG_RESIDUE_TOL):
@@ -190,8 +201,8 @@ def summary_from_dict(data: dict) -> StructuralSummary:
     return StructuralSummary(
         n=n,
         count=count,
-        e_tsize=float(data["e_tsize"]),
-        var_tsize=float(data["var_tsize"]),
+        e_tsize=e_tsize,
+        var_tsize=var_tsize,
         e_profile=profile,
         e_pair=pair,
         mode=str(data["mode"]),

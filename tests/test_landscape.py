@@ -176,9 +176,10 @@ class TestF1:
 
 
 @st.composite
-def oracle_spaces(draw):
+def oracle_spaces(draw, n=None):
     """Target spaces with n <= 10: one target, the full space, or a random set."""
-    n = draw(st.integers(1, 10))
+    if n is None:
+        n = draw(st.integers(1, 10))
     size = draw(st.sampled_from([1, 1 << n, None]))
     if size is None:
         size = draw(st.integers(1, 1 << n))
@@ -204,6 +205,18 @@ class TestFormAgainstOracles:
                 # mean |c_k|^2 averages to 1 over the angles: its natural scale
                 per_target = mean_ck_squared(space, b, g)
                 assert abs(values[i, j] * to_bracket - per_target) <= 1e-12 * max(per_target, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 3), st.data(), angles_st)
+    def test_mirror_symmetry(self, n, count, data, angles):
+        # F1(pi - beta, 2pi - gamma) = F1(beta, gamma): the angle search needs beta <= pi/2 only
+        spaces = [data.draw(oracle_spaces(n)) for _ in range(count)]
+        beta, gamma = angles
+        for source in [*spaces, aggregate(spaces)]:
+            mirrored = f1(source, math.pi - beta, 2 * math.pi - gamma)
+            assert abs(mirrored - f1(source, beta, gamma)) <= 1e-12
+        mirrored = f1_statevector(spaces[0], math.pi - beta, 2 * math.pi - gamma)
+        assert abs(mirrored - f1(spaces[0], beta, gamma)) < 1e-9
 
     def test_dense_n14(self):
         rng = np.random.default_rng(14)

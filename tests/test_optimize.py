@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from qaoa_landscape.core import ComputationError, TargetSpace, UsageError
-from qaoa_landscape.landscape import approx_expected_f1, f1_closed
+from qaoa_landscape.experiments import run_success_comparison
+from qaoa_landscape.landscape import approx_expected_f1, f1, f1_closed
 from qaoa_landscape.optimize import (
     OptConfig,
+    _best_gamma,
+    best_angles,
     maximize,
     optimize_instance,
     optimize_problem,
     reduce_angles,
 )
+from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
 
 from conftest import random_space
@@ -135,3 +139,97 @@ class TestInstanceAndProblem:
         result = optimize_instance(TargetSpace(1, (1,)))
         assert abs(result.angles.beta - math.pi / 4) < 1e-6
         assert abs(result.angles.gamma - math.pi / 2) < 1e-6
+
+
+# the ensembles of acceptance criterion 9: (family, n, params), 50 instances at seed 0
+CRITERION_9 = {
+    "sat a=2": ("sat", 8, {"num_clauses": 16}),
+    "sat a=4": ("sat", 8, {"num_clauses": 32}),
+    "sat a=6": ("sat", 8, {"num_clauses": 48}),
+    "uniform": ("uniform", 8, {"t_size": 128}),
+    "clustered": ("clustered", 8, {}),
+    "qrfactor": ("qrfactor", 12, {}),
+}
+
+
+@pytest.fixture(scope="module", params=list(CRITERION_9))
+def criterion_9_sources(request):
+    """The first 10 instances of one criterion-9 ensemble, then its summary."""
+    family, n, params = CRITERION_9[request.param]
+    spaces = [inst.target for inst in build_ensemble(family, n, 50, params, seed=0).instances]
+    return spaces[:10] + [aggregate(spaces)]
+
+
+def objective(source):
+    """The landscape of a space or a summary as a scalar (beta, gamma) function."""
+    if isinstance(source, StructuralSummary):
+        return lambda beta, gamma: approx_expected_f1(source, beta, gamma)
+    return lambda beta, gamma: f1_closed(source, beta, gamma)
+
+
+class TestBestAngles:
+    def test_at_least_the_2d_search(self, criterion_9_sources):
+        for source in criterion_9_sources:
+            assert best_angles(source).value >= maximize(objective(source)).value - 1e-9
+
+    def test_value_is_the_landscape_at_its_angles(self, criterion_9_sources):
+        for source in criterion_9_sources:
+            result = best_angles(source)
+            want = objective(source)(result.angles.beta, result.angles.gamma)
+            assert abs(result.value - want) <= 1e-12
+
+    def test_angles_in_the_half_domain(self, criterion_9_sources):
+        for source in criterion_9_sources:
+            result = best_angles(source)
+            assert 0.0 <= result.angles.beta <= math.pi / 2
+            assert 0.0 <= result.angles.gamma < 2 * math.pi
+            # the 64n+1 scan betas, then the refinement's
+            assert 64 * source.n + 1 < result.evaluations <= 64 * source.n + 1 + 64
+
+    def test_never_below_its_scan(self, rng):
+        space = random_space(rng, 6, 9)
+        betas = np.linspace(0.0, math.pi / 2, 64 * 6 + 1)
+        gammas = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
+        assert best_angles(space).value >= f1(space, betas, gammas).max()
+
+    def test_n1_target_space(self):
+        result = best_angles(TargetSpace(1, (1,)))
+        assert abs(result.angles.beta - math.pi / 4) < 1e-6
+        assert abs(result.angles.gamma - math.pi / 2) < 1e-6
+        assert abs(result.value - 1.0) < 1e-12
+
+    def test_flat_landscape_ties_break_to_origin(self):
+        # zero statistics give z == 0 at every beta: every beta and every gamma tie
+        flat = StructuralSummary(
+            n=3, count=1, e_tsize=1.0, var_tsize=0.0, e_profile=np.zeros(4), e_pair=np.zeros((4, 4))
+        )
+        result = best_angles(flat)
+        assert (result.angles.beta, result.angles.gamma) == (0.0, 0.0)
+        assert result.value == 1 / 8
+
+    def test_non_finite_landscape_is_computation_error(self):
+        huge = StructuralSummary(
+            n=1, count=1, e_tsize=1.0, var_tsize=0.0,
+            e_profile=np.array([1.0, 1e308]), e_pair=np.full((2, 2), 1e308),
+        )
+        with np.errstate(all="ignore"), pytest.raises(ComputationError, match="not finite"):
+            best_angles(huge)
+
+    @pytest.mark.parametrize(
+        "z, gamma",
+        [(0j, 0.0), (complex(-0.0, -0.0), 0.0), (complex(0.0, -0.0), 0.0),
+         (1 + 0j, math.pi), (-1j, math.pi / 2), (complex(-1.0, 1e-17), 0.0)],
+    )
+    def test_best_gamma(self, z, gamma):
+        # signed zeros all tie to 0; a tiny negative angle wraps to 0, not to 2*pi
+        assert _best_gamma(z) == gamma
+
+    def test_same_bits_alone_and_from_compare(self):
+        ensemble = build_ensemble("uniform", 5, 6, {"t_size": 5}, seed=3)
+        report = run_success_comparison(ensemble, shots=10, seed=3)
+        for inst, record in zip(ensemble.instances, report.records):
+            alone = best_angles(inst.target)
+            assert record.standard.angles == alone.angles
+            assert record.standard.success_prob == alone.value
+        shared = optimize_problem(aggregate([inst.target for inst in ensemble.instances]))
+        assert report.shared_angles == shared.angles and report.shared_value == shared.value

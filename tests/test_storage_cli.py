@@ -471,7 +471,7 @@ class TestCli:
 
         monkeypatch.setattr(problems, "build_ensemble", refuse)
         monkeypatch.setattr(experiments, "optimize_problem", refuse)
-        monkeypatch.setattr(experiments, "optimize_instance", refuse)
+        monkeypatch.setattr(experiments, "best_angles", refuse)
         source = ["--ensemble", str(ens)] if command == "compare" else ["--n", "12"]
         code = cli.main([command, *source, "--shots", shots,
                          "--out-prefix", str(tmp_path / "run")])
@@ -643,6 +643,13 @@ GOOD_SUMMARY = {
         ("e_profile", ["1.0", 0.0], "e_profile must hold numbers only"),
         ("e_tsize", math.nan, "e_tsize must be a finite number"),
         ("e_pair", [[1.0, 3.0], [0.0, 0.0]], "e_pair must be symmetric"),
+        ("e_tsize", -4096, r"e_tsize must be in \[1, 2\^1\], got -4096"),
+        ("e_tsize", 1e9, r"e_tsize must be in \[1, 2\^1\]"),
+        ("e_tsize", 0.5, r"e_tsize must be in \[1, 2\^1\]"),
+        ("e_tsize", 2.5, r"e_tsize must be in \[1, 2\^1\]"),
+        ("e_tsize", 10**400, "e_tsize must be a finite number"),
+        ("e_tsize", True, "e_tsize must be a finite number"),
+        ("var_tsize", -1.0, "var_tsize must be non-negative, got -1.0"),
     ],
 )
 def test_malformed_summary_refused_at_load(tmp_path, capsys, key, value, message):
@@ -656,6 +663,60 @@ def test_malformed_summary_refused_at_load(tmp_path, capsys, key, value, message
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x_approx.csv").exists()
+    code = cli.main(["optimize", "--summary", str(path), "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("e_tsize", [1, 1.0, 2, 2.0])
+def test_summary_sizes_at_their_bounds_load(e_tsize):
+    summary = storage.summary_from_dict(GOOD_SUMMARY | {"e_tsize": e_tsize, "var_tsize": 0})
+    assert (summary.e_tsize, summary.var_tsize) == (float(e_tsize), 0.0)
+
+
+_NUMBERS = st.integers(-3, 3) | st.floats() | st.sampled_from([2**63, 10**400, -(10**400)])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_SUMMARY_FIELDS = {
+    "n": st.integers(0, 3) | _JSON_VALUES,
+    "count": _NUMBERS | _JSON_VALUES,
+    "mode": _JSON_VALUES,
+    "e_tsize": _NUMBERS | _JSON_VALUES,
+    "var_tsize": _NUMBERS | _JSON_VALUES,
+    "e_profile": st.lists(_NUMBERS, min_size=2, max_size=2) | _JSON_VALUES,
+    "e_pair": st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=2, max_size=2)
+    | _JSON_VALUES,
+}
+
+
+@st.composite
+def summary_documents(draw):
+    """Mostly the good summary with some fields replaced or one dropped; else any JSON value."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_JSON_VALUES)
+    doc = GOOD_SUMMARY | draw(st.fixed_dictionaries({}, optional=_SUMMARY_FIELDS))
+    if draw(st.integers(0, 4)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(summary_documents())
+def test_summary_loader_raises_only_usage_error(doc):
+    try:
+        summary = storage.summary_from_dict(doc)
+    except UsageError:
+        return
+    n = summary.n
+    assert 1.0 <= summary.e_tsize <= 2**n and summary.var_tsize >= 0.0
+    assert summary.e_profile.shape == (n + 1,) and summary.e_pair.shape == (n + 1, n + 1)
 
 
 GOOD_ENSEMBLE = {
