@@ -15,8 +15,9 @@ model that differ only in (population, draws):
 * ``exact_hypergeometric``: (2^n - 1, t - 1), the distribution above, so
   first moments (t - 1) * C(n, d) / (2^n - 1).
 
-The two agree as 2^n grows; only the exact mode matches the probability
-mass functions' own moments identically.
+The two agree as 2^n grows.  The probability mass functions are the exact
+mode's in either mode, so only the exact mode matches their moments
+identically.
 """
 
 from __future__ import annotations
@@ -57,25 +58,32 @@ def _log_choose(a: float, b: float) -> float:
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
 
+def _pmf(model: UniformModel, shells: tuple[int, ...], counts: tuple[int, ...]) -> float:
+    """Multivariate hypergeometric P(counts[i] of the draws in shell i, rest elsewhere).
+
+    Shells are distinct distances d > 0 of a member reference; (population,
+    draws) are the exact model's, whatever model.mode says.
+    """
+    population, draws = _population_draws(model.n, model.t_size, EXACT_MODE)
+    rest, rest_draws, log_p = population, draws, 0.0
+    for d, x in zip(shells, counts):
+        size = binomial(model.n, d)
+        log_p += _log_choose(size, x)
+        rest, rest_draws = rest - size, rest_draws - x
+    log_p += _log_choose(rest, rest_draws)
+    return float(np.exp(log_p - _log_choose(population, draws)))
+
+
 def pmf_single(model: UniformModel, d: int, x: int) -> float:
     """P(count at distance d equals x) for a member reference.
 
-    Log-space hypergeometric over shell size C(n, d), population 2^n - 1,
-    t_size - 1 draws; distance 0 is the point mass at 1.
+    Hypergeometric over shell size C(n, d); distance 0 is the point mass at 1.
     """
     if not 0 <= d <= model.n:
         raise UsageError(f"need 0 <= d <= n, got d={d}")
     if d == 0:
         return 1.0 if x == 1 else 0.0
-    shell = binomial(model.n, d)
-    population = (1 << model.n) - 1
-    draws = model.t_size - 1
-    log_p = (
-        _log_choose(shell, x)
-        + _log_choose(population - shell, draws - x)
-        - _log_choose(population, draws)
-    )
-    return float(np.exp(log_p))
+    return _pmf(model, (d,), (x,))
 
 
 def pmf_joint(model: UniformModel, d1: int, x1: int, d2: int, x2: int) -> float:
@@ -87,60 +95,44 @@ def pmf_joint(model: UniformModel, d1: int, x1: int, d2: int, x2: int) -> float:
         return pmf_single(model, d1, x1) * pmf_single(model, d2, x2)
     if d1 == d2:
         return pmf_single(model, d1, x1) if x1 == x2 else 0.0
-    shell1 = binomial(model.n, d1)
-    shell2 = binomial(model.n, d2)
-    population = (1 << model.n) - 1
-    draws = model.t_size - 1
-    rest = draws - x1 - x2
-    log_p = (
-        _log_choose(shell1, x1)
-        + _log_choose(shell2, x2)
-        + _log_choose(population - shell1 - shell2, rest)
-        - _log_choose(population, draws)
-    )
-    return float(np.exp(log_p))
+    return _pmf(model, (d1, d2), (x1, x2))
 
 
-def _population_draws(model: UniformModel) -> tuple[int, int]:
-    """(population, draws) of the hypergeometric model behind model.mode."""
-    size = 1 << model.n
-    if model.mode == PAPER_MODE:
-        return size, model.t_size
-    return size - 1, model.t_size - 1
+def _population_draws(n: int, t_size: int, mode: str) -> tuple[int, int]:
+    """(population, draws) of the hypergeometric model behind a mode."""
+    if mode == PAPER_MODE:
+        return 1 << n, t_size
+    return (1 << n) - 1, t_size - 1
 
 
 def expected_profile(model: UniformModel) -> np.ndarray:
     """Expected distance profile of a member reference, length n+1."""
-    population, draws = _population_draws(model)
+    population, draws = _population_draws(model.n, model.t_size, model.mode)
     profile = draws * binomial_row(model.n) / population
     profile[0] = 1.0
     return profile
 
 
-def covariance(model: UniformModel, d1: int, d2: int) -> float:
-    """Covariance of the counts at distances d1 and d2."""
-    if not (0 <= d1 <= model.n and 0 <= d2 <= model.n):
-        raise UsageError(f"need 0 <= d <= n, got d1={d1}, d2={d2}")
-    if d1 == 0 or d2 == 0:
-        return 0.0
-    population, draws = _population_draws(model)
-    if population == 1:  # exact mode at n = 1: no other state to draw
-        return 0.0
-    correction = draws * (population - draws) / (population - 1)
-    p1 = binomial(model.n, d1) / population
-    if d1 == d2:
-        return correction * p1 * (1.0 - p1)
-    return -correction * p1 * binomial(model.n, d2) / population
-
-
 def summary_analytic(model: UniformModel) -> StructuralSummary:
-    """Structural summary predicted by the model (no sampling involved)."""
+    """Structural summary predicted by the model (no sampling involved).
+
+    e_pair = outer(p, p) + c * (diag(q) - outer(q, C(n, .)) / population):
+    the hypergeometric covariance of the shell counts, with
+    q = C(n, d) / population and c = draws (population - draws) / (population - 1).
+    Distance 0 counts the reference alone, so row and column 0 carry no
+    covariance.
+    """
     profile = expected_profile(model)
-    width = model.n + 1
     pair = np.outer(profile, profile)
-    for d1 in range(width):
-        for d2 in range(width):
-            pair[d1, d2] += covariance(model, d1, d2)
+    population, draws = _population_draws(model.n, model.t_size, model.mode)
+    if population > 1:  # exact mode at n = 1 has no other state to draw
+        c = draws * (population - draws) / (population - 1)
+        row = binomial_row(model.n)
+        q = row / population
+        cov = np.outer(-c * q, row) / population
+        np.fill_diagonal(cov, c * q * (1.0 - q))
+        cov[0] = cov[:, 0] = 0.0
+        pair += cov
     return StructuralSummary(
         n=model.n,
         count=0,

@@ -14,7 +14,9 @@ import numpy as np
 
 from .analytic import MODES, PAPER_MODE, UniformModel, summary_analytic
 from .core import AngleGrid, ComputationError, UsageError, default_grid
-from .experiments import run_landscape_comparison, run_sat_alpha, run_success_comparison
+from .experiments import (
+    DEFAULT_GAMMA_C, run_landscape_comparison, run_sat_alpha, run_success_comparison,
+)
 from .landscape import LandscapeGrid, f1
 from .optimize import best_angles, optimize_problem
 from .problems import FAMILIES, FAMILY_PARAMS, MAX_ALPHA, build_ensemble
@@ -88,7 +90,7 @@ def _cmd_landscape(args) -> int:
             storage.curve_to_csv(betas, values[:, -1], f"{prefix}_cross.csv")
         return 0
     ensemble = storage.load_ensemble(args.ensemble)
-    gamma_c = args.gamma_c if args.gamma_c is not None else 1.2
+    gamma_c = args.gamma_c if args.gamma_c is not None else DEFAULT_GAMMA_C
     result = run_landscape_comparison(ensemble, grid, gamma_c=gamma_c)
     storage.grid_to_csv(result.mean, f"{prefix}_mean.csv")
     storage.grid_to_csv(result.approx, f"{prefix}_approx.csv")

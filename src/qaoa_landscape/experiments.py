@@ -15,11 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
-from .landscape import LandscapeForm, LandscapeGrid, f1_closed, form_bracket
+from .landscape import LandscapeForm, LandscapeGrid, error_bound, f1_closed, form_bracket
 from .optimize import OptResult, best_angles, optimize_problem
-from .problems import MAX_ALPHA, Ensemble
+from .problems import MAX_ALPHA, Ensemble, build_ensemble
 from .structure import StructuralSummary, aggregate
 
+
+# the fixed gamma of a landscape comparison's cross-section when none is given
+DEFAULT_GAMMA_C = 1.2
 
 # F1 may leave [0, 1] by rounding only; a larger excursion is a defect
 _PROB_TOL = 1e-9
@@ -84,7 +87,7 @@ class LandscapeComparison:
 
 
 def run_landscape_comparison(
-    ensemble: Ensemble, grid: AngleGrid, gamma_c: float = 1.2
+    ensemble: Ensemble, grid: AngleGrid, gamma_c: float = DEFAULT_GAMMA_C
 ) -> LandscapeComparison:
     """Empirical mean landscape vs the structural approximation on one grid.
 
@@ -101,9 +104,7 @@ def run_landscape_comparison(
     mean_values = spread[..., :-1].mean(axis=0).ravel()
     std_values = spread[..., :-1].std(axis=0).ravel()
     approx_values = approx[:, :-1].ravel()
-    # per-point bound from the spread of sizes and of the mean |c_k|^2 brackets
-    ck_var = bracket[:-1, :, :-1].var(axis=0).ravel()
-    bound_values = np.sqrt(form.scale[:-1].var() * ck_var)
+    bound_values = error_bound(form.scale[:-1], bracket[:-1, :, :-1]).ravel()
 
     section = spread[..., -1]
     cross = CrossSection(
@@ -207,8 +208,6 @@ def run_sat_alpha(n: int, alphas: tuple[float, ...], count: int, shots: int, see
     floor(alpha * n) clauses per instance; each alpha must lie in
     (0, MAX_ALPHA].
     """
-    from .problems import build_ensemble
-
     _check_shots(shots)
     if not alphas:
         raise UsageError("need at least one alpha")

@@ -197,19 +197,20 @@ def f1_statevector(space: TargetSpace, beta: float, gamma: float) -> float:
     return float(np.abs(hit) @ np.abs(hit))
 
 
-def error_bound(scaled_sizes: np.ndarray, mean_ck_values: np.ndarray) -> float:
+def error_bound(scaled_sizes, mean_ck_values) -> np.ndarray | float:
     """Cauchy-Schwarz bound on |mean F1 - approx|.
 
-    Takes the per-instance scaled sizes |T_i|/2^n and the per-instance
-    mean |c_k|^2 values at one angle pair; the bound is the square root of
-    the product of their population variances, and the actual deviation is
-    exactly their sample covariance.
+    Takes the per-instance scaled sizes |T_i|/2^n, shape (count,), and the
+    per-instance mean |c_k|^2 values, shape (count, ...) with any trailing
+    point axes; the bound at each point is the square root of the product
+    of their population variances over the instances, and the actual
+    deviation is exactly their sample covariance.
     """
     s = np.asarray(scaled_sizes, dtype=np.float64)
     m = np.asarray(mean_ck_values, dtype=np.float64)
-    if s.shape != m.shape or s.ndim != 1 or s.size == 0:
-        raise UsageError("need two equal-length non-empty 1-d arrays")
-    return float(math.sqrt(s.var() * m.var()))
+    if s.ndim != 1 or s.size == 0 or m.shape[:1] != s.shape:
+        raise UsageError("need non-empty per-instance sizes and values along one leading axis")
+    return np.sqrt(s.var() * m.var(axis=0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_WIDTH, TargetSpace, UsageError
+from .core import MAX_WIDTH, TargetSpace, UsageError, binomial_row
 from .experiments import ComparisonReport, CrossSection
 from .landscape import IMAG_RESIDUE_TOL, LandscapeGrid
 from .optimize import OptResult
@@ -167,6 +167,21 @@ def _summary_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return array.astype(np.float64)
 
 
+def _check_counts(array: np.ndarray, top: np.ndarray, name: str) -> None:
+    """Refuse a mean count outside [0, top], bar rounding of 1e-9 * top at either end.
+
+    top holds C(n, d) along each axis: a member has C(n, d) states at distance d.
+    """
+    slack = IMAG_RESIDUE_TOL * top
+    outside = np.argwhere((array < -slack) | (array > top + slack))
+    if outside.size:
+        at = tuple(int(d) for d in outside[0])
+        n = len(top) - 1
+        bound = " * ".join(f"C({n}, {d})" for d in at)
+        where = "".join(f"[{d}]" for d in at)
+        raise UsageError(f"summary {name}{where} must be in [0, {bound}], got {float(array[at])!r}")
+
+
 def _summary_number(data: dict, key: str) -> float:
     value = data[key]
     try:  # bools are refused: JSON true/false are not sizes
@@ -198,6 +213,9 @@ def summary_from_dict(data: dict) -> StructuralSummary:
     pair = _summary_array(data["e_pair"], (n + 1, n + 1), "e_pair")
     if not np.allclose(pair, pair.T, rtol=IMAG_RESIDUE_TOL, atol=IMAG_RESIDUE_TOL):
         raise UsageError("summary e_pair must be symmetric")
+    row = binomial_row(n)
+    _check_counts(profile, row, "e_profile")
+    _check_counts(pair, np.outer(row, row), "e_pair")
     return StructuralSummary(
         n=n,
         count=count,

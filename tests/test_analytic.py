@@ -8,13 +8,18 @@ from qaoa_landscape.analytic import (
     EXACT_MODE,
     PAPER_MODE,
     UniformModel,
-    covariance,
     expected_profile,
     pmf_joint,
     pmf_single,
     summary_analytic,
 )
 from qaoa_landscape.core import TargetSpace, UsageError, binomial, binomial_row
+
+
+def covariance(model: UniformModel) -> np.ndarray:
+    """The model's covariance of the shell counts, as its summary carries it."""
+    profile = expected_profile(model)
+    return summary_analytic(model).e_pair - np.outer(profile, profile)
 
 
 class TestModel:
@@ -118,23 +123,36 @@ class TestMoments:
 
     def test_covariance_zero_at_distance_zero(self):
         for mode in (PAPER_MODE, EXACT_MODE):
-            model = UniformModel(5, 9, mode)
-            for d in range(6):
-                assert covariance(model, 0, d) == 0.0
-                assert covariance(model, d, 0) == 0.0
+            cov = covariance(UniformModel(5, 9, mode))
+            assert np.all(cov[0] == 0.0) and np.all(cov[:, 0] == 0.0)
 
     def test_covariance_symmetric(self):
         for mode in (PAPER_MODE, EXACT_MODE):
-            model = UniformModel(6, 11, mode)
-            for d1 in range(7):
-                for d2 in range(7):
-                    assert covariance(model, d1, d2) == pytest.approx(
-                        covariance(model, d2, d1), abs=1e-15
-                    )
+            cov = covariance(UniformModel(6, 11, mode))
+            assert np.allclose(cov, cov.T, rtol=0, atol=1e-15)
+
+    def test_covariance_hand_values(self):
+        # paper mode, n=4, t=5: population 16, draws 5, c = 5 * 11 / 15
+        cov = covariance(UniformModel(4, 5, PAPER_MODE))
+        c = 5 * 11 / 15
+        assert cov[1, 1] == pytest.approx(c * (4 / 16) * (12 / 16), rel=1e-14)
+        assert cov[2, 2] == pytest.approx(c * (6 / 16) * (10 / 16), rel=1e-14)
+        assert cov[1, 2] == pytest.approx(-c * (4 / 16) * (6 / 16), rel=1e-14)
+        assert cov[3, 4] == pytest.approx(-c * (4 / 16) * (1 / 16), rel=1e-14)
+        # paper mode, n=1, t=1: population 2, draws 1, c = 1, q = 1/2
+        assert covariance(UniformModel(1, 1, PAPER_MODE))[1, 1] == 0.25
+
+    def test_no_covariance_with_one_state_to_draw(self):
+        # exact mode at n = 1: population 1, so every count is fixed
+        for t in (1, 2):
+            model = UniformModel(1, t, EXACT_MODE)
+            profile = expected_profile(model)
+            assert np.array_equal(summary_analytic(model).e_pair, np.outer(profile, profile))
 
     def test_exact_mode_matches_pmf_moments(self):
         model = UniformModel(6, 8, EXACT_MODE)
         profile = expected_profile(model)
+        pair = summary_analytic(model).e_pair
         for d in range(7):
             mean = sum(x * pmf_single(model, d, x) for x in range(9))
             assert abs(mean - profile[d]) < 1e-9
@@ -144,8 +162,7 @@ class TestMoments:
                 for x1 in range(9)
                 for x2 in range(9)
             )
-            want = profile[d1] * profile[d2] + covariance(model, d1, d2)
-            assert abs(mean_prod - want) < 1e-9
+            assert abs(mean_prod - pair[d1, d2]) < 1e-9
 
     def test_exact_mode_against_enumeration(self):
         # full enumeration of every 3-subset of {0,1}^3 with every member
@@ -158,14 +175,8 @@ class TestMoments:
         profiles = np.array(profiles, dtype=np.float64)
         model = UniformModel(n, t, EXACT_MODE)
         assert np.allclose(profiles.mean(axis=0), expected_profile(model), atol=1e-12)
-        for d1 in range(n + 1):
-            for d2 in range(n + 1):
-                observed = (profiles[:, d1] * profiles[:, d2]).mean()
-                want = (
-                    expected_profile(model)[d1] * expected_profile(model)[d2]
-                    + covariance(model, d1, d2)
-                )
-                assert abs(observed - want) < 1e-12, (d1, d2)
+        observed = profiles.T @ profiles / len(profiles)
+        assert np.allclose(observed, summary_analytic(model).e_pair, rtol=0, atol=1e-12)
 
     def test_monte_carlo_agreement(self):
         # quick version; the acceptance suite runs the full-size check

@@ -6,6 +6,7 @@ import pytest
 from qaoa_landscape import experiments
 from qaoa_landscape.core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
 from qaoa_landscape.experiments import (
+    DEFAULT_GAMMA_C,
     MAX_ALPHA,
     NONITERATIVE_ARM,
     STANDARD_ARM,
@@ -15,7 +16,9 @@ from qaoa_landscape.experiments import (
     sample_shots,
     shot_rng,
 )
-from qaoa_landscape.landscape import approx_expected_f1, f1, f1_closed
+from qaoa_landscape.landscape import (
+    approx_expected_f1, error_bound, f1, f1_closed, mean_ck_squared,
+)
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import aggregate
 
@@ -95,6 +98,24 @@ class TestLandscapeComparison:
     def test_error_within_bound(self, sat_run):
         _, _, comparison = sat_run
         assert np.all(comparison.error.values <= comparison.bound.values + 1e-12)
+
+    def test_bound_is_the_per_instance_error_bound(self, sat_run):
+        ensemble, grid, comparison = sat_run
+        spaces = [inst.target for inst in ensemble.instances]
+        scaled = np.array([len(space) for space in spaces]) / 2**ensemble.n
+        points = [(beta, gamma) for beta in grid.betas() for gamma in grid.gammas()]
+        for i in (0, 17, 80, len(points) - 1):
+            beta, gamma = points[i]
+            values = [mean_ck_squared(space, beta, gamma) for space in spaces]
+            assert comparison.bound.values[i] == pytest.approx(
+                error_bound(scaled, values), rel=1e-9, abs=1e-15
+            )
+
+    def test_default_cross_section_gamma(self, sat_run):
+        ensemble, grid, comparison = sat_run
+        default = run_landscape_comparison(ensemble, grid)
+        assert default.cross_section.gamma_c == DEFAULT_GAMMA_C == 1.2
+        assert np.array_equal(default.cross_section.values, comparison.cross_section.values)
 
     def test_mean_matches_direct_average(self, sat_run):
         ensemble, grid, comparison = sat_run

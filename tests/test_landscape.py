@@ -348,6 +348,18 @@ class TestErrorBound:
         with pytest.raises(UsageError):
             error_bound(np.array([]), np.array([]))
 
+    def test_trailing_point_axes(self, rng):
+        # one bound per point, each the bound of that point's column
+        scaled = rng.uniform(0, 1, 7)
+        values = rng.uniform(0, 2, (7, 3, 4))
+        bound = error_bound(scaled, values)
+        assert bound.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                assert bound[i, j] == error_bound(scaled, values[:, i, j])
+        with pytest.raises(UsageError):
+            error_bound(scaled, values[:6])
+
     def test_dominates_actual_deviation(self, rng):
         # mean(F1) - mean(S)*mean(M) is exactly cov(S, M), bounded by the product
         spaces = [random_space(rng, 6) for _ in range(12)]

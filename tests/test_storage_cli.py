@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qaoa_landscape import cli, experiments, problems, storage
+from qaoa_landscape.analytic import MODES
 from qaoa_landscape.core import AngleGrid, Angles, UsageError, default_grid
 from qaoa_landscape.experiments import (
     ArmOutcome,
@@ -650,6 +651,12 @@ GOOD_SUMMARY = {
         ("e_tsize", 10**400, "e_tsize must be a finite number"),
         ("e_tsize", True, "e_tsize must be a finite number"),
         ("var_tsize", -1.0, "var_tsize must be non-negative, got -1.0"),
+        ("e_profile", [1.0, 2.0], r"e_profile\[1\] must be in \[0, C\(1, 1\)\], got 2.0"),
+        ("e_profile", [-0.5, 0.0], r"e_profile\[0\] must be in \[0, C\(1, 0\)\], got -0.5"),
+        ("e_profile", [1.0, 1.0 + 1e-6], r"e_profile\[1\] must be in"),
+        ("e_pair", [[1.0, 0.0], [0.0, 1e308]],
+         r"e_pair\[1\]\[1\] must be in \[0, C\(1, 1\) \* C\(1, 1\)\], got 1e\+308"),
+        ("e_pair", [[1.0, -1.0], [-1.0, 0.0]], r"e_pair\[0\]\[1\] must be in"),
     ],
 )
 def test_malformed_summary_refused_at_load(tmp_path, capsys, key, value, message):
@@ -674,6 +681,61 @@ def test_malformed_summary_refused_at_load(tmp_path, capsys, key, value, message
 def test_summary_sizes_at_their_bounds_load(e_tsize):
     summary = storage.summary_from_dict(GOOD_SUMMARY | {"e_tsize": e_tsize, "var_tsize": 0})
     assert (summary.e_tsize, summary.var_tsize) == (float(e_tsize), 0.0)
+
+
+def test_out_of_range_counts_exit_1_before_any_output(tmp_path, capsys):
+    # unrefused, this e_profile[1] makes the optimum about 1.67e307 and the cross-section 1e292
+    path = tmp_path / "s.json"
+    storage.write_json(
+        {"n": 2, "count": 1, "mode": "empirical", "e_tsize": 2.0, "var_tsize": 0.0,
+         "e_profile": [1, 1e308, 0], "e_pair": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        path,
+    )
+    for argv in (
+        ["optimize", "--summary", str(path), "--out", str(tmp_path / "o.json")],
+        ["landscape", "--summary", str(path), "--grid", "4x4", "--gamma-c", "1",
+         "--out-prefix", str(tmp_path / "x")],
+    ):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: summary e_profile[1] must be in [0, C(2, 1)], got 1e+308\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["s.json"]
+
+
+@pytest.mark.parametrize(
+    "e_profile, e_pair",
+    [
+        ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]]),
+        ([0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
+        ([1.0, 1.0 + 1e-12], [[1.0, -1.4e-17], [-1.4e-17, 1.0 + 1e-12]]),
+    ],
+    ids=["top", "zero", "rounding"],
+)
+def test_summary_counts_at_their_bounds_load(e_profile, e_pair):
+    summary = storage.summary_from_dict(GOOD_SUMMARY | {"e_profile": e_profile, "e_pair": e_pair})
+    assert summary.e_profile.tolist() == e_profile and summary.e_pair.tolist() == e_pair
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_written_summaries_load(tmp_path, n):
+    """Every analytic summary, and the summaries of singleton and full target sets, loads."""
+    paths = []
+    for t in sorted({1, 2, (1 << n) // 3, (1 << n) - 1, 1 << n} - {0}):
+        for mode in MODES:
+            paths.append(tmp_path / f"a_{t}_{mode}.json")
+            assert cli.main(["analytic-uniform", "--n", str(n), "--t-size", str(t),
+                             "--mode", mode, "--out", str(paths[-1])]) == 0
+    # a full target set holds a 2^n x (n+1) int64 profile matrix: 176 MB at n = 20
+    for t in (1, 1 << n) if n <= 16 else (1,):
+        ensemble = tmp_path / f"e_{t}.json"
+        paths.append(tmp_path / f"s_{t}.json")
+        assert cli.main(["gen", "--family", "uniform", "--n", str(n), "--count", "1",
+                         "--t-size", str(t), "--out", str(ensemble)]) == 0
+        assert cli.main(["summarize", "--ensemble", str(ensemble), "--out", str(paths[-1])]) == 0
+    for path in paths:
+        summary = storage.load_summary(path)
+        assert summary.n == n
 
 
 _NUMBERS = st.integers(-3, 3) | st.floats() | st.sampled_from([2**63, 10**400, -(10**400)])
@@ -760,6 +822,48 @@ def test_malformed_ensemble_refused_at_load(tmp_path, capsys, change, message):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "s.json").exists()
+
+
+_INSTANCE_FIELDS = {
+    "id": st.integers(-2, 2) | _JSON_VALUES,
+    "targets": st.lists(st.integers(-1, 8) | _JSON_VALUES, max_size=4) | _JSON_VALUES,
+    "meta": _JSON_VALUES,
+}
+_ENSEMBLE_FIELDS = {
+    "family": st.sampled_from(problems.FAMILIES) | _JSON_VALUES,
+    "n": st.integers(0, 4) | _JSON_VALUES,
+    "seed": _NUMBERS | _JSON_VALUES,
+    "params": _JSON_VALUES,
+    "instances": st.lists(
+        st.fixed_dictionaries({}, optional=_INSTANCE_FIELDS) | _JSON_VALUES, max_size=3
+    ) | _JSON_VALUES,
+}
+
+
+@st.composite
+def ensemble_documents(draw):
+    """Mostly the good ensemble with some fields replaced or one dropped; else any JSON value."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_JSON_VALUES)
+    doc = GOOD_ENSEMBLE | draw(st.fixed_dictionaries({}, optional=_ENSEMBLE_FIELDS))
+    if draw(st.integers(0, 4)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(ensemble_documents())
+def test_ensemble_loader_raises_only_usage_error(doc):
+    try:
+        ensemble = storage.ensemble_from_dict(doc)
+    except UsageError:
+        return
+    assert ensemble.family in problems.FAMILIES and type(ensemble.seed) is int
+    ids = [inst.id for inst in ensemble.instances]
+    assert all(type(i) is int for i in ids) and len(set(ids)) == len(ids)
+    for inst in ensemble.instances:
+        assert inst.target.n == ensemble.n
+        assert all(type(k) is int and 0 <= k < 1 << ensemble.n for k in inst.target.states)
 
 
 _ODD_INTS = st.one_of(st.integers(-2, 70), st.sampled_from([2**31, 2**63, 10**30, -(10**30)]))
