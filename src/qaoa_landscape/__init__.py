@@ -31,9 +31,7 @@ from .landscape import (
     f_n,
     w_matrix,
 )
-from .optimize import (
-    OptConfig, OptResult, best_angles, maximize, optimize_instance, optimize_problem,
-)
+from .optimize import OptConfig, OptResult, best_angles, maximize, optimize_instance
 from .problems import Ensemble, Instance, build_ensemble
 from .structure import StructuralSummary, aggregate
 
@@ -72,7 +70,6 @@ __all__ = [
     "hamming_distance",
     "maximize",
     "optimize_instance",
-    "optimize_problem",
     "summary_analytic",
     "w_matrix",
     "__version__",

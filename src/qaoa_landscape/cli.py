@@ -18,7 +18,7 @@ from .experiments import (
     DEFAULT_GAMMA_C, run_landscape_comparison, run_sat_alpha, run_success_comparison,
 )
 from .landscape import LandscapeGrid, f1
-from .optimize import best_angles, optimize_problem
+from .optimize import best_angles
 from .problems import FAMILIES, FAMILY_PARAMS, MAX_ALPHA, build_ensemble
 from .structure import StructuralSummary, aggregate
 from . import storage
@@ -110,9 +110,9 @@ def _cmd_optimize(args) -> int:
             raise UsageError(f"no instance with id {args.instance}")
         result = best_angles(matches[0].target)
     elif args.summary is not None:
-        result = optimize_problem(storage.load_summary(args.summary))
+        result = best_angles(storage.load_summary(args.summary))
     else:
-        result = optimize_problem(_ensemble_summary(args.ensemble))
+        result = best_angles(_ensemble_summary(args.ensemble))
     storage.save_optresult(result, args.out)
     return 0
 

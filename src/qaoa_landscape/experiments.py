@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
 from .landscape import LandscapeForm, LandscapeGrid, error_bound, f1_closed, form_bracket
-from .optimize import OptResult, best_angles, optimize_problem
+from .optimize import OptResult, best_angles
 from .problems import MAX_ALPHA, Ensemble, build_ensemble
 from .structure import StructuralSummary, aggregate
 
@@ -165,7 +165,7 @@ def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> Compari
     """Per-instance optimisation against one problem-global optimisation."""
     _check_shots(shots)
     summary = aggregate([inst.target for inst in ensemble.instances])
-    shared: OptResult = optimize_problem(summary)
+    shared: OptResult = best_angles(summary)
 
     records = []
     for inst in ensemble.instances:

@@ -260,9 +260,3 @@ def optimize_instance(space: TargetSpace, config: OptConfig = OptConfig()) -> Op
     """
     return maximize(lambda beta, gamma: f1_closed(space, beta, gamma), config)
 
-
-def optimize_problem(summary: StructuralSummary) -> OptResult:
-    """Problem-global angles from the structural approximation alone."""
-    if summary.e_tsize <= 0 or not np.any(summary.e_profile):
-        raise UsageError("summary has no mass: nothing to optimise")
-    return best_angles(summary)

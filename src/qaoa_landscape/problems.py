@@ -237,7 +237,11 @@ def gen_graph(n: int, edge_prob: float, rng: np.random.Generator) -> Graph:
 
 
 def enumerate_kcliques(graph: Graph, k: int) -> TargetSpace | None:
-    """Vertex-mask bitstrings of all k-cliques; None if the graph has none."""
+    """Vertex-mask bitstrings of all k-cliques; None if the graph has none.
+
+    Cliques grow in ascending vertex order from a bitmask of common neighbours;
+    a branch with fewer than k - size candidates left is cut.
+    """
     if not 1 <= k <= graph.n:
         raise UsageError(f"need 1 <= k <= n, got k={k}")
     adjacency = [0] * graph.n
@@ -245,12 +249,17 @@ def enumerate_kcliques(graph: Graph, k: int) -> TargetSpace | None:
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
     masks = []
-    for combo in combinations(range(graph.n), k):
-        if all(adjacency[i] >> j & 1 for i, j in combinations(combo, 2)):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            masks.append(mask)
+
+    def grow(clique: int, size: int, candidates: int) -> None:
+        if size == k:
+            masks.append(clique)
+            return
+        while candidates.bit_count() >= k - size:
+            low = candidates & -candidates
+            candidates ^= low  # later branches take only higher vertices
+            grow(clique | low, size + 1, candidates & adjacency[low.bit_length() - 1])
+
+    grow(0, 0, (1 << graph.n) - 1)
     if not masks:
         return None
     return TargetSpace.from_iterable(graph.n, masks)

@@ -317,17 +317,13 @@ class TestApproximation:
 
     def test_imaginary_residue_guard(self):
         # an asymmetric pair matrix cannot come from real statistics and
-        # must trip the residue check instead of returning silently
-        broken = StructuralSummary(
-            n=1,
-            count=1,
-            e_tsize=1.0,
-            var_tsize=0.0,
-            e_profile=np.array([1.0, 0.0]),
-            e_pair=np.array([[1.0, 3.0], [0.0, 0.0]]),
+        # must trip the residue check instead of returning silently; no
+        # summary holds one, so the form is built directly
+        broken = LandscapeForm(
+            n=1, scale=0.5, profile=np.array([1.0, 0.0]), pair=np.array([[1.0, 3.0], [0.0, 0.0]])
         )
         with pytest.raises(ComputationError):
-            approx_expected_f1(broken, 0.8, 1.0)
+            form_bracket(broken, 0.8, 1.0)
 
     def test_runtime_100x100_at_n11(self):
         summary = summary_analytic(UniformModel(11, 1024, "paper"))

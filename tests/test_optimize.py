@@ -5,14 +5,13 @@ import pytest
 
 from qaoa_landscape.core import ComputationError, TargetSpace, UsageError
 from qaoa_landscape.experiments import run_success_comparison
-from qaoa_landscape.landscape import approx_expected_f1, f1, f1_closed
+from qaoa_landscape.landscape import LandscapeForm, approx_expected_f1, f1, f1_closed
 from qaoa_landscape.optimize import (
     OptConfig,
     _best_gamma,
     best_angles,
     maximize,
     optimize_instance,
-    optimize_problem,
     reduce_angles,
 )
 from qaoa_landscape.problems import build_ensemble
@@ -119,21 +118,21 @@ class TestInstanceAndProblem:
 
     def test_problem_value_matches_approximation(self, rng):
         summary = aggregate([random_space(rng, 5) for _ in range(4)])
-        result = optimize_problem(summary)
+        result = best_angles(summary)
         want = approx_expected_f1(summary, result.angles.beta, result.angles.gamma)
         assert abs(result.value - want) < 1e-12
 
     def test_degenerate_summary_rejected(self):
-        empty = StructuralSummary(
-            n=2,
-            count=1,
-            e_tsize=0.0,
-            var_tsize=0.0,
-            e_profile=np.zeros(3),
-            e_pair=np.zeros((3, 3)),
-        )
-        with pytest.raises(UsageError):
-            optimize_problem(empty)
+        # a summary without mass cannot be built, so no search ever sees one
+        with pytest.raises(UsageError, match="e_tsize must be in"):
+            StructuralSummary(
+                n=2,
+                count=1,
+                e_tsize=0.0,
+                var_tsize=0.0,
+                e_profile=np.zeros(3),
+                e_pair=np.zeros((3, 3)),
+            )
 
     def test_n1_target_space(self):
         result = optimize_instance(TargetSpace(1, (1,)))
@@ -198,22 +197,22 @@ class TestBestAngles:
         assert abs(result.angles.gamma - math.pi / 2) < 1e-6
         assert abs(result.value - 1.0) < 1e-12
 
-    def test_flat_landscape_ties_break_to_origin(self):
-        # zero statistics give z == 0 at every beta: every beta and every gamma tie
-        flat = StructuralSummary(
-            n=3, count=1, e_tsize=1.0, var_tsize=0.0, e_profile=np.zeros(4), e_pair=np.zeros((4, 4))
-        )
-        result = best_angles(flat)
+    def test_flat_landscape_ties_break_to_origin(self, monkeypatch):
+        # zero statistics give z == 0 at every beta: every beta and every gamma tie;
+        # no summary holds them, so the search is handed the form itself
+        flat = LandscapeForm(n=3, scale=1 / 8, profile=np.zeros(4), pair=np.zeros((4, 4)))
+        monkeypatch.setattr(LandscapeForm, "of", classmethod(lambda cls, source: flat))
+        result = best_angles(TargetSpace(3, (0,)))
         assert (result.angles.beta, result.angles.gamma) == (0.0, 0.0)
         assert result.value == 1 / 8
 
-    def test_non_finite_landscape_is_computation_error(self):
-        huge = StructuralSummary(
-            n=1, count=1, e_tsize=1.0, var_tsize=0.0,
-            e_profile=np.array([1.0, 1e308]), e_pair=np.full((2, 2), 1e308),
+    def test_non_finite_landscape_is_computation_error(self, monkeypatch):
+        huge = LandscapeForm(
+            n=1, scale=0.5, profile=np.array([1.0, 1e308]), pair=np.full((2, 2), 1e308)
         )
+        monkeypatch.setattr(LandscapeForm, "of", classmethod(lambda cls, source: huge))
         with np.errstate(all="ignore"), pytest.raises(ComputationError, match="not finite"):
-            best_angles(huge)
+            best_angles(TargetSpace(1, (0,)))
 
     @pytest.mark.parametrize(
         "z, gamma",
@@ -231,5 +230,5 @@ class TestBestAngles:
             alone = best_angles(inst.target)
             assert record.standard.angles == alone.angles
             assert record.standard.success_prob == alone.value
-        shared = optimize_problem(aggregate([inst.target for inst in ensemble.instances]))
+        shared = best_angles(aggregate([inst.target for inst in ensemble.instances]))
         assert report.shared_angles == shared.angles and report.shared_value == shared.value

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qaoa_landscape import problems
+from qaoa_landscape import cli, problems
 from qaoa_landscape.core import UsageError
 from qaoa_landscape.problems import (
     Cnf,
@@ -189,6 +190,37 @@ class TestDimacs:
         with pytest.raises(UsageError, match=re.escape(message)):
             from_dimacs(text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(["p", "cnf", "c", "0", "-0", "x", "1.5", "", " ", str(2**63)])
+                | st.integers(-5, 5).map(str) | st.text(max_size=3),
+                max_size=5,
+            ).map(" ".join)
+            | st.builds("p cnf {} {}".format, st.integers(-2, 5), st.integers(-2, 5)),
+            max_size=6,
+        ).map("\n".join)
+        | st.text(max_size=40)
+    )
+    def test_any_text_raises_only_usage_error(self, text):
+        try:
+            cnf = from_dimacs(text)
+        except UsageError:
+            return
+        assert all(0 <= var < cnf.num_vars for clause in cnf.clauses for var, _ in clause)
+
+
+def kcliques_by_brute_force(graph: Graph, k: int) -> list[int] | None:
+    """Ascending masks of the k-vertex sets whose pairs are all edges; None if none."""
+    edges = set(graph.edges)
+    masks = [
+        sum(1 << v for v in combo)
+        for combo in combinations(range(graph.n), k)
+        if all(pair in edges for pair in combinations(combo, 2))
+    ]
+    return sorted(masks) or None
+
 
 class TestKClique:
     def test_triangle_with_isolated_vertex(self):
@@ -213,6 +245,17 @@ class TestKClique:
             enumerate_kcliques(graph, 0)
         with pytest.raises(UsageError):
             enumerate_kcliques(graph, 4)
+
+    @pytest.mark.parametrize("edge_prob", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_same_cliques_as_brute_force(self, n, edge_prob):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            graph = gen_graph(n, edge_prob, rng)
+            for k in range(1, n + 1):
+                space = enumerate_kcliques(graph, k)
+                assert (None if space is None else list(space.states)) == \
+                    kcliques_by_brute_force(graph, k)
 
     def test_gen_graph_extremes(self, rng):
         assert gen_graph(6, 0.0, rng).edges == ()
@@ -327,6 +370,17 @@ class TestDrawCap:
         with pytest.raises(UsageError, match=re.escape(message)):
             build_ensemble("kclique", 5, 1, {"edge_prob": 0.0}, seed=0)
         assert len(draws) == 3
+
+    def test_hopeless_kclique_stops_at_the_cap(self, tmp_path, capsys):
+        # a 16-clique almost never exists in G(32, 1/2): all MAX_DRAWS draws run,
+        # which only pruned clique growth makes quick
+        code = cli.main(["gen", "--family", "kclique", "--n", "32", "--k", "16", "--count", "1",
+                         "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: kclique n=32 {'k': 16, 'edge_prob': 0.5}: no target in "
+                       f"{problems.MAX_DRAWS} draws of instance 0\n")
+        assert not list(tmp_path.iterdir())
 
     def test_unsatisfiable_first_draw_stops_at_a_cap_of_one(self, monkeypatch):
         assert enumerate_sat(gen_sat(5, 50, instance_rng(0, 0))) is None

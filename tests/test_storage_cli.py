@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from qaoa_landscape import cli, experiments, problems, storage
 from qaoa_landscape.analytic import MODES
@@ -20,9 +20,9 @@ from qaoa_landscape.experiments import (
     InstanceComparison,
     run_success_comparison,
 )
-from qaoa_landscape.landscape import LandscapeGrid, f1, f1_closed
+from qaoa_landscape.landscape import LandscapeForm, LandscapeGrid, f1, f1_closed
 from qaoa_landscape.problems import build_ensemble
-from qaoa_landscape.structure import StructuralSummary, aggregate
+from qaoa_landscape.structure import aggregate
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +422,20 @@ class TestCli:
         combined = json.loads((tmp_path / "sa_summary.json").read_text())
         assert [entry["alpha"] for entry in combined] == [1.0, 2.0]
 
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_sat_alpha_threads_accepted_and_inert(self, tmp_path, threads):
+        # perfbench/run.py runs sat-alpha with --threads 1; the flag changes no byte
+        outputs = {}
+        for run, extra in (("plain", []), ("threads", ["--threads", threads])):
+            (tmp_path / run).mkdir()
+            code = cli.main(["sat-alpha", "--n", "5", "--alphas", "2", "--count", "2",
+                             "--shots", "5", "--seed", "4", *extra,
+                             "--out-prefix", str(tmp_path / run / "sa")])
+            assert code == 0
+            outputs[run] = {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()}
+        assert sorted(outputs["plain"]) == ["sa_a2.csv", "sa_a2.json", "sa_summary.json"]
+        assert outputs["threads"] == outputs["plain"]
+
     def test_usage_errors_exit_1(self, tmp_path):
         assert cli.main(["gen", "--family", "bogus", "--n", "4", "--count", "1",
                          "--out", str(tmp_path / "x.json")]) == 1
@@ -433,17 +447,20 @@ class TestCli:
         assert cli.main(["summarize", "--ensemble", str(bad),
                          "--out", str(tmp_path / "s.json")]) == 1
 
-    def test_computation_errors_exit_2(self, tmp_path, monkeypatch):
+    def test_computation_errors_exit_2(self, tmp_path, capsys, monkeypatch):
         # an asymmetric pair matrix breaks the real-by-construction contract;
-        # files are refused at load time, so hand one over in memory
-        broken = StructuralSummary(
-            n=1, count=1, e_tsize=1.0, var_tsize=0.0,
-            e_profile=np.array([1.0, 0.0]), e_pair=np.array([[0.0, 1.0], [0.0, 0.0]]),
+        # no summary holds one, so the landscape of a good file is swapped for it
+        broken = LandscapeForm(
+            n=1, scale=0.5, profile=np.array([1.0, 0.0]), pair=np.array([[0.0, 1.0], [0.0, 0.0]])
         )
-        monkeypatch.setattr(storage, "load_summary", lambda path: broken)
-        code = cli.main(["landscape", "--summary", "broken.json", "--grid", "8x8",
+        monkeypatch.setattr(LandscapeForm, "of", classmethod(lambda cls, source: broken))
+        storage.write_json(GOOD_SUMMARY, tmp_path / "s.json")
+        code = cli.main(["landscape", "--summary", str(tmp_path / "s.json"), "--grid", "8x8",
                          "--out-prefix", str(tmp_path / "x")])
+        err = capsys.readouterr().err
         assert code == 2
+        assert err.startswith("computation error: imaginary residue") and err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
 
     @pytest.mark.parametrize(
         "alphas", ["x", "nan", "inf", "1e30", "2,,4", "0", "-1", "2,10.5"]
@@ -471,7 +488,6 @@ class TestCli:
             raise AssertionError("work was started for a bad shot count")
 
         monkeypatch.setattr(problems, "build_ensemble", refuse)
-        monkeypatch.setattr(experiments, "optimize_problem", refuse)
         monkeypatch.setattr(experiments, "best_angles", refuse)
         source = ["--ensemble", str(ens)] if command == "compare" else ["--n", "12"]
         code = cli.main([command, *source, "--shots", shots,
@@ -657,6 +673,9 @@ GOOD_SUMMARY = {
         ("e_pair", [[1.0, 0.0], [0.0, 1e308]],
          r"e_pair\[1\]\[1\] must be in \[0, C\(1, 1\) \* C\(1, 1\)\], got 1e\+308"),
         ("e_pair", [[1.0, -1.0], [-1.0, 0.0]], r"e_pair\[0\]\[1\] must be in"),
+        ("e_profile", [0.5, 0.0], r"summary e_profile\[0\] must be 1, got 0.5"),
+        ("e_pair", [[1.0, 0.5], [0.5, 0.5]],
+         "summary e_pair row and column 0 must equal e_profile"),
     ],
 )
 def test_malformed_summary_refused_at_load(tmp_path, capsys, key, value, message):
@@ -704,11 +723,43 @@ def test_out_of_range_counts_exit_1_before_any_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "e_profile, e_pair, message",
+    [
+        # each count in its range, but row 0 puts no target at distance 1 or 2
+        ([1, 0, 0], [[1, 2, 1], [2, 4, 2], [1, 2, 1]],
+         "summary e_pair row and column 0 must equal e_profile"),
+        ([0.25, 0, 0], [[0.25, 0, 0], [0, 0, 0], [0, 0, 0]],
+         "summary e_profile[0] must be 1, got 0.25"),
+        # each variance non-negative, but the covariance of distances 1 and 2 too large
+        ([1, 1, 0.5], [[1, 1, 0.5], [1, 1.5, 1], [0.5, 1, 0.5]],
+         "summary e_pair - outer(e_profile, e_profile) must be positive semidefinite"),
+    ],
+    ids=["row-zero", "profile-zero", "covariance"],
+)
+def test_inconsistent_summaries_exit_1_before_any_output(tmp_path, capsys, e_profile, e_pair,
+                                                         message):
+    path = tmp_path / "s.json"
+    storage.write_json({"n": 2, "count": 1, "mode": "empirical", "e_tsize": 4, "var_tsize": 0,
+                        "e_profile": e_profile, "e_pair": e_pair}, path)
+    for argv in (
+        ["optimize", "--summary", str(path), "--out", str(tmp_path / "o.json")],
+        ["landscape", "--summary", str(path), "--grid", "4x4", "--gamma-c", "1",
+         "--out-prefix", str(tmp_path / "x")],
+    ):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["s.json"]
+
+
+@pytest.mark.parametrize(
     "e_profile, e_pair",
     [
         ([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]]),
-        ([0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
-        ([1.0, 1.0 + 1e-12], [[1.0, -1.4e-17], [-1.4e-17, 1.0 + 1e-12]]),
+        ([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]]),
+        # rounding past the top of C(1, 0) and below zero, consistent otherwise
+        ([1.0 + 1e-12, -1.4e-17], [[1.0 + 1e-12, -1.4e-17], [-1.4e-17, -1.4e-17]]),
     ],
     ids=["top", "zero", "rounding"],
 )
@@ -779,6 +830,7 @@ def test_summary_loader_raises_only_usage_error(doc):
     n = summary.n
     assert 1.0 <= summary.e_tsize <= 2**n and summary.var_tsize >= 0.0
     assert summary.e_profile.shape == (n + 1,) and summary.e_pair.shape == (n + 1, n + 1)
+    assert abs(summary.e_profile[0] - 1.0) <= 1e-9
 
 
 GOOD_ENSEMBLE = {
@@ -899,6 +951,104 @@ def test_gen_exits_0_or_1_with_one_error_line(family, n, count, flags):
         out = Path(work) / "e.json"
         code = cli.main(argv + ["--out", str(out)])
         written = out.exists()
+    assert code in (0, 1)
+    if code == 0:
+        assert written and err.getvalue() == ""
+    else:
+        assert not written
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _mostly(good, odd):
+    """Three draws in four from good, else from odd."""
+    return st.integers(0, 3).flatmap(lambda i: odd if i == 0 else good)
+
+
+def _ints(good: range, odd: list):
+    """A decimal integer in good, or now and then one in odd or an odd text."""
+    odd_texts = st.sampled_from(["x", "", "2.5", "nan"])
+    return _mostly(st.sampled_from(good).map(str), odd_texts | st.sampled_from(odd).map(str))
+
+
+# a count of 10**30 would be honoured, one instance at a time, so counts stay small
+_HUGE = 10**30
+_SOURCES = _mostly(
+    st.sampled_from([("--summary", "s.json"), ("--ensemble", "e.json")]),
+    st.tuples(st.sampled_from(["--summary", "--ensemble"]),
+              st.sampled_from(["e.json", "s.json", "bad.json", "absent.json"])),
+)
+_FLOATS = _mostly(st.floats(-10, 10).map(repr), st.floats().map(repr) | st.just("x"))
+_RUN_FLAGS = {
+    "--shots": _ints(range(1, 7), [-2, 0, _HUGE]),
+    "--seed": _ints(range(7), [-2, -1, _HUGE]),
+    "--threads": _ints(range(1, 5), [-2, 0, _HUGE]),
+}
+# per command: the flags always drawn, then the optional ones; "source"
+# stands for --summary or --ensemble with a file name
+_CLI_FLAGS = {
+    "landscape": (
+        {"source": _SOURCES,
+         "--grid": _mostly(st.builds("{}x{}".format, st.integers(1, 8), st.integers(1, 8)),
+                           st.sampled_from(["0x3", "-1x2", "8", "3x3x3", "", "axb"]))},
+        {"--gamma-c": _FLOATS, "--threads": _RUN_FLAGS["--threads"]},
+    ),
+    "optimize": ({"source": _SOURCES}, {"--instance": _ints(range(2), [-2, 8, _HUGE])}),
+    "compare": (
+        {"--ensemble": _mostly(st.just("e.json"), st.sampled_from(["s.json", "bad.json"]))},
+        _RUN_FLAGS,
+    ),
+    "sat-alpha": (
+        {"--n": _ints(range(3, 7), [-2, 0, 2, 33, _HUGE]),
+         "--count": _ints(range(1, 4), [-2, 0])},
+        {"--alphas": st.lists(_FLOATS, min_size=1, max_size=3).map(",".join),
+         **_RUN_FLAGS},
+    ),
+    "analytic-uniform": (
+        {"--n": _ints(range(1, 7), [-2, 0, 33, _HUGE]),
+         "--t-size": _ints(range(1, 65), [-2, 0, _HUGE])},
+        {"--mode": st.sampled_from([*MODES, "x"])},
+    ),
+}
+_OUTPUT_FLAG = {"optimize": "--out", "analytic-uniform": "--out"}
+
+
+# flags a command cannot run without; the defaults of the others (count 50,
+# grid 100x100) are not cheap, so only these are ever dropped
+_REQUIRED = {"source", "--ensemble", "--n", "--t-size"}
+
+
+@st.composite
+def cli_arguments(draw):
+    """One command, its flags cheap or odd; now and then a required flag is dropped."""
+    command = draw(st.sampled_from(sorted(_CLI_FLAGS)))
+    required, optional = _CLI_FLAGS[command]
+    flags = draw(st.fixed_dictionaries(required, optional=optional))
+    if draw(st.integers(0, 9)) == 0 and _REQUIRED & set(flags):
+        del flags[draw(st.sampled_from(sorted(_REQUIRED & set(flags))))]
+    if "source" in flags:
+        flag, path = flags.pop("source")
+        flags[flag] = path
+    return command, flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_arguments())
+def test_commands_exit_0_or_1_with_one_error_line(arguments):
+    command, flags = arguments
+    # a small cap keeps hopeless SAT draws quick
+    with tempfile.TemporaryDirectory() as work, \
+            mock.patch.object(problems, "MAX_DRAWS", 5), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        work = Path(work)
+        storage.write_json(GOOD_ENSEMBLE, work / "e.json")
+        storage.write_json(GOOD_SUMMARY, work / "s.json")
+        (work / "bad.json").write_text("{ nope")
+        argv = [command, f"{_OUTPUT_FLAG.get(command, '--out-prefix')}={work / 'run'}"]
+        for flag, value in flags.items():
+            argv.append(f"{flag}={work / value if flag in ('--summary', '--ensemble') else value}")
+        code = cli.main(argv)
+        written = [path.name for path in work.iterdir() if path.name.startswith("run")]
+    event(f"{command} exit {code}")
     assert code in (0, 1)
     if code == 0:
         assert written and err.getvalue() == ""

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from qaoa_landscape import storage, structure
+from qaoa_landscape.analytic import MODES, UniformModel, summary_analytic
 from qaoa_landscape.core import BitString, TargetSpace, UsageError, binomial_row, distance_profile
-from qaoa_landscape.structure import aggregate
+from qaoa_landscape.problems import FAMILIES, build_ensemble
+from qaoa_landscape.structure import StructuralSummary, aggregate
 
 from conftest import random_space
 
@@ -83,3 +86,108 @@ class TestAggregate:
         summary = aggregate([random_space(rng, 5, 8)])
         assert summary.var_tsize == 0.0
         assert summary.e_tsize == 8.0
+
+
+def summary(e_profile, e_pair, e_tsize=1.0) -> StructuralSummary:
+    e_profile = np.array(e_profile, dtype=np.float64)
+    return StructuralSummary(
+        n=e_profile.size - 1, count=1, e_tsize=e_tsize, var_tsize=0.0,
+        e_profile=e_profile, e_pair=np.array(e_pair, dtype=np.float64),
+    )
+
+
+def with_covariance(e_profile, cov) -> StructuralSummary:
+    """A summary whose e_pair is outer(e_profile, e_profile) + cov."""
+    e_profile = np.array(e_profile, dtype=np.float64)
+    return summary(e_profile, np.outer(e_profile, e_profile) + np.array(cov), len(e_profile))
+
+
+class TestSummaryChecks:
+    """StructuralSummary refuses fields that do not fit one another."""
+
+    def test_inconsistent_counts_in_range(self):
+        # each count lies in its range, but row 0 says no target is at distance 1 or 2
+        row = binomial_row(2)
+        with pytest.raises(UsageError, match="e_pair row and column 0 must equal e_profile"):
+            summary([1.0, 0.0, 0.0], np.outer(row, row), e_tsize=4.0)
+
+    @pytest.mark.parametrize("first", [0.0, 0.5, 1.0 - 1e-6])
+    def test_profile_starts_at_one(self, first):
+        with pytest.raises(UsageError, match=r"e_profile\[0\] must be 1"):
+            summary([first, 0.0], [[first, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "e_pair",
+        [
+            [[1.0, 0.5 + 1e-6], [0.5 + 1e-6, 0.5]],
+            # symmetric within rounding (1.2e-9 <= 1e-9 * 1.5), but column 0 is
+            # off e_profile by more than 1e-9 * C(1, 1)
+            [[1.0, 0.5], [0.5 - 1.2e-9, 0.5]],
+        ],
+        ids=["row", "column"],
+    )
+    def test_row_and_column_zero_are_the_profile(self, e_pair):
+        with pytest.raises(UsageError, match="row and column 0"):
+            summary([1.0, 0.5], e_pair)
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            [[0.0, 0.0, 0.0], [0.0, -1e-3, 0.0], [0.0, 0.0, 0.0]],  # a negative variance
+            # variances fine, but 0.5^2 > 0.5 * 0.25
+            [[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.25]],
+        ],
+        ids=["variance", "correlation"],
+    )
+    def test_covariance_not_semidefinite(self, cov):
+        with pytest.raises(UsageError, match="must be positive semidefinite"):
+            with_covariance([1.0, 1.0, 0.5], cov)
+
+    def test_covariance_rounding_allowed(self):
+        # an eigenvalue of -1e-12 times the largest e_pair entry is rounding
+        with_covariance([1.0, 1.0, 0.5], np.diag([0.0, 0.5, -1.5e-12]))
+
+    def test_checked_before_any_landscape(self):
+        with pytest.raises(UsageError, match="e_tsize must be in"):
+            summary([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], e_tsize=0.0)
+        with pytest.raises(UsageError, match="arrays do not match n"):
+            summary([1.0, 0.0], [[1.0]])
+        with pytest.raises(UsageError, match="count must be a non-negative integer"):
+            StructuralSummary(1, -1, 1.0, 0.0, np.array([1.0, 0.0]), np.eye(2))
+
+    def test_one_validator_for_every_route(self, monkeypatch):
+        checked = []
+        original = StructuralSummary.__post_init__
+
+        def counted(self):
+            checked.append(self.mode)
+            original(self)
+
+        monkeypatch.setattr(StructuralSummary, "__post_init__", counted)
+        built = aggregate([TargetSpace(2, (0, 3))])
+        summary_analytic(UniformModel(2, 2, "paper"))
+        storage.summary_from_dict(storage.summary_to_dict(built))
+        assert checked == ["empirical", "paper", "empirical"]
+        # the loader only prefixes what the type refuses
+        doc = storage.summary_to_dict(built) | {"e_profile": [1.0, 0.5, 0.0]}
+        with pytest.raises(UsageError, match="^summary e_pair row and column 0"):
+            storage.summary_from_dict(doc)
+
+
+@pytest.mark.parametrize("n", range(1, structure.MAX_WIDTH + 1))
+def test_every_analytic_summary_passes(n):
+    """Seven sizes t at each n (fewer where they coincide), both modes."""
+    states = 1 << n
+    sizes = (1, 2, 3, states // 3, states // 2, states - 1, states)
+    for t in {min(t, states) for t in sizes} - {0}:
+        for mode in MODES:
+            summary_analytic(UniformModel(n, t, mode))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_aggregated_ensembles_pass(family):
+    n, params = {"sat": (8, {"num_clauses": 24}), "qrfactor": (10, {})}.get(family, (8, {}))
+    if family == "uniform":
+        params = {"t_size": 40}
+    for seed in range(3):
+        aggregate([inst.target for inst in build_ensemble(family, n, 12, params, seed).instances])
