@@ -31,7 +31,9 @@ from .landscape import (
     f_n,
     w_matrix,
 )
-from .optimize import OptConfig, OptResult, best_angles, maximize, optimize_instance
+from .optimize import (
+    OptConfig, OptResult, best_angles, best_angles_all, maximize, optimize_instance,
+)
 from .problems import Ensemble, Instance, build_ensemble
 from .structure import StructuralSummary, aggregate
 
@@ -57,6 +59,7 @@ __all__ = [
     "aggregate",
     "approx_expected_f1",
     "best_angles",
+    "best_angles_all",
     "binomial",
     "build_ensemble",
     "c_k",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
 from .landscape import LandscapeForm, LandscapeGrid, error_bound, f1_closed, form_bracket
-from .optimize import OptResult, best_angles
+from .optimize import best_angles_all
 from .problems import MAX_ALPHA, Ensemble, build_ensemble
 from .structure import StructuralSummary, aggregate
 
@@ -162,18 +162,20 @@ NONITERATIVE_ARM = 1
 
 
 def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> ComparisonReport:
-    """Per-instance optimisation against one problem-global optimisation."""
+    """Per-instance optimisation against one problem-global optimisation.
+
+    One batched search covers every instance and, last, their summary.
+    """
     _check_shots(shots)
-    summary = aggregate([inst.target for inst in ensemble.instances])
-    shared: OptResult = best_angles(summary)
+    spaces = [inst.target for inst in ensemble.instances]
+    *owns, shared = best_angles_all([*spaces, aggregate(spaces)])
 
     records = []
-    for inst in ensemble.instances:
+    for inst, own in zip(ensemble.instances, owns):
         space = inst.target
-        own = best_angles(space)  # own.value is F1 at own.angles
         standard = ArmOutcome(
             angles=own.angles,
-            success_prob=own.value,
+            success_prob=own.value,  # F1 at own.angles
             shots_hit=_draw_hits(own.value, shots, shot_rng(seed, inst.id, STANDARD_ARM)),
         )
         prob = f1_closed(space, shared.angles.beta, shared.angles.gamma)

@@ -19,7 +19,10 @@ are the only landscape sources.  A ``LandscapeForm`` holds any stack of them
 and is evaluated with one (beta x d) matrix of mixer factors, one batched
 contraction and a broadcast over gamma.  ``c_k``, ``mean_ck_squared`` and
 ``w_matrix`` (per target, binomial basis) and ``f1_statevector`` (the full
-2^n state) are independent oracles for it.
+2^n state) are independent oracles for it.  Along beta a landscape is fixed
+by 2n+1 Fourier coefficients (``form_coefficients``), from which
+``coefficient_z`` and ``coefficient_scan`` give z at O(n) per beta or by one
+inverse FFT; ``form_z`` is their oracle.
 """
 
 from __future__ import annotations
@@ -125,6 +128,49 @@ def form_z(form: LandscapeForm, betas) -> np.ndarray:
     if residue.max() > IMAG_RESIDUE_TOL:
         raise ComputationError(f"imaginary residue {np.max(np.abs(quad.imag)):g} in a landscape")
     return quad.real - np.exp(1j * form.n * np.asarray(betas)) * (form.profile @ fn.T)
+
+
+def form_coefficients(form: LandscapeForm) -> np.ndarray:
+    """The coefficients a_k of z(beta) = sum_{k=-n..n} a_k w^k, w = exp(2i*beta).
+
+    x^n fn_d = 2^-n (1 + w)^(n-d) (1 - w)^d with x = exp(i*beta), so each
+    fn_d * conj(fn_d') and each exp(i*beta*n) * fn_d is a Laurent polynomial
+    of degree n in w, and so is z.  form_z at the 2n+1 betas pi*j/(2n+1), which
+    put w at the (2n+1)-th roots of unity, therefore fixes it: one FFT of
+    those samples returns a_k exactly, along a new last axis in FFT order
+    (k = 0..n, then -n..-1).  form_z's imaginary-residue check runs on them.
+    """
+    size = 2 * form.n + 1
+    return np.fft.fft(form_z(form, np.pi * np.arange(size) / size), norm="forward")
+
+
+def coefficient_z(coeffs: np.ndarray, betas) -> np.ndarray:
+    """z at each beta from form_coefficients' coefficients, at O(n) per beta.
+
+    betas broadcasts against the leading axes of coeffs: one beta per row of
+    a stack, or any betas for one landscape.
+    """
+    waves = np.exp(np.multiply.outer(betas, _wave_numbers(coeffs.shape[-1])))
+    return (coeffs * waves).sum(axis=-1)
+
+
+@functools.cache
+def _wave_numbers(size: int) -> np.ndarray:
+    """2i*k for the coefficients' k in FFT order: exp(2i*k*beta) = w^k."""
+    return 2j * np.fft.fftfreq(size, 1.0 / size)
+
+
+def coefficient_scan(coeffs: np.ndarray, points: int) -> np.ndarray:
+    """z at the betas pi*j/points, j = 0..points-1, by one inverse FFT per row.
+
+    Those betas put w at the points-th roots of unity, so the zero-padded
+    coefficients transform straight into z; points must exceed 2n.
+    """
+    n = coeffs.shape[-1] // 2
+    padded = np.zeros(coeffs.shape[:-1] + (points,), dtype=np.complex128)
+    padded[..., : n + 1] = coeffs[..., : n + 1]
+    padded[..., points - n :] = coeffs[..., n + 1 :]
+    return np.fft.ifft(padded, norm="forward")
 
 
 def form_bracket(form: LandscapeForm, betas, gammas) -> np.ndarray:

@@ -1,12 +1,19 @@
 """Deterministic angle optimisation over depth-1 landscapes.
 
-``best_angles`` is the search every command runs.  For fixed beta the
-bracket of a landscape is 1 + 2 Re z - 2 (Re z cos(gamma) + Im z sin(gamma))
-with z = z(beta) from ``landscape.form_z``, so the best gamma is
-atan2(-Im z, -Re z) and the best value scale * (1 + 2 Re z + 2|z|).  Every
-landscape also satisfies F1(pi - beta, 2*pi - gamma) = F1(beta, gamma), so
-the search is one scan of beta over [0, pi/2] and a golden-section
-refinement of its best cell.
+``best_angles_all`` is the search every command runs, over one or more
+landscapes of one width n, and ``best_angles`` is its one-source case.  For
+fixed beta the bracket of a landscape is
+1 + 2 Re z - 2 (Re z cos(gamma) + Im z sin(gamma)) with z = z(beta) from
+``landscape.form_z``, so the best gamma is atan2(-Im z, -Re z) and the best
+value scale * (1 + 2 Re z + 2|z|).  Every landscape also satisfies
+F1(pi - beta, 2*pi - gamma) = F1(beta, gamma), so the search is one scan of
+beta over [0, pi/2] and a golden-section refinement of its best cell.  z is
+a Laurent polynomial of degree n in w = exp(2i*beta), so the search takes its
+2n+1 coefficients from form_z once per landscape
+(``landscape.form_coefficients``); one inverse FFT then gives z at every scan
+beta, and each refinement step costs O(n), not form_z's O(n^2).  The
+refinement steps all landscapes at once, and each landscape's result has the
+same bits as a search of it alone.
 
 ``maximize`` is the older generic 2-D search over the canonical domain
 beta in [0, pi), gamma in [0, 2*pi): a coarse lattice scan, ties to the
@@ -28,7 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Angles, ComputationError, TargetSpace, UsageError
-from .landscape import LandscapeForm, f1, f1_closed, form_z
+from .landscape import (
+    LandscapeForm, coefficient_scan, coefficient_z, f1, f1_closed, form_coefficients,
+)
 from .structure import StructuralSummary
 
 BETA_PERIOD = math.pi
@@ -37,8 +46,6 @@ GAMMA_PERIOD = 2.0 * math.pi
 # best_angles scans 64n+1 evenly spaced betas over [0, pi/2] ...
 BETA_SCAN_END = math.pi / 2.0
 SCAN_CELLS_PER_QUBIT = 64
-# ... at most this many per form_z call, so its (betas x (n+1)) temporaries stay small
-SCAN_BLOCK = 256
 # ... and refines the best one until its bracketing interval is this narrow
 BETA_TOL = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -191,9 +198,9 @@ def maximize(objective, config: OptConfig = OptConfig()) -> OptResult:
     )
 
 
-def _peak(z: np.ndarray) -> np.ndarray:
+def _peak(z):
     """The bracket maximised over gamma, at each z."""
-    return 1.0 + 2.0 * z.real + 2.0 * np.abs(z)
+    return 2.0 * (z.real + abs(z)) + 1.0
 
 
 def _best_gamma(z: complex) -> float:
@@ -204,53 +211,78 @@ def _best_gamma(z: complex) -> float:
     return gamma if gamma < GAMMA_PERIOD else 0.0  # a tiny negative angle rounds up to 2*pi
 
 
-def _golden(peak_at, lo: float, hi: float) -> tuple[float, float, int]:
-    """Golden-section maximum of peak_at on [lo, hi]: (beta, peak, evaluations)."""
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fc, fd = peak_at(c), peak_at(d)
-    evaluations = 2
-    while hi - lo > BETA_TOL:
-        if fc >= fd:  # ties keep the lower part
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = peak_at(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = peak_at(d)
-        evaluations += 1
-    return (c, fc, evaluations) if fc >= fd else (d, fd, evaluations)
+def _golden(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Golden-section maxima of each row's peak on its [lo, hi]: (beta, peak, evaluations).
+
+    The rows step together, each in the arithmetic of a scalar search; a row
+    whose interval is narrow enough stops changing.
+    """
+    width = hi - lo
+    c, d = hi - _INV_PHI * width, lo + _INV_PHI * width
+    fc, fd = _peak(coefficient_z(coeffs, c)), _peak(coefficient_z(coeffs, d))
+    evaluations = np.full(lo.shape, 2)
+    live = width > BETA_TOL
+    while live.any():
+        down = live & (fc >= fd)  # ties keep the lower part
+        up = live ^ down
+        hi, d, fd = np.where(down, d, hi), np.where(down, c, d), np.where(down, fc, fd)
+        lo, c, fc = np.where(up, c, lo), np.where(up, d, c), np.where(up, fd, fc)
+        width = hi - lo
+        probe = np.where(down, hi - _INV_PHI * width, lo + _INV_PHI * width)
+        peak = _peak(coefficient_z(coeffs, probe))
+        c, fc = np.where(down, probe, c), np.where(down, peak, fc)
+        d, fd = np.where(up, probe, d), np.where(up, peak, fd)
+        evaluations += live
+        live = width > BETA_TOL
+    lower = fc >= fd
+    return np.where(lower, c, d), np.where(lower, fc, fd), evaluations
+
+
+def best_angles_all(sources) -> tuple[OptResult, ...]:
+    """Best depth-1 angles of each target space or summary, in order.
+
+    All sources share one width n.  For each, scans 64n+1 evenly spaced betas
+    over [0, pi/2] with gamma at its closed-form best (module docstring),
+    takes the best beta (ties to the lowest) and refines it by golden-section
+    search over its neighbouring cells to BETA_TOL; the refinement is kept
+    only if it peaks strictly higher.  gamma is atan2(-Im z, -Re z) mod 2*pi,
+    or 0 where z == 0.  The angles lie in [0, pi/2] x [0, 2*pi); value is f1
+    at them and evaluations counts the betas evaluated.  Each result is the
+    one best_angles gives for its source alone, to the bit.
+    """
+    sources = tuple(sources)
+    forms = [LandscapeForm.of(source) for source in sources]
+    if not forms or any(form.n != forms[0].n for form in forms):
+        raise UsageError("need one or more landscape sources of one width n")
+    # per source: a stacked form_z rounds differently from a lone one
+    coeffs = np.array([form_coefficients(form) for form in forms])
+    cells = SCAN_CELLS_PER_QUBIT * forms[0].n
+    betas = BETA_SCAN_END * np.arange(cells + 1) / cells
+    # row by row, so the transform's temporaries do not grow with the ensemble
+    peaks = np.array([_peak(coefficient_scan(row, 2 * cells)[: cells + 1]) for row in coeffs])
+    if not np.isfinite(peaks).all():
+        raise ComputationError("landscape is not finite on the beta scan")
+    best = np.argmax(peaks, axis=1)  # the first maximum: the lowest beta
+    refined, peak, evaluations = _golden(
+        coeffs, betas[np.maximum(best - 1, 0)], betas[np.minimum(best + 1, cells)]
+    )
+    beta = np.where(peak > peaks[np.arange(len(forms)), best], refined, betas[best])
+    zs = coefficient_z(coeffs, beta)
+    results = []
+    for source, b, z, count in zip(sources, beta.tolist(), zs, evaluations):
+        gamma = _best_gamma(complex(z))
+        value = float(f1(source, b, gamma))
+        results.append(OptResult(Angles(b, gamma), value, evaluations=betas.size + int(count) + 1))
+    return tuple(results)
 
 
 def best_angles(source: TargetSpace | StructuralSummary) -> OptResult:
     """Best depth-1 angles of one target space, or of a summary's approximation.
 
-    Scans 64n+1 evenly spaced betas over [0, pi/2] with gamma at its
-    closed-form best (module docstring), takes the best beta (ties to the
-    lowest) and refines it by golden-section search over its neighbouring
-    cells to BETA_TOL; the refinement is kept only if it peaks strictly
-    higher.  gamma is atan2(-Im z, -Re z) mod 2*pi, or 0 where z == 0.  The
-    angles lie in [0, pi/2] x [0, 2*pi); value is f1 at them and evaluations
-    counts the betas evaluated.
+    The one-source case of best_angles_all, which documents the search.
     """
-    form = LandscapeForm.of(source)
-    cells = SCAN_CELLS_PER_QUBIT * form.n
-    betas = BETA_SCAN_END * np.arange(cells + 1) / cells
-    peaks = np.concatenate(
-        [_peak(form_z(form, betas[i : i + SCAN_BLOCK])) for i in range(0, betas.size, SCAN_BLOCK)]
-    )
-    if not np.isfinite(peaks).all():
-        raise ComputationError("landscape is not finite on the beta scan")
-    best = int(np.argmax(peaks))  # the first maximum: the lowest beta
-    refined, peak, evaluations = _golden(
-        lambda b: float(_peak(form_z(form, b))),
-        float(betas[max(best - 1, 0)]),
-        float(betas[min(best + 1, cells)]),
-    )
-    beta = refined if peak > peaks[best] else float(betas[best])
-    gamma = _best_gamma(complex(form_z(form, beta)))
-    value = float(f1(source, beta, gamma))
-    return OptResult(Angles(beta, gamma), value, evaluations=betas.size + evaluations + 1)
+    (result,) = best_angles_all([source])
+    return result
 
 
 def optimize_instance(space: TargetSpace, config: OptConfig = OptConfig()) -> OptResult:

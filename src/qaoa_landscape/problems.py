@@ -34,6 +34,9 @@ MAX_ALPHA = 10.0
 # draws per instance; a SAT or k-clique draw without a target is redrawn
 MAX_DRAWS = 10_000
 
+# instances per ensemble: far above any study here, and a bound on the run time
+MAX_COUNT = 1_000_000
+
 _WALK_RETRY_CAP = 1_000_000
 
 
@@ -189,6 +192,8 @@ def from_dimacs(text: str) -> Cnf:
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise UsageError(f"line {lineno}: malformed problem line {line!r}")
+            if num_vars is not None:  # it would re-range the literals already read
+                raise UsageError(f"line {lineno}: second 'p cnf' header")
             num_vars, num_clauses = (_dimacs_int(f, lineno) for f in fields[2:])
             if num_vars < 0:
                 raise UsageError(f"line {lineno}: negative variable count {num_vars}")
@@ -364,8 +369,8 @@ def build_ensemble(family: str, n: int, count: int, params: dict, seed: int) -> 
         raise UsageError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if not 1 <= n <= MAX_WIDTH:
         raise UsageError(f"n must be in [1, {MAX_WIDTH}], got {n}")
-    if count < 1:
-        raise UsageError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_COUNT:
+        raise UsageError(f"count must be in [1, {MAX_COUNT}], got {count}")
     resolved = _resolve_params(family, params)
     instances = []
     for instance_id in range(count):

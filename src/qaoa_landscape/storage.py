@@ -157,9 +157,16 @@ def _summary_array(value, name: str) -> np.ndarray:
         array = np.asarray(value)
     except ValueError:  # ragged nesting
         raise UsageError(f"summary {name} is not a rectangular array") from None
-    if array.dtype.kind not in "iuf":
+    if array.dtype.kind not in "iuf" or _holds_bool(value):  # JSON true/false are not counts
         raise UsageError(f"summary {name} must hold numbers only")
     return array.astype(np.float64)
+
+
+def _holds_bool(value) -> bool:
+    """Whether a JSON value holds true or false at any depth of its lists."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
 
 
 def _summary_number(data: dict, key: str) -> float:

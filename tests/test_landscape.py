@@ -19,6 +19,8 @@ from qaoa_landscape.landscape import (
     LandscapeGrid,
     approx_expected_f1,
     c_k,
+    coefficient_scan,
+    coefficient_z,
     error_bound,
     f1,
     f1_closed,
@@ -26,6 +28,8 @@ from qaoa_landscape.landscape import (
     f_n,
     fn_matrix,
     form_bracket,
+    form_coefficients,
+    form_z,
     mean_ck_squared,
     qaoa_state,
     w_matrix,
@@ -33,7 +37,8 @@ from qaoa_landscape.landscape import (
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
 
-from conftest import random_space
+from angle_oracle import laurent_z
+from conftest import oracle_spaces, random_space
 
 
 @st.composite
@@ -175,18 +180,6 @@ class TestF1:
         assert abs(closed - scaled) < 1e-14
 
 
-@st.composite
-def oracle_spaces(draw, n=None):
-    """Target spaces with n <= 10: one target, the full space, or a random set."""
-    if n is None:
-        n = draw(st.integers(1, 10))
-    size = draw(st.sampled_from([1, 1 << n, None]))
-    if size is None:
-        size = draw(st.integers(1, 1 << n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return TargetSpace.from_iterable(n, rng.choice(1 << n, size=size, replace=False))
-
-
 class TestFormAgainstOracles:
     @settings(max_examples=60, deadline=None)
     @given(oracle_spaces(), angles_st)
@@ -239,6 +232,55 @@ class TestFormAgainstOracles:
             LandscapeForm.stack(random_space(rng, 4), random_space(rng, 5))
         with pytest.raises(UsageError):
             LandscapeForm.stack()
+
+
+def assert_coefficients_match_form_z(source, betas):
+    """The coefficient route against form_z, and against the binomial expansion."""
+    form = LandscapeForm.of(source)
+    coeffs = form_coefficients(form)
+    n = form.n
+    # bounds |z| at every beta; the bracket itself averages to 1 over the angles
+    scale = max(np.abs(coeffs).sum(), 1.0)
+    assert coeffs.shape == (2 * n + 1,)
+    assert np.abs(coefficient_z(coeffs, betas) - form_z(form, betas)).max() <= 1e-13 * scale
+    points = 128 * n  # the search's scan: w at the 128n-th roots of unity
+    scan = coefficient_scan(coeffs, points)
+    assert np.abs(scan - form_z(form, np.pi * np.arange(points) / points)).max() <= 1e-13 * scale
+    expanded = laurent_z(form)  # powers -n..n; the route's FFT order is 0..n, -n..-1
+    assert np.abs(coeffs - np.roll(expanded, -n)).max() <= 1e-13 * scale
+
+
+class TestCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 3), st.data())
+    def test_match_form_z(self, n, count, data):
+        spaces = [data.draw(oracle_spaces(n)) for _ in range(count)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for source in [*spaces, aggregate(spaces)]:
+            assert_coefficients_match_form_z(source, rng.uniform(-math.pi, 2 * math.pi, 64))
+
+    def test_match_form_z_dense_n14(self):
+        ensemble = build_ensemble("uniform", 14, 3, {"t_size": 4096}, seed=3)
+        spaces = [inst.target for inst in ensemble.instances]
+        betas = np.random.default_rng(14).uniform(0.0, math.pi, 200)
+        for source in [*spaces, aggregate(spaces)]:
+            assert_coefficients_match_form_z(source, betas)
+
+    def test_one_beta_per_row(self, rng):
+        spaces = [random_space(rng, 6) for _ in range(3)]
+        coeffs = np.array([form_coefficients(LandscapeForm.of(space)) for space in spaces])
+        betas = np.array([0.1, 0.7, 1.3])
+        got = coefficient_z(coeffs, betas)
+        assert got.shape == (3,)
+        for i, beta in enumerate(betas):
+            assert got[i] == coefficient_z(coeffs[i], beta)
+
+    def test_residue_check_runs_on_the_samples(self):
+        broken = LandscapeForm(
+            n=1, scale=0.5, profile=np.array([1.0, 0.0]), pair=np.array([[0.0, 1.0], [0.0, 0.0]])
+        )
+        with pytest.raises(ComputationError, match="imaginary residue"):
+            form_coefficients(broken)
 
 
 def n1_summary() -> StructuralSummary:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qaoa_landscape.core import ComputationError, TargetSpace, UsageError
 from qaoa_landscape.experiments import run_success_comparison
@@ -10,6 +11,7 @@ from qaoa_landscape.optimize import (
     OptConfig,
     _best_gamma,
     best_angles,
+    best_angles_all,
     maximize,
     optimize_instance,
     reduce_angles,
@@ -17,7 +19,8 @@ from qaoa_landscape.optimize import (
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
 
-from conftest import random_space
+from angle_oracle import best_value
+from conftest import oracle_spaces, random_space
 
 
 def n1_objective(beta, gamma):
@@ -232,3 +235,40 @@ class TestBestAngles:
             assert record.standard.success_prob == alone.value
         shared = best_angles(aggregate([inst.target for inst in ensemble.instances]))
         assert report.shared_angles == shared.angles and report.shared_value == shared.value
+
+    def test_batched_rejects_mixed_widths_and_no_sources(self):
+        with pytest.raises(UsageError):
+            best_angles_all([TargetSpace(3, (1,)), TargetSpace(4, (1,))])
+        with pytest.raises(UsageError):
+            best_angles_all([])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 4), st.data())
+    def test_batched_results_are_the_lone_ones(self, n, count, data):
+        spaces = [data.draw(oracle_spaces(n)) for _ in range(count)]
+        sources = [*spaces, aggregate(spaces)]
+        for source, batched in zip(sources, best_angles_all(sources), strict=True):
+            alone = best_angles(source)
+            assert batched.angles == alone.angles
+            assert batched.value == alone.value and batched.evaluations == alone.evaluations
+
+
+def assert_no_stationary_point_beats(source, result):
+    """The search's value against the exact oracle's best stationary point."""
+    oracle = best_value(source)
+    assert result.value >= oracle - 1e-12 * result.value  # no narrow peak was missed
+    assert oracle >= result.value - 1e-9 * result.value  # and the oracle found the peak too
+
+
+class TestExactOracle:
+    def test_criterion_9_sources(self, criterion_9_sources):
+        for source in criterion_9_sources:
+            assert_no_stationary_point_beats(source, best_angles(source))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 3), st.data())
+    def test_random_spaces_and_summaries(self, n, count, data):
+        spaces = [data.draw(oracle_spaces(n)) for _ in range(count)]
+        sources = [*spaces, aggregate(spaces)]
+        for source, result in zip(sources, best_angles_all(sources)):
+            assert_no_stationary_point_beats(source, result)

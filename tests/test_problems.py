@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qaoa_landscape import cli, problems
 from qaoa_landscape.core import UsageError
 from qaoa_landscape.problems import (
+    MAX_COUNT,
     Cnf,
     Graph,
     build_ensemble,
@@ -176,6 +177,8 @@ class TestDimacs:
             from_dimacs("p cnf 2 2\n1 2 0\n")  # clause count mismatch
         with pytest.raises(UsageError):
             from_dimacs("")
+        with pytest.raises(UsageError, match="line 3: second 'p cnf' header"):
+            from_dimacs("p cnf 1 1\n1 0\np cnf 0 1\n")  # would leave literal 1 out of range
 
     @pytest.mark.parametrize(
         "text, message",
@@ -349,6 +352,8 @@ class TestEnsembles:
             build_ensemble("uniform", 5, 1, {}, seed=0)  # t_size required
         with pytest.raises(UsageError):
             build_ensemble("uniform", 5, 0, {"t_size": 4}, seed=0)
+        with pytest.raises(UsageError, match="count must be in"):
+            build_ensemble("uniform", 5, MAX_COUNT + 1, {"t_size": 4}, seed=0)
 
     def test_instance_rng_streams_differ(self):
         a = instance_rng(1, 0).random(4)

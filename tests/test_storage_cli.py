@@ -488,7 +488,7 @@ class TestCli:
             raise AssertionError("work was started for a bad shot count")
 
         monkeypatch.setattr(problems, "build_ensemble", refuse)
-        monkeypatch.setattr(experiments, "best_angles", refuse)
+        monkeypatch.setattr(experiments, "best_angles_all", refuse)
         source = ["--ensemble", str(ens)] if command == "compare" else ["--n", "12"]
         code = cli.main([command, *source, "--shots", shots,
                          "--out-prefix", str(tmp_path / "run")])
@@ -594,6 +594,25 @@ class TestCli:
         assert err == f"error: n must be in [1, 32], got {n}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("count", [str(problems.MAX_COUNT + 1), str(10**30)])
+    @pytest.mark.parametrize("command", ["gen", "sat-alpha"])
+    def test_count_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, command, count):
+        def refuse(seed, instance_id):
+            raise AssertionError("an instance was drawn for a refused count")
+
+        monkeypatch.setattr(problems, "instance_rng", refuse)
+        argv = {
+            "gen": ["gen", "--family", "uniform", "--n", "3", "--t-size", "2",
+                    "--out", str(tmp_path / "e.json")],
+            "sat-alpha": ["sat-alpha", "--n", "6", "--alphas", "2,4",
+                          "--out-prefix", str(tmp_path / "sa")],
+        }[command]
+        code = cli.main(argv + ["--count", count])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: count must be in [1, {problems.MAX_COUNT}], got {count}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_exhausted_clustered_walks_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(problems, "_WALK_RETRY_CAP", 1)
         code = cli.main(["gen", "--family", "clustered", "--n", "4", "--count", "1",
@@ -676,6 +695,9 @@ GOOD_SUMMARY = {
         ("e_profile", [0.5, 0.0], r"summary e_profile\[0\] must be 1, got 0.5"),
         ("e_pair", [[1.0, 0.5], [0.5, 0.5]],
          "summary e_pair row and column 0 must equal e_profile"),
+        # JSON true/false are not counts, also beside numbers
+        ("e_profile", [True, 0.0], "e_profile must hold numbers only"),
+        ("e_pair", [[1.0, 0.0], [0.0, False]], "e_pair must hold numbers only"),
     ],
 )
 def test_malformed_summary_refused_at_load(tmp_path, capsys, key, value, message):
