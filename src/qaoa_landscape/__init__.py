@@ -11,14 +11,12 @@ from .analytic import EXACT_MODE, MODES, PAPER_MODE, UniformModel, summary_analy
 from .core import (
     Angles,
     AngleGrid,
-    BitString,
     ComputationError,
     TargetSpace,
     UsageError,
     binomial,
     default_grid,
     distance_profile,
-    hamming_distance,
 )
 from .landscape import (
     LandscapeGrid,
@@ -42,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Angles",
     "AngleGrid",
-    "BitString",
     "ComputationError",
     "Ensemble",
     "EXACT_MODE",
@@ -70,7 +67,6 @@ __all__ = [
     "f1_closed",
     "f1_statevector",
     "f_n",
-    "hamming_distance",
     "maximize",
     "optimize_instance",
     "summary_analytic",

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import MODES, PAPER_MODE, UniformModel, summary_analytic
-from .core import AngleGrid, ComputationError, UsageError, default_grid
+from .core import MAX_GRID_POINTS, AngleGrid, ComputationError, UsageError, default_grid
 from .experiments import (
     DEFAULT_GAMMA_C, run_landscape_comparison, run_sat_alpha, run_success_comparison,
 )
@@ -187,7 +187,9 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--summary")
     group.add_argument("--ensemble")
-    p.add_argument("--grid", default="100x100")
+    p.add_argument(
+        "--grid", default="100x100", help=f"BETASxGAMMAS lattice, at most {MAX_GRID_POINTS} points"
+    )
     p.add_argument("--gamma-c", dest="gamma_c", type=float)
     p.add_argument("--threads", type=int, help="accepted; has no effect")
     p.add_argument("--out-prefix", dest="out_prefix", required=True)

@@ -1,4 +1,4 @@
-"""Bitstrings, Hamming distances and distance profiles.
+"""Target spaces, Hamming distances, distance profiles and angle grids.
 
 Conventions used throughout the package:
 
@@ -23,6 +23,7 @@ from . import _kernels
 MAX_WIDTH = 32
 MAX_STATEVECTOR_WIDTH = 24  # 2^n complex amplitudes must stay in memory
 MAX_BINOMIAL_N = 64  # C(64, 32) still fits a signed 64-bit integer
+MAX_GRID_POINTS = 10**6  # a landscape grid holds a few float64 arrays of this many points
 
 
 class UsageError(ValueError):
@@ -31,30 +32,6 @@ class UsageError(ValueError):
 
 class ComputationError(RuntimeError):
     """A numeric result left its contract; indicates an internal defect."""
-
-
-@dataclass(frozen=True)
-class BitString:
-    """An n-bit string stored as a non-negative integer of known width."""
-
-    value: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise UsageError(f"width must be in [1, {MAX_WIDTH}], got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
-            raise UsageError(f"value {self.value} does not fit {self.width} bits")
-
-    def __str__(self) -> str:
-        return format(self.value, f"0{self.width}b")
-
-
-def hamming_distance(a: BitString, b: BitString) -> int:
-    """Number of differing bit positions between two equal-width strings."""
-    if a.width != b.width:
-        raise UsageError(f"width mismatch: {a.width} != {b.width}")
-    return (a.value ^ b.value).bit_count()
 
 
 def binomial(n: int, d: int) -> int:
@@ -145,14 +122,15 @@ def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
     return profiles.T @ profiles
 
 
-def distance_profile(space: TargetSpace, k: BitString) -> np.ndarray:
-    """Counts of targets at each Hamming distance 0..n from reference k.
+def distance_profile(space: TargetSpace, k: int) -> np.ndarray:
+    """Counts of targets at each Hamming distance 0..n from reference state k.
 
-    k need not belong to the space; then counts[0] == 0.
+    k need not belong to the space (then counts[0] == 0), but it must fit
+    n bits.  The per-reference oracle of ``TargetSpace.profiles``.
     """
-    if k.width != space.n:
-        raise UsageError(f"reference width {k.width} != space width {space.n}")
-    dist = np.bitwise_count(space.states_array ^ np.uint64(k.value))
+    if type(k) is not int or not 0 <= k < 1 << space.n:
+        raise UsageError(f"reference {k!r} does not fit {space.n} bits")
+    dist = np.bitwise_count(space.states_array ^ np.uint64(k))
     return np.bincount(dist.astype(np.int64), minlength=space.n + 1).astype(np.int64)
 
 
@@ -187,6 +165,10 @@ class AngleGrid:
             raise UsageError("grid bounds must satisfy max >= min")
         if self.beta_steps < 1 or self.gamma_steps < 1:
             raise UsageError("grid must have at least one point per axis")
+        if self.beta_steps * self.gamma_steps > MAX_GRID_POINTS:
+            raise UsageError(
+                f"grid has {self.beta_steps * self.gamma_steps} points, more than {MAX_GRID_POINTS}"
+            )
 
     def betas(self) -> np.ndarray:
         return np.linspace(self.beta_min, self.beta_max, self.beta_steps)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
-from .landscape import LandscapeForm, LandscapeGrid, error_bound, f1_closed, form_bracket
+from .landscape import LandscapeForm, LandscapeGrid, error_bound, f1, f1_closed, form_bracket
 from .optimize import best_angles_all
 from .problems import MAX_ALPHA, Ensemble, build_ensemble
 from .structure import StructuralSummary, aggregate
@@ -91,20 +91,22 @@ def run_landscape_comparison(
 ) -> LandscapeComparison:
     """Empirical mean landscape vs the structural approximation on one grid.
 
-    One form stacks the instances and, last, their summary; its last gamma
-    column is the cross-section at gamma_c.
+    Each instance is evaluated through its own form and the summary through
+    f1, so the approximation has the bits that f1 gives the summary alone.
+    The last gamma column is the cross-section at gamma_c.
     """
     spaces = [inst.target for inst in ensemble.instances]
     summary = aggregate(spaces)
-    form = LandscapeForm.stack(*spaces, summary)
-    betas = grid.betas()
-    bracket = form_bracket(form, betas, np.append(grid.gammas(), gamma_c))
-    f1 = form.scale[:, None, None] * bracket
-    spread, approx = f1[:-1], f1[-1]
+    betas, gammas = grid.betas(), np.append(grid.gammas(), gamma_c)
+    forms = [LandscapeForm.of(space) for space in spaces]
+    scales = np.array([form.scale for form in forms])
+    bracket = np.array([form_bracket(form, betas, gammas) for form in forms])
+    spread = scales[:, None, None] * bracket  # as f1 scales each source
+    approx = f1(summary, betas, gammas)
     mean_values = spread[..., :-1].mean(axis=0).ravel()
     std_values = spread[..., :-1].std(axis=0).ravel()
     approx_values = approx[:, :-1].ravel()
-    bound_values = error_bound(form.scale[:-1], bracket[:-1, :, :-1]).ravel()
+    bound_values = error_bound(scales, bracket[..., :-1]).ravel()
 
     section = spread[..., -1]
     cross = CrossSection(

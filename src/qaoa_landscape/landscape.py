@@ -15,9 +15,9 @@ A ``TargetSpace`` builds (p, Q) once, in O(|T| n^2); then every angle pair
 costs O(n^2), whatever |T| is.  The bracket is linear in (p, Q), so the
 structural approximation of an ensemble is the same expression with a
 ``StructuralSummary``'s expected size, profile and pair matrix.  These two
-are the only landscape sources.  A ``LandscapeForm`` holds any stack of them
-and is evaluated with one (beta x d) matrix of mixer factors, one batched
-contraction and a broadcast over gamma.  ``c_k``, ``mean_ck_squared`` and
+are the only landscape sources.  A ``LandscapeForm`` holds one of them and
+is evaluated with one (beta x d) matrix of mixer factors, one contraction
+and a broadcast over gamma.  ``c_k``, ``mean_ck_squared`` and
 ``w_matrix`` (per target, binomial basis) and ``f1_statevector`` (the full
 2^n state) are independent oracles for it.  Along beta a landscape is fixed
 by 2n+1 Fourier coefficients (``form_coefficients``), from which
@@ -83,16 +83,16 @@ def mean_ck_squared(space: TargetSpace, beta: float, gamma: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LandscapeForm:
-    """Depth-1 landscapes as (n+1)x(n+1) quadratic forms, on any leading axes.
+    """One depth-1 landscape as an (n+1)x(n+1) quadratic form.
 
-    Each landscape is F1 = scale * bracket, with the bracket of the module
+    The landscape is F1 = scale * bracket, with the bracket of the module
     docstring built from its mean profile and mean pair matrix.
     """
 
     n: int
-    scale: np.ndarray | float  # (...)  |T|/2^n, or E|T|/2^n for a summary
-    profile: np.ndarray  # (..., n+1)  mean distance profile
-    pair: np.ndarray  # (..., n+1, n+1)  mean profile outer product
+    scale: float  # |T|/2^n, or E|T|/2^n for a summary
+    profile: np.ndarray  # (n+1,)  mean distance profile
+    pair: np.ndarray  # (n+1, n+1)  mean profile outer product
 
     @classmethod
     def of(cls, source: TargetSpace | StructuralSummary) -> "LandscapeForm":
@@ -103,24 +103,14 @@ class LandscapeForm:
             size, profile, pair = len(source), source.mean_profile, source.mean_pair
         return cls(source.n, size / (1 << source.n), profile, pair)
 
-    @classmethod
-    def stack(cls, *sources) -> "LandscapeForm":
-        """The landscapes of several sources along one leading axis, in order."""
-        forms = [cls.of(source) for source in sources]
-        if not forms or any(f.n != forms[0].n for f in forms):
-            raise UsageError("need one or more landscape sources of one width n")
-        columns = zip(*((f.scale, f.profile, f.pair) for f in forms))
-        return cls(forms[0].n, *map(np.array, columns))
-
 
 def form_z(form: LandscapeForm, betas) -> np.ndarray:
-    """z = q - exp(i*beta*n) * p . fn of each landscape at each beta.
+    """z = q - exp(i*beta*n) * p . fn of the landscape at each beta.
 
-    betas is a scalar or a 1-d array; the result has shape
-    form.scale.shape + shape(betas).  q = fn^T Q conj(fn) is real by
-    construction, so a larger imaginary part than rounding explains raises
-    ComputationError.  The bracket at (beta, gamma) is
-    1 - 2 Re(z * phi(gamma)).
+    betas is a scalar or a 1-d array, and the result has its shape.
+    q = fn^T Q conj(fn) is real by construction, so a larger imaginary part
+    than rounding explains raises ComputationError.  The bracket at
+    (beta, gamma) is 1 - 2 Re(z * phi(gamma)).
     """
     fn = fn_matrix(betas, form.n)
     quad = ((fn @ form.pair) * fn.conj()).sum(axis=-1)
@@ -148,7 +138,7 @@ def coefficient_z(coeffs: np.ndarray, betas) -> np.ndarray:
     """z at each beta from form_coefficients' coefficients, at O(n) per beta.
 
     betas broadcasts against the leading axes of coeffs: one beta per row of
-    a stack, or any betas for one landscape.
+    stacked coefficients, or any betas for one landscape.
     """
     waves = np.exp(np.multiply.outer(betas, _wave_numbers(coeffs.shape[-1])))
     return (coeffs * waves).sum(axis=-1)
@@ -174,13 +164,13 @@ def coefficient_scan(coeffs: np.ndarray, points: int) -> np.ndarray:
 
 
 def form_bracket(form: LandscapeForm, betas, gammas) -> np.ndarray:
-    """mean_k |c_k|^2 of each landscape at each (beta, gamma) of the outer product.
+    """mean_k |c_k|^2 of the landscape at each (beta, gamma) of the outer product.
 
     betas and gammas are scalars or 1-d arrays; the result has shape
-    form.scale.shape + shape(betas) + shape(gammas).
+    shape(betas) + shape(gammas).
 
     With q = fn^T Q conj(fn), |phi|^2 = -2 Re(phi) turns the bracket into
-    1 - 2 Re(phi * z): one complex number z per (landscape, beta), from
+    1 - 2 Re(phi * z): one complex number z per beta, from
     form_z, combined with phi(gamma) as an outer product.
     """
     z = form_z(form, betas)

@@ -17,11 +17,14 @@ same bits as a search of it alone.
 
 ``maximize`` is the older generic 2-D search over the canonical domain
 beta in [0, pi), gamma in [0, 2*pi): a coarse lattice scan, ties to the
-lowest row-major index, then a fixed-coefficient Nelder-Mead simplex.  It
-and ``optimize_instance`` stay as the slower 2-D oracle for ``best_angles``:
-acceptance criterion 11 and the optimiser tests call ``maximize``, and
-``perfbench`` traces ``optimize_instance`` and takes the dense workload's
-per-instance F1 gain from it.  Every landscape repeats with
+lowest row-major index, then a compass search from each of the best cells.
+A compass search tries one step up and one down along each axis, moves to
+the first point that is strictly higher and halves its steps when none is
+(Kolda, Lewis and Torczon, SIAM Review 45(3), 2003); it has no tuning
+coefficients.  It and ``optimize_instance`` stay as the slower 2-D oracle
+for ``best_angles``: acceptance criterion 11 and the optimiser tests call
+``maximize``, and ``perfbench`` traces ``optimize_instance`` and takes the
+dense workload's per-instance F1 gain from it.  Every landscape repeats with
 beta period pi and gamma period 2*pi (shifting beta by pi flips the sign of
 every amplitude factor, a global phase), so it evaluates the objective at
 angles reduced into that domain and reports them there.
@@ -50,15 +53,8 @@ SCAN_CELLS_PER_QUBIT = 64
 BETA_TOL = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# a simplex stops once its values spread and its diameter are both this small
-VALUE_TOL = 1e-8
+# a compass search stops once both its steps are this small
 X_TOL = 1e-8
-
-# classic Nelder-Mead coefficients
-_REFLECT = 1.0
-_EXPAND = 2.0
-_CONTRACT = 0.5
-_SHRINK = 0.5
 
 
 def reduce_angles(beta: float, gamma: float) -> tuple[float, float]:
@@ -93,109 +89,52 @@ class OptResult:
     evaluations: int
 
 
-class _Search:
-    """Evaluation bookkeeping shared by the scan and the simplex runs."""
-
-    def __init__(self, objective, config: OptConfig):
-        self.objective = objective
-        self.config = config
-        self.evaluations = 0
-        self.best_value = -math.inf
-        self.best_angles: Angles | None = None
-
-    def __call__(self, point) -> float:
-        beta, gamma = reduce_angles(float(point[0]), float(point[1]))
-        value = float(self.objective(beta, gamma))
-        if not math.isfinite(value):
-            raise ComputationError(f"objective returned {value} at beta={beta:g}, gamma={gamma:g}")
-        self.evaluations += 1
-        if value > self.best_value:
-            self.best_value = value
-            self.best_angles = Angles(beta, gamma)
-        return value
-
-    @property
-    def exhausted(self) -> bool:
-        return self.evaluations >= self.config.max_evals
-
-
-def _simplex(search: _Search, start: np.ndarray, steps: np.ndarray) -> None:
-    """Maximising Nelder-Mead from one start; best point lands in search."""
-    pts = [start.copy(), start + np.array([steps[0], 0.0]), start + np.array([0.0, steps[1]])]
-    vals = [search(p) for p in pts]
-    while not search.exhausted:
-        order = sorted(range(3), key=lambda i: -vals[i])  # stable: ties keep insertion order
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        spread = vals[0] - vals[2]
-        diameter = max(
-            float(np.abs(pts[a] - pts[b]).max()) for a, b in ((0, 1), (0, 2), (1, 2))
-        )
-        if spread <= VALUE_TOL and diameter <= X_TOL:
-            return
-        centroid = (pts[0] + pts[1]) / 2.0
-        reflected = centroid + _REFLECT * (centroid - pts[2])
-        f_reflected = search(reflected)
-        if f_reflected > vals[0]:
-            if search.exhausted:
-                return
-            expanded = centroid + _EXPAND * (centroid - pts[2])
-            f_expanded = search(expanded)
-            if f_expanded > f_reflected:
-                pts[2], vals[2] = expanded, f_expanded
-            else:
-                pts[2], vals[2] = reflected, f_reflected
-        elif f_reflected > vals[1]:
-            pts[2], vals[2] = reflected, f_reflected
-        else:
-            if search.exhausted:
-                return
-            contracted = centroid + _CONTRACT * (pts[2] - centroid)
-            f_contracted = search(contracted)
-            if f_contracted > vals[2]:
-                pts[2], vals[2] = contracted, f_contracted
-            else:
-                for i in (1, 2):  # shrink towards the best vertex
-                    if search.exhausted:
-                        return
-                    pts[i] = pts[0] + _SHRINK * (pts[i] - pts[0])
-                    vals[i] = search(pts[i])
-
-
 def maximize(objective, config: OptConfig = OptConfig()) -> OptResult:
     """Maximise objective(beta, gamma) over the canonical angle domain.
 
     A coarse lattice scan picks the refine_starts highest cells (ties to the
-    lowest row-major index), each seeds one simplex refinement, and the best
-    evaluation ever made wins.  The reported value is the objective's own
-    output at the reported angles.
+    lowest row-major index).  From each, a compass search starts with steps
+    of half a cell, tries beta + step, beta - step, gamma + step and
+    gamma - step in that order, moves to the first point strictly higher
+    than the current one, and halves both steps when none is; it stops once
+    both steps are at most X_TOL or max_evals objective calls are spent.
+    The best evaluation ever made wins, the first of equals; its value is
+    the objective's own output and evaluations counts every call.
     """
-    search = _Search(objective, config)
+    evaluations, best_value, best_angles = 0, -math.inf, None
+
+    def evaluate(beta: float, gamma: float) -> float:
+        nonlocal evaluations, best_value, best_angles
+        beta, gamma = reduce_angles(beta, gamma)
+        value = float(objective(beta, gamma))
+        if not math.isfinite(value):
+            raise ComputationError(f"objective returned {value} at beta={beta:g}, gamma={gamma:g}")
+        evaluations += 1
+        if value > best_value:
+            best_value, best_angles = value, Angles(beta, gamma)
+        return value
+
     betas = BETA_PERIOD * np.arange(config.coarse_beta) / config.coarse_beta
     gammas = GAMMA_PERIOD * np.arange(config.coarse_gamma) / config.coarse_gamma
-    coarse_vals = np.empty(config.coarse_beta * config.coarse_gamma)
-    coarse_pts = np.empty((coarse_vals.size, 2))
-    i = 0
-    for b in betas:
-        for g in gammas:
-            coarse_pts[i] = (b, g)
-            coarse_vals[i] = search((b, g))
-            i += 1
-    order = np.argsort(-coarse_vals, kind="stable")
-    steps = np.array(
-        [
-            BETA_PERIOD / config.coarse_beta / 2.0,
-            GAMMA_PERIOD / config.coarse_gamma / 2.0,
-        ]
-    )
-    for idx in order[: config.refine_starts]:
-        if search.exhausted:
-            break
-        _simplex(search, coarse_pts[idx].copy(), steps)
-    assert search.best_angles is not None
-    return OptResult(
-        angles=search.best_angles, value=search.best_value, evaluations=search.evaluations
-    )
+    cells = [(b, g) for b in betas.tolist() for g in gammas.tolist()]
+    values = [evaluate(b, g) for b, g in cells]
+    for idx in np.argsort(-np.array(values), kind="stable")[: config.refine_starts]:
+        (beta, gamma), value = cells[idx], values[idx]
+        step_b = BETA_PERIOD / config.coarse_beta / 2.0
+        step_g = GAMMA_PERIOD / config.coarse_gamma / 2.0
+        while max(step_b, step_g) > X_TOL and evaluations < config.max_evals:
+            moves = ((beta + step_b, gamma), (beta - step_b, gamma),
+                     (beta, gamma + step_g), (beta, gamma - step_g))
+            for b, g in moves:
+                if evaluations == config.max_evals:
+                    break
+                candidate = evaluate(b, g)
+                if candidate > value:
+                    beta, gamma, value = b, g, candidate
+                    break
+            else:
+                step_b, step_g = step_b / 2.0, step_g / 2.0
+    return OptResult(best_angles, best_value, evaluations)
 
 
 def _peak(z):

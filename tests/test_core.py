@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qaoa_landscape.core import (
+    MAX_GRID_POINTS,
     Angles,
     AngleGrid,
-    BitString,
     TargetSpace,
     UsageError,
     binomial,
@@ -15,64 +15,42 @@ from qaoa_landscape.core import (
     default_grid,
     distance_profile,
     exact_pair_sums,
-    hamming_distance,
 )
 
 from conftest import random_space
 
 
-@st.composite
-def bitstring_pairs(draw):
-    width = draw(st.integers(1, 16))
-    a = draw(st.integers(0, (1 << width) - 1))
-    b = draw(st.integers(0, (1 << width) - 1))
-    return BitString(a, width), BitString(b, width)
-
-
-class TestBitString:
-    def test_str_is_binary(self):
-        assert str(BitString(10, 5)) == "01010"
-
-    def test_value_must_fit_width(self):
-        with pytest.raises(UsageError):
-            BitString(4, 2)
-        with pytest.raises(UsageError):
-            BitString(-1, 4)
-
-    def test_width_bounds(self):
-        with pytest.raises(UsageError):
-            BitString(0, 0)
-        with pytest.raises(UsageError):
-            BitString(0, 33)
-        BitString((1 << 32) - 1, 32)  # max width is fine
+def hamming(width: int, a: int, b: int) -> int:
+    """The distance between a and b, read off the profile of a one-state space."""
+    (distance,) = np.flatnonzero(distance_profile(TargetSpace(width, (b,)), a))
+    return int(distance)
 
 
 class TestHamming:
     def test_known_distance(self):
         # 01010 xor 01101 = 00111
-        assert hamming_distance(BitString(10, 5), BitString(13, 5)) == 3
+        assert hamming(5, 10, 13) == 3
 
     def test_adjacent_states(self):
-        assert hamming_distance(BitString(10, 5), BitString(14, 5)) == 1
-        assert hamming_distance(BitString(13, 5), BitString(14, 5)) == 2
+        assert hamming(5, 10, 14) == 1
+        assert hamming(5, 13, 14) == 2
 
     def test_width_mismatch(self):
         with pytest.raises(UsageError):
-            hamming_distance(BitString(1, 3), BitString(1, 4))
+            hamming(3, 8, 1)  # the reference needs 4 bits
 
-    @given(bitstring_pairs())
-    def test_metric_properties(self, pair):
-        a, b = pair
-        d = hamming_distance(a, b)
-        assert 0 <= d <= a.width
-        assert d == hamming_distance(b, a)
-        assert (d == 0) == (a.value == b.value)
+    @given(st.integers(1, 16), st.data())
+    def test_metric_properties(self, width, data):
+        a, b = (data.draw(st.integers(0, (1 << width) - 1)) for _ in range(2))
+        d = hamming(width, a, b)
+        assert 0 <= d <= width
+        assert d == hamming(width, b, a)
+        assert (d == 0) == (a == b)
 
     @given(st.integers(1, 12), st.data())
     def test_triangle_inequality(self, width, data):
-        vals = [data.draw(st.integers(0, (1 << width) - 1)) for _ in range(3)]
-        a, b, c = (BitString(v, width) for v in vals)
-        assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
+        a, b, c = (data.draw(st.integers(0, (1 << width) - 1)) for _ in range(3))
+        assert hamming(width, a, c) <= hamming(width, a, b) + hamming(width, b, c)
 
 
 class TestBinomial:
@@ -161,19 +139,20 @@ class TestDistanceProfile:
     def test_hand_counts(self):
         # distances from 10 to {10, 13, 14} are 0, 3, 1
         space = TargetSpace.from_iterable(5, [10, 13, 14])
-        profile = distance_profile(space, BitString(10, 5))
+        profile = distance_profile(space, 10)
         assert profile.tolist() == [1, 1, 0, 1, 0, 0]
 
     def test_nonmember_reference(self):
         space = TargetSpace.from_iterable(3, [0b111])
-        profile = distance_profile(space, BitString(0, 3))
+        profile = distance_profile(space, 0)
         assert profile[0] == 0
         assert profile.tolist() == [0, 0, 0, 1]
 
     def test_width_mismatch(self):
         space = TargetSpace.from_iterable(3, [1])
-        with pytest.raises(UsageError):
-            distance_profile(space, BitString(1, 4))
+        for k in (8, -1, True, 1.0):  # wider than the space, negative, or not an int
+            with pytest.raises(UsageError, match="does not fit 3 bits"):
+                distance_profile(space, k)
 
     @given(st.integers(1, 8), st.data())
     def test_profile_sums_to_size(self, n, data):
@@ -182,14 +161,14 @@ class TestDistanceProfile:
         )
         space = TargetSpace.from_iterable(n, states)
         k = data.draw(st.integers(0, (1 << n) - 1))
-        profile = distance_profile(space, BitString(k, n))
+        profile = distance_profile(space, k)
         assert profile.sum() == len(space)
         assert profile[0] == (1 if k in states else 0)
 
     def test_matches_profile_matrix_rows(self, rng):
         space = random_space(rng, 6, 20)
         for i, state in enumerate(space.states):
-            expected = distance_profile(space, BitString(state, 6))
+            expected = distance_profile(space, state)
             assert np.array_equal(space.profiles[i], expected)
 
 
@@ -219,6 +198,12 @@ class TestAngleGrid:
             AngleGrid(0.0, 1.0, 0.0, 1.0, 0, 2)
         with pytest.raises(UsageError):
             AngleGrid(math.nan, 1.0, 0.0, 1.0, 2, 2)
+        assert MAX_GRID_POINTS == 10**6
+        AngleGrid(0.0, 1.0, 0.0, 1.0, 1000, 1000)  # exactly at the bound
+        AngleGrid(0.0, 1.0, 0.0, 1.0, 1, MAX_GRID_POINTS)
+        for steps in ((1000, 1001), (MAX_GRID_POINTS + 1, 1), (20000, 20000)):
+            with pytest.raises(UsageError, match=f"more than {MAX_GRID_POINTS}"):
+                AngleGrid(0.0, 1.0, 0.0, 1.0, *steps)
 
     def test_default_grid_excludes_full_turn(self):
         grid = default_grid(10, 8)

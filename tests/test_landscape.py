@@ -217,22 +217,6 @@ class TestFormAgainstOracles:
         for beta, gamma in rng.uniform(0.0, 2 * math.pi, size=(4, 2)):
             assert abs(f1_closed(space, beta, gamma) - f1_statevector(space, beta, gamma)) < 1e-9
 
-    def test_stacked_form_matches_single_forms(self, rng):
-        spaces = [random_space(rng, 5) for _ in range(3)]
-        summary = aggregate(spaces)
-        form = LandscapeForm.stack(*spaces, summary)
-        betas, gammas = np.linspace(0.0, 3.0, 5), np.linspace(0.0, 6.0, 4)
-        values = form.scale[:, None, None] * form_bracket(form, betas, gammas)
-        for row, space in zip(values, spaces):
-            assert np.allclose(row, f1(space, betas, gammas), rtol=0, atol=1e-14)
-        assert np.allclose(values[-1], f1(summary, betas, gammas), rtol=0, atol=1e-14)
-
-    def test_stack_rejects_mixed_widths(self, rng):
-        with pytest.raises(UsageError):
-            LandscapeForm.stack(random_space(rng, 4), random_space(rng, 5))
-        with pytest.raises(UsageError):
-            LandscapeForm.stack()
-
 
 def assert_coefficients_match_form_z(source, betas):
     """The coefficient route against form_z, and against the binomial expansion."""

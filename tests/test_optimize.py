@@ -102,6 +102,20 @@ class TestMaximize:
         result = maximize(n1_objective, config)
         assert result.evaluations <= 1100
 
+    def test_evaluations_count_every_call(self):
+        for config in (OptConfig(), OptConfig(max_evals=32 * 32 + 3)):
+            calls = []
+
+            def counted(beta, gamma):
+                calls.append((n1_objective(beta, gamma), beta, gamma))
+                return calls[-1][0]
+
+            result = maximize(counted, config)
+            assert result.evaluations == len(calls)
+            best = max(calls, key=lambda call: call[0])  # the first of equals
+            assert (result.value, result.angles.beta, result.angles.gamma) == best
+        assert len(calls) == config.max_evals  # the budget stops the search at once
+
     def test_non_finite_objective_rejected(self):
         with pytest.raises(ComputationError):
             maximize(lambda b, g: math.nan)

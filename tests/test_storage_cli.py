@@ -358,6 +358,26 @@ class TestCli:
         mean = (tmp_path / "cmp_mean.csv").read_text().splitlines()
         assert mean[0] == "beta,gamma,value,stddev"
 
+    @pytest.mark.parametrize(
+        "family, flags",
+        [("uniform", ["--t-size", "40"]), ("sat", ["--clauses", "30"]), ("clustered", [])],
+    )
+    def test_ensemble_approx_is_the_summary_landscape(self, tmp_path, family, flags):
+        # the approximation of landscape --ensemble has the bits that
+        # landscape --summary gives summarize's output of the same ensemble
+        ens, summ = tmp_path / "e.json", tmp_path / "s.json"
+        assert cli.main(["gen", "--family", family, "--n", "10", "--count", "5", "--seed", "3",
+                         *flags, "--out", str(ens)]) == 0
+        assert cli.main(["summarize", "--ensemble", str(ens), "--out", str(summ)]) == 0
+        for source, path in (("--ensemble", ens), ("--summary", summ)):
+            assert cli.main(["landscape", source, str(path), "--grid", "30x20", "--gamma-c", "1.2",
+                             "--out-prefix", str(tmp_path / source[2:])]) == 0
+        approx = (tmp_path / "ensemble_approx.csv").read_bytes()
+        assert approx == (tmp_path / "summary_approx.csv").read_bytes()
+        rows = [line.split(",") for line in (tmp_path / "ensemble_cross.csv").read_text().split()]
+        want = [line.split(",") for line in (tmp_path / "summary_cross.csv").read_text().split()]
+        assert [row[3] for row in rows[1:]] == [row[1] for row in want[1:]]
+
     def test_optimize_summary_and_instance(self, tmp_path):
         summ = tmp_path / "s.json"
         cli.main(["analytic-uniform", "--n", "4", "--t-size", "3", "--out", str(summ)])
@@ -544,6 +564,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: gamma-c must be finite, got {float(gamma_c)!r}\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
+
+    @pytest.mark.parametrize("grid", ["20000x20000", "1000x1001", "1x1000001"])
+    @pytest.mark.parametrize("source", ["--summary", "--ensemble"])
+    def test_oversized_grid_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    source, grid):
+        source_doc = GOOD_SUMMARY if source == "--summary" else GOOD_ENSEMBLE
+        storage.write_json(source_doc, tmp_path / "in.json")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work was started for an oversized grid")
+
+        for name in ("load_summary", "load_ensemble"):
+            monkeypatch.setattr(storage, name, refuse)
+        for name in ("f1", "run_landscape_comparison"):
+            monkeypatch.setattr(cli, name, refuse)
+        code = cli.main(["landscape", source, str(tmp_path / "in.json"), "--grid", grid,
+                         "--out-prefix", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        beta_steps, gamma_steps = map(int, grid.split("x"))
+        assert code == 1
+        assert err == f"error: grid has {beta_steps * gamma_steps} points, more than 1000000\n"
         assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
 
     @pytest.mark.parametrize(

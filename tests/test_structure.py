@@ -3,7 +3,7 @@ import pytest
 
 from qaoa_landscape import storage, structure
 from qaoa_landscape.analytic import MODES, UniformModel, summary_analytic
-from qaoa_landscape.core import BitString, TargetSpace, UsageError, binomial_row, distance_profile
+from qaoa_landscape.core import TargetSpace, UsageError, binomial_row, distance_profile
 from qaoa_landscape.problems import FAMILIES, build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
 
@@ -45,7 +45,7 @@ class TestInstanceStats:
     def test_against_slow_recount(self, rng):
         space = random_space(rng, 5, 11)
         profiles = np.array(
-            [distance_profile(space, BitString(s, 5)) for s in space.states], dtype=np.int64
+            [distance_profile(space, s) for s in space.states], dtype=np.int64
         )
         assert np.allclose(space.mean_profile, profiles.mean(axis=0), atol=1e-15)
         pair = np.zeros((6, 6))
