@@ -141,12 +141,17 @@ def _cmd_sat_alpha(args) -> int:
         alphas = tuple(float(a) for a in args.alphas.split(","))
     except ValueError:
         raise UsageError(f"alphas must be comma-separated numbers, got {args.alphas!r}") from None
+    tags = {}  # each alpha's files are named by its %g form, so two alike would overwrite
+    for alpha in alphas:
+        tag = f"a{alpha:g}"
+        if tag in tags:
+            raise UsageError(f"alphas {tags[tag]!r} and {alpha!r} would both write files tagged {tag}")
+        tags[tag] = alpha
     results = run_sat_alpha(args.n, alphas, args.count, args.shots, args.seed)
     prefix = Path(args.out_prefix)
     combined = []
-    for alpha, _ensemble, report in results:
-        tag = f"{prefix}_a{alpha:g}"
-        storage.save_report(report, f"{tag}.csv", f"{tag}.json")
+    for tag, (alpha, _ensemble, report) in zip(tags, results):
+        storage.save_report(report, f"{prefix}_{tag}.csv", f"{prefix}_{tag}.json")
         combined.append(storage.report_to_dict(report) | {"alpha": alpha})
     storage.write_json(combined, f"{prefix}_summary.json")
     return 0

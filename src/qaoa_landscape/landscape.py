@@ -140,12 +140,12 @@ def coefficient_z(coeffs: np.ndarray, betas) -> np.ndarray:
     betas broadcasts against the leading axes of coeffs: one beta per row of
     stacked coefficients, or any betas for one landscape.
     """
-    waves = np.exp(np.multiply.outer(betas, _wave_numbers(coeffs.shape[-1])))
+    waves = np.exp(np.multiply.outer(betas, wave_numbers(coeffs.shape[-1])))
     return (coeffs * waves).sum(axis=-1)
 
 
 @functools.cache
-def _wave_numbers(size: int) -> np.ndarray:
+def wave_numbers(size: int) -> np.ndarray:
     """2i*k for the coefficients' k in FFT order: exp(2i*k*beta) = w^k."""
     return 2j * np.fft.fftfreq(size, 1.0 / size)
 

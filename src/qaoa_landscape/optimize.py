@@ -7,13 +7,14 @@ fixed beta the bracket of a landscape is
 ``landscape.form_z``, so the best gamma is atan2(-Im z, -Re z) and the best
 value scale * (1 + 2 Re z + 2|z|).  Every landscape also satisfies
 F1(pi - beta, 2*pi - gamma) = F1(beta, gamma), so the search is one scan of
-beta over [0, pi/2] and a golden-section refinement of its best cell.  z is
-a Laurent polynomial of degree n in w = exp(2i*beta), so the search takes its
-2n+1 coefficients from form_z once per landscape
+beta over [0, pi/2] and a refinement of its best cell.  z is a Laurent
+polynomial of degree n in w = exp(2i*beta), so the search takes its 2n+1
+coefficients a_k from form_z once per landscape
 (``landscape.form_coefficients``); one inverse FFT then gives z at every scan
-beta, and each refinement step costs O(n), not form_z's O(n^2).  The
-refinement steps all landscapes at once, and each landscape's result has the
-same bits as a search of it alone.
+beta.  The derivative z' has coefficients 2i*k*a_k, so the peak's exact slope
+costs O(n) at any beta, not form_z's O(n^2), and the refinement bisects the
+best cell on the sign of that slope.  The refinement steps all landscapes at
+once, and each landscape's result has the same bits as a search of it alone.
 
 ``maximize`` is the older generic 2-D search over the canonical domain
 beta in [0, pi), gamma in [0, 2*pi): a coarse lattice scan, ties to the
@@ -40,6 +41,7 @@ import numpy as np
 from .core import Angles, ComputationError, TargetSpace, UsageError
 from .landscape import (
     LandscapeForm, coefficient_scan, coefficient_z, f1, f1_closed, form_coefficients,
+    wave_numbers,
 )
 from .structure import StructuralSummary
 
@@ -49,9 +51,8 @@ GAMMA_PERIOD = 2.0 * math.pi
 # best_angles scans 64n+1 evenly spaced betas over [0, pi/2] ...
 BETA_SCAN_END = math.pi / 2.0
 SCAN_CELLS_PER_QUBIT = 64
-# ... and refines the best one until its bracketing interval is this narrow
-BETA_TOL = 1e-12
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# ... and halves the bracket of the best one this many times, past beta's float resolution
+BETA_BISECTIONS = 52
 
 # a compass search stops once both its steps are this small
 X_TOL = 1e-8
@@ -150,44 +151,20 @@ def _best_gamma(z: complex) -> float:
     return gamma if gamma < GAMMA_PERIOD else 0.0  # a tiny negative angle rounds up to 2*pi
 
 
-def _golden(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Golden-section maxima of each row's peak on its [lo, hi]: (beta, peak, evaluations).
-
-    The rows step together, each in the arithmetic of a scalar search; a row
-    whose interval is narrow enough stops changing.
-    """
-    width = hi - lo
-    c, d = hi - _INV_PHI * width, lo + _INV_PHI * width
-    fc, fd = _peak(coefficient_z(coeffs, c)), _peak(coefficient_z(coeffs, d))
-    evaluations = np.full(lo.shape, 2)
-    live = width > BETA_TOL
-    while live.any():
-        down = live & (fc >= fd)  # ties keep the lower part
-        up = live ^ down
-        hi, d, fd = np.where(down, d, hi), np.where(down, c, d), np.where(down, fc, fd)
-        lo, c, fc = np.where(up, c, lo), np.where(up, d, c), np.where(up, fd, fc)
-        width = hi - lo
-        probe = np.where(down, hi - _INV_PHI * width, lo + _INV_PHI * width)
-        peak = _peak(coefficient_z(coeffs, probe))
-        c, fc = np.where(down, probe, c), np.where(down, peak, fc)
-        d, fd = np.where(up, probe, d), np.where(up, peak, fd)
-        evaluations += live
-        live = width > BETA_TOL
-    lower = fc >= fd
-    return np.where(lower, c, d), np.where(lower, fc, fd), evaluations
-
-
 def best_angles_all(sources) -> tuple[OptResult, ...]:
     """Best depth-1 angles of each target space or summary, in order.
 
     All sources share one width n.  For each, scans 64n+1 evenly spaced betas
     over [0, pi/2] with gamma at its closed-form best (module docstring),
-    takes the best beta (ties to the lowest) and refines it by golden-section
-    search over its neighbouring cells to BETA_TOL; the refinement is kept
-    only if it peaks strictly higher.  gamma is atan2(-Im z, -Re z) mod 2*pi,
-    or 0 where z == 0.  The angles lie in [0, pi/2] x [0, 2*pi); value is f1
-    at them and evaluations counts the betas evaluated.  Each result is the
-    one best_angles gives for its source alone, to the bit.
+    takes the best beta (ties to the lowest) and refines it over its
+    neighbouring cells, clipped to [0, pi/2]: BETA_BISECTIONS times, the
+    midpoint replaces the lower end where the peak 1 + 2 Re z + 2|z| strictly
+    rises there and the upper end elsewhere (z == 0 does not rise), and the
+    last midpoint is kept only if it peaks strictly higher than the scan.
+    gamma is atan2(-Im z, -Re z) mod 2*pi, or 0 where z == 0.  The angles lie
+    in [0, pi/2] x [0, 2*pi); value is f1 at them and evaluations counts the
+    betas evaluated, 64n+1 + BETA_BISECTIONS + 1 for every source.  Each
+    result is the one best_angles gives for its source alone, to the bit.
     """
     sources = tuple(sources)
     forms = [LandscapeForm.of(source) for source in sources]
@@ -202,16 +179,24 @@ def best_angles_all(sources) -> tuple[OptResult, ...]:
     if not np.isfinite(peaks).all():
         raise ComputationError("landscape is not finite on the beta scan")
     best = np.argmax(peaks, axis=1)  # the first maximum: the lowest beta
-    refined, peak, evaluations = _golden(
-        coeffs, betas[np.maximum(best - 1, 0)], betas[np.minimum(best + 1, cells)]
-    )
-    beta = np.where(peak > peaks[np.arange(len(forms)), best], refined, betas[best])
+    lo, hi = betas[np.maximum(best - 1, 0)], betas[np.minimum(best + 1, cells)]
+    # z' = sum 2i*k*a_k w^k, so one coefficient_z call gives z and z'
+    both = np.stack([coeffs, coeffs * wave_numbers(coeffs.shape[-1])])
+    for _ in range(BETA_BISECTIONS):
+        mid = (lo + hi) / 2.0
+        z, dz = coefficient_z(both, mid)
+        rising = dz.real * abs(z) + (z.conj() * dz).real > 0.0  # the peak's slope times |z|/2
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    refined = (lo + hi) / 2.0
+    higher = _peak(coefficient_z(coeffs, refined)) > peaks[np.arange(len(forms)), best]
+    beta = np.where(higher, refined, betas[best])
     zs = coefficient_z(coeffs, beta)
+    evaluations = betas.size + BETA_BISECTIONS + 1
     results = []
-    for source, b, z, count in zip(sources, beta.tolist(), zs, evaluations):
+    for source, b, z in zip(sources, beta.tolist(), zs):
         gamma = _best_gamma(complex(z))
         value = float(f1(source, b, gamma))
-        results.append(OptResult(Angles(b, gamma), value, evaluations=betas.size + int(count) + 1))
+        results.append(OptResult(Angles(b, gamma), value, evaluations))
     return tuple(results)
 
 

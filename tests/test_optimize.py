@@ -8,6 +8,7 @@ from qaoa_landscape.core import ComputationError, TargetSpace, UsageError
 from qaoa_landscape.experiments import run_success_comparison
 from qaoa_landscape.landscape import LandscapeForm, approx_expected_f1, f1, f1_closed
 from qaoa_landscape.optimize import (
+    BETA_BISECTIONS,
     OptConfig,
     _best_gamma,
     best_angles,
@@ -19,7 +20,7 @@ from qaoa_landscape.optimize import (
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
 
-from angle_oracle import best_value
+from angle_oracle import _derivative, best_value, laurent_z
 from conftest import oracle_spaces, random_space
 
 
@@ -199,8 +200,8 @@ class TestBestAngles:
             result = best_angles(source)
             assert 0.0 <= result.angles.beta <= math.pi / 2
             assert 0.0 <= result.angles.gamma < 2 * math.pi
-            # the 64n+1 scan betas, then the refinement's
-            assert 64 * source.n + 1 < result.evaluations <= 64 * source.n + 1 + 64
+            # the 64n+1 scan betas, the midpoints and the refined beta
+            assert result.evaluations == 64 * source.n + 1 + BETA_BISECTIONS + 1
 
     def test_never_below_its_scan(self, rng):
         space = random_space(rng, 6, 9)
@@ -274,10 +275,25 @@ def assert_no_stationary_point_beats(source, result):
     assert oracle >= result.value - 1e-9 * result.value  # and the oracle found the peak too
 
 
+def peak_and_slope(source, beta):
+    """g = 1 + 2 Re z + 2|z| and g' at beta, with z from the binomial expansion."""
+    coeffs = laurent_z(LandscapeForm.of(source))
+    waves = np.exp(2j * beta * np.arange(-source.n, source.n + 1))
+    z, dz = coeffs @ waves, _derivative(coeffs) @ waves
+    return 1 + 2 * z.real + 2 * abs(z), 2 * dz.real + 2 * (z.conjugate() * dz).real / abs(z)
+
+
 class TestExactOracle:
     def test_criterion_9_sources(self, criterion_9_sources):
         for source in criterion_9_sources:
             assert_no_stationary_point_beats(source, best_angles(source))
+
+    def test_refined_beta_is_stationary(self, criterion_9_sources):
+        for source in criterion_9_sources:
+            beta = best_angles(source).angles.beta
+            if 0.0 < beta < math.pi / 2:
+                peak, slope = peak_and_slope(source, beta)
+                assert abs(slope) <= 1e-10 * peak
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 3), st.data())

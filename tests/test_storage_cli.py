@@ -497,6 +497,22 @@ class TestCli:
         assert err.startswith("error: alpha") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "alphas, first, second", [("2,2", "2.0", "2.0"), ("4,2,2.0000001", "2.0", "2.0000001")]
+    )
+    def test_alphas_sharing_a_file_tag_exit_1(self, tmp_path, capsys, monkeypatch,
+                                              alphas, first, second):
+        def refuse(*args):
+            raise AssertionError("an ensemble was generated for alphas that would overwrite")
+
+        monkeypatch.setattr(experiments, "build_ensemble", refuse)
+        code = cli.main(["sat-alpha", "--n", "6", "--alphas", alphas, "--count", "2",
+                         "--shots", "5", "--out-prefix", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: alphas {first} and {second} would both write files tagged a2\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("shots", ["0", "-3", "1000000000000000000000000000000"])
     @pytest.mark.parametrize("command", ["compare", "sat-alpha"])
     def test_bad_shots_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch, command, shots):
