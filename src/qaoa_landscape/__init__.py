@@ -22,7 +22,6 @@ from .landscape import (
     LandscapeGrid,
     approx_expected_f1,
     c_k,
-    error_bound,
     f1,
     f1_closed,
     f1_statevector,
@@ -62,7 +61,6 @@ __all__ = [
     "c_k",
     "default_grid",
     "distance_profile",
-    "error_bound",
     "f1",
     "f1_closed",
     "f1_statevector",

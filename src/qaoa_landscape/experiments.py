@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
-from .landscape import LandscapeForm, LandscapeGrid, error_bound, f1, f1_closed, form_bracket
+from .core import Angles, AngleGrid, ComputationError, UsageError
+from .landscape import LandscapeForm, LandscapeGrid, f1, f1_closed, form_z
 from .optimize import best_angles_all
 from .problems import MAX_ALPHA, Ensemble, build_ensemble
 from .structure import StructuralSummary, aggregate
@@ -36,19 +36,6 @@ def shot_rng(seed: int, instance_id: int, arm: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(instance_id, arm))
     )
-
-
-def sample_shots(
-    space: TargetSpace, angles: Angles, shots: int, rng: np.random.Generator
-) -> int:
-    """Number of target hits among `shots` measurements of the prepared state.
-
-    Each measurement hits the target set with probability F1, independently,
-    so the count is one Binomial(shots, F1) draw, with F1 from the closed
-    form; no statevector is built, so any width the form supports works.
-    """
-    _check_shots(shots)
-    return _draw_hits(f1_closed(space, angles.beta, angles.gamma), shots, rng)
 
 
 def _check_shots(shots: int) -> None:
@@ -91,39 +78,57 @@ def run_landscape_comparison(
 ) -> LandscapeComparison:
     """Empirical mean landscape vs the structural approximation on one grid.
 
-    Each instance is evaluated through its own form and the summary through
-    f1, so the approximation has the bits that f1 gives the summary alone.
-    The last gamma column is the cross-section at gamma_c.
+    With z = form_z(form, beta), s = form.scale and phi = exp(-i*gamma) - 1,
+    an instance's bracket is c(gamma) . x(beta) with x = (1, Re z, Im z) and
+    c = (1, -2 Re phi, 2 Im phi), and its F1 is c . (s*x).  So the mean, the
+    spread and the bound over the instances follow from the per-beta mean
+    and covariance of s*x and of x; no per-instance grid is formed.  The
+    summary goes through f1, so the approximation has the bits that f1 gives
+    the summary alone.  The last gamma column is the cross-section at gamma_c.
     """
     spaces = [inst.target for inst in ensemble.instances]
     summary = aggregate(spaces)
     betas, gammas = grid.betas(), np.append(grid.gammas(), gamma_c)
     forms = [LandscapeForm.of(space) for space in spaces]
     scales = np.array([form.scale for form in forms])
-    bracket = np.array([form_bracket(form, betas, gammas) for form in forms])
-    spread = scales[:, None, None] * bracket  # as f1 scales each source
+    z = np.array([form_z(form, betas) for form in forms])  # (count, beta)
+    x = np.stack([np.ones_like(z.real), z.real, z.imag], axis=-1)
+    phi = np.exp(-1j * gammas) - 1.0
+    c = np.stack([np.ones_like(gammas), -2.0 * phi.real, 2.0 * phi.imag], axis=-1)
+    scaled = scales[:, None, None] * x
+    mean = scaled.mean(axis=0) @ c.T
+    stddev = np.sqrt(_spread(scaled, c))
+    bound = np.sqrt(scales.var() * _spread(x, c))
     approx = f1(summary, betas, gammas)
-    mean_values = spread[..., :-1].mean(axis=0).ravel()
-    std_values = spread[..., :-1].std(axis=0).ravel()
+    mean_values = mean[:, :-1].ravel()
     approx_values = approx[:, :-1].ravel()
-    bound_values = error_bound(scales, bracket[..., :-1]).ravel()
 
-    section = spread[..., -1]
     cross = CrossSection(
         gamma_c=gamma_c,
         betas=betas,
-        values=section.mean(axis=0),
-        stddev=section.std(axis=0),
+        values=mean[:, -1],
+        stddev=stddev[:, -1],
         approx=approx[:, -1],
     )
     return LandscapeComparison(
         summary=summary,
-        mean=LandscapeGrid(grid=grid, values=mean_values, stddev=std_values),
+        mean=LandscapeGrid(grid=grid, values=mean_values, stddev=stddev[:, :-1].ravel()),
         approx=LandscapeGrid(grid=grid, values=approx_values),
         error=LandscapeGrid(grid=grid, values=np.abs(mean_values - approx_values)),
-        bound=LandscapeGrid(grid=grid, values=bound_values),
+        bound=LandscapeGrid(grid=grid, values=bound[:, :-1].ravel()),
         cross_section=cross,
     )
+
+
+def _spread(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Population variance of c[g] . vectors[i, b] over i, at each (b, g).
+
+    The covariance over the leading axis is centred first (two passes),
+    and a variance that rounding takes below 0 reads 0.
+    """
+    centred = vectors - vectors.mean(axis=0)
+    cov = np.einsum("ibj,ibk->bjk", centred, centred) / len(vectors)
+    return np.maximum(np.einsum("gj,bjk,gk->bg", c, cov, c), 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -163,20 +163,6 @@ def coefficient_scan(coeffs: np.ndarray, points: int) -> np.ndarray:
     return np.fft.ifft(padded, norm="forward")
 
 
-def form_bracket(form: LandscapeForm, betas, gammas) -> np.ndarray:
-    """mean_k |c_k|^2 of the landscape at each (beta, gamma) of the outer product.
-
-    betas and gammas are scalars or 1-d arrays; the result has shape
-    shape(betas) + shape(gammas).
-
-    With q = fn^T Q conj(fn), |phi|^2 = -2 Re(phi) turns the bracket into
-    1 - 2 Re(phi * z): one complex number z per beta, from
-    form_z, combined with phi(gamma) as an outer product.
-    """
-    z = form_z(form, betas)
-    return 1.0 - 2.0 * np.multiply.outer(z, np.exp(-1j * np.asarray(gammas)) - 1.0).real
-
-
 def f1(source: TargetSpace | StructuralSummary, betas, gammas) -> np.ndarray:
     """F1 of one source at the outer product of betas and gammas.
 
@@ -184,9 +170,14 @@ def f1(source: TargetSpace | StructuralSummary, betas, gammas) -> np.ndarray:
     shape shape(betas) + shape(gammas): a lattice is
     f1(source, grid.betas(), grid.gammas()), beta outer, and a fixed-gamma
     curve passes one gamma.
+
+    With q = fn^T Q conj(fn), |phi|^2 = -2 Re(phi) turns the bracket into
+    1 - 2 Re(phi * z): one complex z per beta from form_z, combined with
+    phi(gamma) as an outer product.
     """
     form = LandscapeForm.of(source)
-    return form.scale * form_bracket(form, betas, gammas)
+    phi = np.exp(-1j * np.asarray(gammas)) - 1.0
+    return form.scale * (1.0 - 2.0 * np.multiply.outer(form_z(form, betas), phi).real)
 
 
 def f1_closed(space: TargetSpace, beta: float, gamma: float) -> float:
@@ -231,22 +222,6 @@ def f1_statevector(space: TargetSpace, beta: float, gamma: float) -> float:
     amps = qaoa_state(space, beta, gamma)
     hit = amps[space.states_array.astype(np.int64)]
     return float(np.abs(hit) @ np.abs(hit))
-
-
-def error_bound(scaled_sizes, mean_ck_values) -> np.ndarray | float:
-    """Cauchy-Schwarz bound on |mean F1 - approx|.
-
-    Takes the per-instance scaled sizes |T_i|/2^n, shape (count,), and the
-    per-instance mean |c_k|^2 values, shape (count, ...) with any trailing
-    point axes; the bound at each point is the square root of the product
-    of their population variances over the instances, and the actual
-    deviation is exactly their sample covariance.
-    """
-    s = np.asarray(scaled_sizes, dtype=np.float64)
-    m = np.asarray(mean_ck_values, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0 or m.shape[:1] != s.shape:
-        raise UsageError("need non-empty per-instance sizes and values along one leading axis")
-    return np.sqrt(s.var() * m.var(axis=0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,39 +14,45 @@ from qaoa_landscape.experiments import (
     run_landscape_comparison,
     run_sat_alpha,
     run_success_comparison,
-    sample_shots,
     shot_rng,
 )
-from qaoa_landscape.landscape import (
-    approx_expected_f1, error_bound, f1, f1_closed, mean_ck_squared,
-)
+from qaoa_landscape.landscape import approx_expected_f1, f1, f1_closed, mean_ck_squared
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import aggregate
+
+import landscape_oracle
+
+draw_hits = experiments._draw_hits
+
+
+def hits_at(space, angles, shots, rng):
+    """Target hits among shots measurements at angles, drawn as the commands draw them."""
+    return draw_hits(f1_closed(space, angles.beta, angles.gamma), shots, rng)
 
 
 class TestSampleShots:
     def test_deterministic_per_stream(self):
         space = TargetSpace(4, (3, 9, 12))
         angles = Angles(0.4, 1.1)
-        a = sample_shots(space, angles, 200, shot_rng(7, 0, STANDARD_ARM))
-        b = sample_shots(space, angles, 200, shot_rng(7, 0, STANDARD_ARM))
+        a = hits_at(space, angles, 200, shot_rng(7, 0, STANDARD_ARM))
+        b = hits_at(space, angles, 200, shot_rng(7, 0, STANDARD_ARM))
         assert a == b
 
     def test_streams_differ_by_arm(self):
         space = TargetSpace(4, (3, 9, 12))
         angles = Angles(0.4, 1.1)
-        a = sample_shots(space, angles, 500, shot_rng(7, 0, STANDARD_ARM))
-        b = sample_shots(space, angles, 500, shot_rng(7, 0, NONITERATIVE_ARM))
+        a = hits_at(space, angles, 500, shot_rng(7, 0, STANDARD_ARM))
+        b = hits_at(space, angles, 500, shot_rng(7, 0, NONITERATIVE_ARM))
         assert a != b  # astronomically unlikely to collide at 500 shots
 
     def test_bounds(self):
         space = TargetSpace(3, (1, 6))
-        hits = sample_shots(space, Angles(0.3, 0.9), 64, shot_rng(0, 0, 0))
+        hits = hits_at(space, Angles(0.3, 0.9), 64, shot_rng(0, 0, 0))
         assert 0 <= hits <= 64
 
     def test_full_space_always_hits(self):
         space = TargetSpace(2, (0, 1, 2, 3))
-        hits = sample_shots(space, Angles(0.7, 2.0), 50, shot_rng(1, 2, 3))
+        hits = hits_at(space, Angles(0.7, 2.0), 50, shot_rng(1, 2, 3))
         assert hits == 50
 
     def test_matches_success_probability(self):
@@ -54,31 +61,28 @@ class TestSampleShots:
         angles = Angles(0.5, 1.3)
         p = f1_closed(space, angles.beta, angles.gamma)
         shots = 20000
-        hits = sample_shots(space, angles, shots, shot_rng(42, 0, 0))
+        hits = hits_at(space, angles, shots, shot_rng(42, 0, 0))
         se = np.sqrt(p * (1 - p) / shots)
         assert abs(hits / shots - p) < 5 * se
 
     def test_zero_shots_rejected(self):
-        space = TargetSpace(2, (1,))
-        with pytest.raises(UsageError):
-            sample_shots(space, Angles(0.1, 0.1), 0, shot_rng(0, 0, 0))
+        ensemble = build_ensemble("uniform", 2, 2, {"t_size": 1}, seed=0)
+        with pytest.raises(UsageError, match="shots must be in"):
+            run_success_comparison(ensemble, shots=0, seed=0)
 
     def test_beyond_statevector_width(self):
         space = TargetSpace(26, (1, 5))
-        hits = sample_shots(space, Angles(0.4, 1.1), 1000, shot_rng(0, 0, 0))
+        hits = hits_at(space, Angles(0.4, 1.1), 1000, shot_rng(0, 0, 0))
         assert 0 <= hits <= 1000
 
     @pytest.mark.parametrize("prob, hits", [(1.0 + 1e-12, 30), (-1e-12, 0)])
-    def test_rounding_outside_unit_interval_is_clamped(self, monkeypatch, prob, hits):
-        monkeypatch.setattr(experiments, "f1_closed", lambda space, beta, gamma: prob)
-        space = TargetSpace(2, (1,))
-        assert sample_shots(space, Angles(0.1, 0.1), 30, shot_rng(0, 0, 0)) == hits
+    def test_rounding_outside_unit_interval_is_clamped(self, prob, hits):
+        assert draw_hits(prob, 30, shot_rng(0, 0, 0)) == hits
 
     @pytest.mark.parametrize("prob", [1.5, -0.5, math.nan])
-    def test_probability_outside_unit_interval_is_computation_error(self, monkeypatch, prob):
-        monkeypatch.setattr(experiments, "f1_closed", lambda space, beta, gamma: prob)
+    def test_probability_outside_unit_interval_is_computation_error(self, prob):
         with pytest.raises(ComputationError, match="not in \\[0, 1\\]"):
-            sample_shots(TargetSpace(2, (1,)), Angles(0.1, 0.1), 10, shot_rng(0, 0, 0))
+            draw_hits(prob, 10, shot_rng(0, 0, 0))
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +112,49 @@ class TestLandscapeComparison:
             beta, gamma = points[i]
             values = [mean_ck_squared(space, beta, gamma) for space in spaces]
             assert comparison.bound.values[i] == pytest.approx(
-                error_bound(scaled, values), rel=1e-9, abs=1e-15
+                landscape_oracle.error_bound(scaled, values), rel=1e-9, abs=1e-15
             )
+
+    @pytest.mark.parametrize(
+        "family, n, params",
+        [
+            ("uniform", 10, {"t_size": 20}),
+            ("sat", 10, {"num_clauses": 30}),
+            ("clustered", 10, {"num_seeds": 3, "per_seed": 6}),
+            ("kclique", 10, {}),
+            ("qrfactor", 14, {}),
+        ],
+    )
+    def test_matches_the_per_instance_oracle(self, family, n, params):
+        ensemble = build_ensemble(family, n, 20, params, seed=3)
+        grid = AngleGrid(0.0, np.pi, 0.0, 2 * np.pi, 30, 20)
+        comparison = run_landscape_comparison(ensemble, grid, gamma_c=1.2)
+        want = landscape_oracle.compare(ensemble, grid, 1.2)
+        got = {
+            "mean": comparison.mean.values,
+            "stddev": comparison.mean.stddev,
+            "approx": comparison.approx.values,
+            "error": comparison.error.values,
+            "bound": comparison.bound.values,
+            "cross": comparison.cross_section.values,
+            "cross_stddev": comparison.cross_section.stddev,
+        }
+        for name, values in got.items():
+            assert np.allclose(values, getattr(want, name).ravel(), rtol=0, atol=1e-12), name
+        assert np.array_equal(comparison.approx.values, want.approx.ravel())
+        assert np.array_equal(comparison.cross_section.approx, f1(comparison.summary, grid.betas(), 1.2))
+
+    def test_memory_does_not_grow_with_count_times_grid(self):
+        # per-instance grids would take 2 x 300 x 300 x 301 float64s (about 413 MiB)
+        ensemble = build_ensemble("uniform", 8, 300, {"t_size": 20}, seed=0)
+        grid = AngleGrid(0.0, np.pi, 0.0, 2 * np.pi, 300, 300)
+        tracemalloc.start()
+        try:
+            run_landscape_comparison(ensemble, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_default_cross_section_gamma(self, sat_run):
         ensemble, grid, comparison = sat_run
@@ -180,8 +225,8 @@ class TestSuccessComparison:
         for inst, rec in zip(ensemble.instances, rep.records):
             for arm, outcome in ((STANDARD_ARM, rec.standard),
                                  (NONITERATIVE_ARM, rec.noniterative)):
-                hits = sample_shots(inst.target, outcome.angles, rep.shots,
-                                    shot_rng(rep.seed, inst.id, arm))
+                hits = hits_at(inst.target, outcome.angles, rep.shots,
+                               shot_rng(rep.seed, inst.id, arm))
                 assert outcome.shots_hit == hits
 
     def test_no_f1_evaluated_twice_after_search(self, monkeypatch):

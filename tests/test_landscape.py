@@ -21,22 +21,22 @@ from qaoa_landscape.landscape import (
     c_k,
     coefficient_scan,
     coefficient_z,
-    error_bound,
     f1,
     f1_closed,
     f1_statevector,
     f_n,
     fn_matrix,
-    form_bracket,
     form_coefficients,
     form_z,
     mean_ck_squared,
     qaoa_state,
     w_matrix,
 )
-from qaoa_landscape.problems import build_ensemble
+from qaoa_landscape.experiments import run_landscape_comparison
+from qaoa_landscape.problems import Ensemble, Instance, build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
 
+import landscape_oracle
 from angle_oracle import laurent_z
 from conftest import oracle_spaces, random_space
 
@@ -349,7 +349,7 @@ class TestApproximation:
             n=1, scale=0.5, profile=np.array([1.0, 0.0]), pair=np.array([[1.0, 3.0], [0.0, 0.0]])
         )
         with pytest.raises(ComputationError):
-            form_bracket(broken, 0.8, 1.0)
+            form_z(broken, 0.8)
 
     def test_runtime_100x100_at_n11(self):
         summary = summary_analytic(UniformModel(11, 1024, "paper"))
@@ -360,27 +360,39 @@ class TestApproximation:
 
 
 class TestErrorBound:
+    """The bound grid of run_landscape_comparison against per-instance values."""
+
     def test_hand_value(self):
-        bound = error_bound(np.array([0.25, 0.5]), np.array([0.2, 0.4]))
-        assert abs(bound - 0.0125) < 1e-15
+        # T = {0} at n=1 has bracket 1 + sin(2*beta) sin(gamma), the full space
+        # bracket 1: with s = (1/2, 1) the bound is |sin(2*beta) sin(gamma)| / 8
+        ensemble = Ensemble("hand", 1, 0, {}, (
+            Instance(0, TargetSpace(1, (0,))), Instance(1, TargetSpace(1, (0, 1))),
+        ))
+        grid = AngleGrid(0.1, 1.4, 0.2, 2.9, 4, 5)
+        bound = run_landscape_comparison(ensemble, grid).bound.values
+        want = np.abs(np.outer(np.sin(2 * grid.betas()), np.sin(grid.gammas()))) / 8
+        assert np.allclose(bound, want.ravel(), rtol=0, atol=1e-15)
 
     def test_validation(self):
-        with pytest.raises(UsageError):
-            error_bound(np.array([0.1]), np.array([0.1, 0.2]))
-        with pytest.raises(UsageError):
-            error_bound(np.array([]), np.array([]))
+        # an empty ensemble or one of mixed widths is refused, as aggregate refuses it
+        grid = AngleGrid(0.0, 1.0, 0.0, 1.0, 2, 2)
+        for instances in ((), (Instance(0, TargetSpace(2, (1,))), Instance(1, TargetSpace(3, (1,))))):
+            with pytest.raises(UsageError):
+                run_landscape_comparison(Ensemble("hand", 2, 0, {}, instances), grid)
 
     def test_trailing_point_axes(self, rng):
-        # one bound per point, each the bound of that point's column
-        scaled = rng.uniform(0, 1, 7)
-        values = rng.uniform(0, 2, (7, 3, 4))
-        bound = error_bound(scaled, values)
-        assert bound.shape == (3, 4)
-        for i in range(3):
-            for j in range(4):
-                assert bound[i, j] == error_bound(scaled, values[:, i, j])
-        with pytest.raises(UsageError):
-            error_bound(scaled, values[:6])
+        # one bound per lattice point, each the bound of that point's column
+        instances = tuple(Instance(i, random_space(rng, 5)) for i in range(7))
+        ensemble = Ensemble("random", 5, 0, {}, instances)
+        grid = AngleGrid(0.0, math.pi, 0.0, 2 * math.pi, 3, 4)
+        bound = run_landscape_comparison(ensemble, grid).bound.values.reshape(3, 4)
+        spaces = [inst.target for inst in ensemble.instances]
+        scaled = np.array([len(s) for s in spaces]) / 32
+        for i, beta in enumerate(grid.betas()):
+            for j, gamma in enumerate(grid.gammas()):
+                brackets = [mean_ck_squared(s, beta, gamma) for s in spaces]
+                want = landscape_oracle.error_bound(scaled, brackets)
+                assert bound[i, j] == pytest.approx(want, rel=1e-9, abs=1e-15)
 
     def test_dominates_actual_deviation(self, rng):
         # mean(F1) - mean(S)*mean(M) is exactly cov(S, M), bounded by the product
@@ -391,7 +403,7 @@ class TestErrorBound:
             mvals = np.array([mean_ck_squared(s, beta, gamma) for s in spaces])
             f1s = np.array([f1_closed(s, beta, gamma) for s in spaces])
             deviation = abs(f1s.mean() - scaled.mean() * mvals.mean())
-            assert deviation <= error_bound(scaled, mvals) + 1e-12
+            assert deviation <= landscape_oracle.error_bound(scaled, mvals) + 1e-12
 
 
 class TestEvalGrid:

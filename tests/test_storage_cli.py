@@ -489,7 +489,7 @@ class TestCli:
         def refuse(*args):  # an unchecked 1e30 would ask for 5e30 clauses
             raise AssertionError("an ensemble was generated for a bad alpha")
 
-        monkeypatch.setattr(problems, "build_ensemble", refuse)
+        monkeypatch.setattr(experiments, "build_ensemble", refuse)
         code = cli.main(["sat-alpha", "--n", "5", "--alphas", alphas, "--count", "1",
                          "--out-prefix", str(tmp_path / "sa")])
         err = capsys.readouterr().err
@@ -523,7 +523,7 @@ class TestCli:
         def refuse(*args, **kwargs):
             raise AssertionError("work was started for a bad shot count")
 
-        monkeypatch.setattr(problems, "build_ensemble", refuse)
+        monkeypatch.setattr(experiments, "build_ensemble", refuse)
         monkeypatch.setattr(experiments, "best_angles_all", refuse)
         source = ["--ensemble", str(ens)] if command == "compare" else ["--n", "12"]
         code = cli.main([command, *source, "--shots", shots,
