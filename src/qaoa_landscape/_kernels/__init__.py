@@ -65,10 +65,13 @@ def shell_profiles(states: np.ndarray, n: int) -> np.ndarray:
     passed so far.  It starts as the indicator of the set at d = 0; the pass
     over qubit q adds shells[d-1, x ^ 2^q], read from before the pass, into
     shells[d, x].  After q passes no count sits beyond d = q.
+
+    No count exceeds m, so the table takes the narrowest signed integer type
+    that holds m: the passes are memory-bound, and int16 halves int32's bytes.
     """
     index = np.ascontiguousarray(states, dtype=np.intp)
     m = index.shape[0]
-    dtype = np.int32 if m <= np.iinfo(np.int32).max else np.int64  # counts <= m
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
     shells = np.zeros((n + 1, 1 << n), dtype=dtype)
     shells[0, index] = 1
     for q in range(n):

@@ -24,6 +24,7 @@ MAX_WIDTH = 32
 MAX_STATEVECTOR_WIDTH = 24  # 2^n complex amplitudes must stay in memory
 MAX_BINOMIAL_N = 64  # C(64, 32) still fits a signed 64-bit integer
 MAX_GRID_POINTS = 10**6  # a landscape grid holds a few float64 arrays of this many points
+_PAIR_BLOCK = 4096  # rows per float64 gemm in exact_pair_sums: 20-bit limbs
 
 
 class UsageError(ValueError):
@@ -112,14 +113,36 @@ def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
 
     Every entry is a sum of m products of two entries of P, so it stays below
     m * max(P)^2; that bound must stay below 2^63.
+
+    numpy's integer matmul does not use BLAS, so the sums run as float64
+    gemms on an error-free split of P into b-bit limbs (Ozaki, Ogita, Oishi
+    and Rump, Numer. Algorithms 59, 2012).  A block of r rows gets limbs of
+    b = (53 - bitlen(r)) // 2 bits, so each partial sum of a gemm is an
+    integer below r * 2^(2b) <= 2^53 and exact in any summation order.  The
+    limb blocks of each gemm are shifted back and summed in int64, one row
+    block at a time, so no float64 copy of the whole matrix is held.
     """
-    m = profiles.shape[0]
+    m, width = profiles.shape
     peak = int(profiles.max(initial=0))
     if m * peak * peak >= 1 << 63:
         raise UsageError(
             f"P^T P of {m} profiles with counts up to {peak} would overflow int64"
         )
-    return profiles.T @ profiles
+    bits = (53 - min(m, _PAIR_BLOCK).bit_length()) // 2
+    limbs = max(1, -(-peak.bit_length() // bits))
+    mask = (1 << bits) - 1
+    out = np.zeros((width, width), dtype=np.int64)
+    for start in range(0, m, _PAIR_BLOCK):
+        block = profiles[start : start + _PAIR_BLOCK]
+        split = np.empty((block.shape[0], limbs * width))
+        for i in range(limbs):
+            split[:, i * width : (i + 1) * width] = (block >> (i * bits)) & mask
+        gram = (split.T @ split).astype(np.int64)
+        for i in range(limbs):
+            for j in range(limbs):
+                part = gram[i * width : (i + 1) * width, j * width : (j + 1) * width]
+                out += part << ((i + j) * bits)
+    return out
 
 
 def distance_profile(space: TargetSpace, k: int) -> np.ndarray:

@@ -27,17 +27,22 @@ def _texts(values) -> list[str]:
     return [format(v, ".17g") for v in np.asarray(values, dtype=np.float64).tolist()]
 
 
-def _write_csv(path: str | Path, header: str, columns: list[list[str]]) -> None:
-    """The header, then row i joining the i-th text of each column.
+def _write_csv(path: str | Path, header: str, lines) -> None:
+    """The header, then each line of the iterable `lines`.
 
-    Rows are streamed to the file, so no copy of the whole text is held.
+    Lines are streamed to the file, so no copy of the whole text is held.
     """
     try:
         with open(path, "w") as out:
             out.write(header + "\n")
-            out.writelines(",".join(row) + "\n" for row in zip(*columns))
+            out.writelines(lines)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _rows(columns: list[list[str]]):
+    """Line i joins the i-th text of each column."""
+    return (",".join(row) + "\n" for row in zip(*columns))
 
 
 def write_json(doc, path: str | Path) -> None:
@@ -216,25 +221,33 @@ def load_summary(path: str | Path) -> StructuralSummary:
 
 
 def grid_to_csv(grid: LandscapeGrid, path: str | Path) -> None:
-    """One row per lattice point, row-major (beta outer, gamma inner)."""
+    """One row per lattice point, row-major (beta outer, gamma inner).
+
+    Each axis value is formatted once.  The gamma texts fix one template per
+    beta row, and each row of cells is written by a single `%` call, so the
+    text held at any time is one beta row.
+    """
     lattice = grid.grid
     header = "beta,gamma,value" + (",stddev" if grid.stddev is not None else "")
-    # each axis value is formatted once, then repeated (beta) or tiled (gamma)
-    betas = [text for text in _texts(lattice.betas()) for _ in range(lattice.gamma_steps)]
-    columns = [betas, _texts(lattice.gammas()) * lattice.beta_steps, _texts(grid.values)]
-    if grid.stddev is not None:
-        columns.append(_texts(grid.stddev))
-    _write_csv(path, header, columns)
+    cells = [grid.values] if grid.stddev is None else [grid.values, grid.stddev]
+    slots = ",%.17g" * len(cells) + "\n"
+    pieces = [f",{gamma}{slots}" for gamma in _texts(lattice.gammas())]
+    rows = zip(*(np.asarray(c, dtype=np.float64).reshape(lattice.beta_steps, -1) for c in cells))
+    lines = (
+        (beta + beta.join(pieces)) % tuple(np.stack(row, axis=-1).ravel().tolist())
+        for beta, row in zip(_texts(lattice.betas()), rows)
+    )
+    _write_csv(path, header, lines)
 
 
 def cross_section_to_csv(section: CrossSection, path: str | Path) -> None:
     columns = [section.betas, section.values, section.stddev, section.approx]
-    _write_csv(path, "beta,value,stddev,approx", [_texts(c) for c in columns])
+    _write_csv(path, "beta,value,stddev,approx", _rows([_texts(c) for c in columns]))
 
 
 def curve_to_csv(betas, values, path: str | Path) -> None:
     """A fixed-gamma curve: one row per beta."""
-    _write_csv(path, "beta,value", [_texts(betas), _texts(values)])
+    _write_csv(path, "beta,value", _rows([_texts(betas), _texts(values)]))
 
 
 def report_to_csv(report: ComparisonReport, path: str | Path) -> None:
@@ -254,7 +267,7 @@ def report_to_csv(report: ComparisonReport, path: str | Path) -> None:
         [str(outcome.shots_hit) for outcome in outcomes],
         [str(report.shots)] * len(outcomes),
     ]
-    _write_csv(path, "id,arm,beta,gamma,success_prob,shots_hit,shots", columns)
+    _write_csv(path, "id,arm,beta,gamma,success_prob,shots_hit,shots", _rows(columns))
 
 
 def report_to_dict(report: ComparisonReport) -> dict:

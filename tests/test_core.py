@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qaoa_landscape.core import (
+    _PAIR_BLOCK,
     MAX_GRID_POINTS,
     Angles,
     AngleGrid,
@@ -133,6 +134,56 @@ class TestExactPairSums:
         profiles = np.broadcast_to(row, (1 << 23, 24))
         with pytest.raises(UsageError, match="overflow int64"):
             exact_pair_sums(profiles)
+
+
+def int64_pair_sums(profiles):
+    """The oracle of `exact_pair_sums`: numpy's int64 matmul, exact below the wrap bound."""
+    return profiles.T @ profiles
+
+
+@st.composite
+def profile_matrices(draw):
+    """Non-negative (m, width) int64 matrices with m * max^2 < 2^63.
+
+    m runs past one gemm block; the peak is small (one limb), anywhere up to
+    the wrap bound, or the largest count the bound allows (several limbs).
+    """
+    m = draw(st.one_of(st.integers(1, 50), st.integers(_PAIR_BLOCK - 1, 2 * _PAIR_BLOCK + 1)))
+    width = draw(st.integers(1, 24))
+    top = math.isqrt(((1 << 63) - 1) // m)  # m * top^2 < 2^63
+    peak = draw(st.one_of(st.integers(0, 1 << 20), st.integers(0, top), st.just(top)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    profiles = rng.integers(0, peak, size=(m, width), endpoint=True, dtype=np.int64)
+    profiles[draw(st.integers(0, m - 1)), draw(st.integers(0, width - 1))] = peak
+    return profiles
+
+
+class TestLimbRoute:
+    @settings(max_examples=60, deadline=None)
+    @given(profile_matrices())
+    def test_equals_the_int64_oracle(self, profiles):
+        got = exact_pair_sums(profiles)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, int64_pair_sums(profiles))
+
+    @pytest.mark.parametrize(
+        "m,peak",
+        [
+            (3, (1 << 20) - 1),  # one limb
+            (3, math.isqrt(((1 << 63) - 1) // 3)),  # two limbs, at the wrap bound
+            (3 * _PAIR_BLOCK + 5, (1 << 20) - 1),  # one limb, four blocks
+            (3 * _PAIR_BLOCK + 5, math.isqrt(((1 << 63) - 1) // (3 * _PAIR_BLOCK + 5))),
+        ],
+    )
+    def test_constant_rows(self, m, peak):
+        # every entry of P^T P is m * peak^2, the largest sum the counts allow
+        profiles = np.full((m, 3), peak, dtype=np.int64)
+        assert np.all(exact_pair_sums(profiles) == m * peak * peak)
+
+    @pytest.mark.parametrize("n,size", [(14, 4096), (14, 9000), (16, 1 << 16)])
+    def test_dense_target_sets(self, rng, n, size):
+        space = random_space(rng, n, size)
+        assert np.array_equal(exact_pair_sums(space.profiles), int64_pair_sums(space.profiles))
 
 
 class TestDistanceProfile:

@@ -1,10 +1,12 @@
 import math
 from functools import reduce
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qaoa_landscape.core import TargetSpace, distance_profile
 from qaoa_landscape._kernels import (
     PAIRWISE_ROUTE,
     SHELL_ROUTE,
@@ -76,6 +78,44 @@ class TestShellsAgainstPairwise:
         pairwise = pairwise_profiles(states, n)
         assert shells.dtype == pairwise.dtype == np.int64
         assert np.array_equal(shells, pairwise)
+
+
+def star(n, d, m):
+    """State 0 and m - 1 states of weight d: row 0 counts m - 1 at distance d."""
+    weight_d = (sum(1 << q for q in bits) for bits in combinations(range(n), d))
+    return np.array([0, *islice(weight_d, m - 1)], dtype=np.uint64)
+
+
+class TestShellTableWidths:
+    """The shell table's integer type widens at m = 128 and m = 32768.
+
+    Each case holds a row whose largest count is m - 1, the most any target's
+    row can hold away from distance 0; one past each switch point that count
+    no longer fits the narrower type, so a switch made too late shows.
+    """
+
+    @pytest.mark.parametrize("m", [127, 128, 129])
+    def test_int8_to_int16(self, m):
+        # the star, and the first m states: at m = 128 the whole n=7 space
+        for states in (star(10, 4, m), np.arange(m, dtype=np.uint64)):
+            shells = shell_profiles(states, 10)
+            pairwise = pairwise_profiles(states, 10)
+            assert shells.dtype == pairwise.dtype == np.int64
+            assert np.array_equal(shells, pairwise)  # shapes included
+
+    @pytest.mark.parametrize("m", [32767, 32768, 32769])
+    def test_int16_to_int32(self, rng, m):
+        # the pairwise kernel takes ~10 s at this m, so rows are checked one
+        # by one against the per-reference oracle: row 0 and a random sample
+        n = 18
+        states = star(n, 9, m)
+        shells = shell_profiles(states, n)
+        assert shells.dtype == np.int64 and shells.shape == (m, n + 1)
+        assert shells[0, 9] == m - 1
+        assert np.all(shells.sum(axis=1) == m)
+        space = TargetSpace.from_iterable(n, states.tolist())
+        for row in [0, m - 1, *rng.choice(m, size=200, replace=False).tolist()]:
+            assert np.array_equal(shells[row], distance_profile(space, int(states[row])))
 
 
 class TestProfileRoute:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -151,6 +152,23 @@ class TestGridCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "beta,gamma,value,stddev"
         assert float(lines[1].split(",")[3]) == 0.01
+
+    def test_memory_holds_one_row_of_text(self, tmp_path):
+        # the text of all 90000 cells would take about 17 MiB
+        grid = AngleGrid(0.0, 1.0, 0.0, 2.0, 300, 300)
+        rng = np.random.default_rng(0)
+        result = LandscapeGrid(
+            grid=grid, values=rng.standard_normal(90000), stddev=rng.random(90000)
+        )
+        path = tmp_path / "g.csv"
+        tracemalloc.start()
+        try:
+            storage.grid_to_csv(result, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert len(path.read_text().splitlines()) == 1 + 90000
 
 
 @pytest.fixture(scope="module")
