@@ -5,7 +5,7 @@ and give the same int64 values:
 
 * `pairwise_profiles` histograms all |T|^2 pairwise distances, O(|T|^2 n);
 * `shell_profiles` grows Hamming shells around the targets over all 2^n
-  states, one pass per qubit, O(n^2 2^n) integer adds.
+  states, one pass per qubit, O(n^2 2^n) integer adds made in place.
 
 `distance_profiles` runs the one that `profile_route` picks from n and |T|
 alone.  `apply_mixer` serves only the statevector oracle.
@@ -17,7 +17,7 @@ import numpy as np
 
 BACKEND = "numpy"
 
-_ROW_BLOCK = 512  # bounds the m x m distance matrix to ~4 MB per block
+_BLOCK_DISTANCES = 512 * 1024  # per pairwise row block: ~4 MB of uint64 XORs
 
 PAIRWISE_ROUTE = "pairwise"
 SHELL_ROUTE = "shells"
@@ -27,10 +27,10 @@ def profile_route(n: int, m: int) -> str:
     """The profile kernel for m targets of width n: shells or pairwise.
 
     Shells win when n(n+1) 2^n, twice their integer adds, undercuts the m^2
-    pairs and their (n+1) 2^n table is no larger than one pairwise row block.
+    pairs and their (n+1) 2^n table is no larger than 512 pairwise rows.
     """
     table = (n + 1) << n
-    if n * table < m * m and table <= _ROW_BLOCK * m:
+    if n * table < m * m and table <= 512 * m:
         return SHELL_ROUTE
     return PAIRWISE_ROUTE
 
@@ -48,8 +48,9 @@ def pairwise_profiles(states: np.ndarray, n: int) -> np.ndarray:
     m = states.shape[0]
     out = np.empty((m, n + 1), dtype=np.int64)
     width = n + 1
-    for start in range(0, m, _ROW_BLOCK):
-        block = states[start : start + _ROW_BLOCK]
+    step = max(1, _BLOCK_DISTANCES // m)
+    for start in range(0, m, step):
+        block = states[start : start + step]
         dist = np.bitwise_count(block[:, None] ^ states[None, :]).astype(np.int64)
         rows = block.shape[0]
         offsets = np.arange(rows, dtype=np.int64)[:, None] * width + dist
@@ -63,8 +64,9 @@ def shell_profiles(states: np.ndarray, n: int) -> np.ndarray:
 
     shells[d, x] counts the states at distance d from x over the qubits
     passed so far.  It starts as the indicator of the set at d = 0; the pass
-    over qubit q adds shells[d-1, x ^ 2^q], read from before the pass, into
-    shells[d, x].  After q passes no count sits beyond d = q.
+    over qubit q adds shells[d-1, x ^ 2^q] into shells[d, x] in place, for d
+    from q+1 down to 1: row d-1 is read before its own update, so no copy.
+    After q passes no count sits beyond d = q.
 
     No count exceeds m, so the table takes the narrowest signed integer type
     that holds m: the passes are memory-bound, and int16 halves int32's bytes.
@@ -75,12 +77,9 @@ def shell_profiles(states: np.ndarray, n: int) -> np.ndarray:
     shells = np.zeros((n + 1, 1 << n), dtype=dtype)
     shells[0, index] = 1
     for q in range(n):
-        view = shells.reshape(n + 1, -1, 2, 1 << q)
-        lo = view[: q + 2, :, 0, :]
-        hi = view[: q + 2, :, 1, :]
-        low_before = lo[:-1].copy()
-        lo[1:] += hi[:-1]
-        hi[1:] += low_before
+        rows = shells.reshape(n + 1, -1, 2, 1 << q)
+        for d in range(q + 1, 0, -1):
+            rows[d] += rows[d - 1, :, ::-1]
     return np.ascontiguousarray(shells[:, index].T, dtype=np.int64)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 from itertools import combinations, islice
 
@@ -39,8 +40,9 @@ def random_amps(rng, n):
 class TestPairwiseProfiles:
     """Each test runs both profile kernels, pairwise and shells."""
 
-    # m=600 spans two row blocks of the pairwise kernel
-    @pytest.mark.parametrize("n,m", [(1, 2), (4, 7), (8, 100), (11, 600)])
+    # a pairwise block holds 2^19 // m rows: m=1500 spans five blocks of 349
+    # rows, the last one partial
+    @pytest.mark.parametrize("n,m", [(1, 2), (4, 7), (8, 100), (11, 600), (12, 1500)])
     def test_matches_brute_force(self, rng, n, m):
         states = random_states(rng, n, m)
         want = brute_force_profiles(states, n)
@@ -133,8 +135,34 @@ class TestProfileRoute:
     def test_shell_table_capped_at_one_row_block(self):
         # full space at n=20: far fewer adds than pairs, table within the cap
         assert profile_route(20, 1 << 20) == SHELL_ROUTE
-        # n=30 with 2^25 targets: adds win, but the 31 * 2^30 table is ~2x a block
+        # n=30 with 2^25 targets: adds win, but the 31 * 2^30 table is ~2x 512 rows
         assert profile_route(30, 1 << 25) == PAIRWISE_ROUTE
+
+
+def traced_peak(kernel, states, n):
+    """Bytes the kernel call peaks at under tracemalloc, its inputs excluded."""
+    tracemalloc.start()
+    try:
+        kernel(states, n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    def test_shell_peak_is_table_gather_and_result(self, rng):
+        # m = 2^15 holds an int32 table; the gathered table is also int32
+        n, m = 16, 1 << 15
+        states = random_states(rng, n, m)
+        table = (n + 1) * (1 << n) * 4
+        gathered = (n + 1) * m * 4
+        result = (n + 1) * m * 8
+        assert traced_peak(shell_profiles, states, n) <= 1.1 * (table + gathered + result)
+
+    def test_pairwise_block_sized_by_m(self, rng):
+        # all 4000^2 distances take 128 MB as uint64; a block of 2^19 takes 4 MB
+        states = random_states(rng, 20, 4000)
+        assert traced_peak(pairwise_profiles, states, 20) < 24 * 2**20
 
 
 class TestApplyMixer:
