@@ -56,7 +56,7 @@ class TargetSpace:
     The one validator of a target set: every state is an int (bool refused)
     that fits n bits, and the states are distinct and ascending.  The space
     also owns everything the landscape reads from it: |T|, the mean distance
-    profile and the mean pair matrix, each computed once.
+    profile and the mean pair matrix, of which it keeps only the pair matrix.
     """
 
     n: int
@@ -87,20 +87,20 @@ class TargetSpace:
     def states_array(self) -> np.ndarray:
         return np.asarray(self.states, dtype=np.uint64)
 
-    @cached_property
+    @property
     def profiles(self) -> np.ndarray:
         """(|T|, n+1) int64 matrix; row i is the distance profile of states[i].
 
-        Computed once per target space by whichever exact kernel costs less
+        Built on each access, never kept, by the exact kernel that costs less
         at this n and |T|: pairwise distances, O(|T|^2 n), or Hamming shells
         over all 2^n states, O(n^2 2^n).  Both give the same integers.
         """
         return _kernels.distance_profiles(self.states_array, self.n)
 
-    @cached_property
+    @property
     def mean_profile(self) -> np.ndarray:
-        """(n+1,) float64 mean distance profile: exact int64 column sums / |T|."""
-        return self.profiles.sum(axis=0) / len(self)
+        """(n+1,) float64 mean distance profile: row 0 of mean_pair, since every P[i, 0] is 1."""
+        return self.mean_pair[0]
 
     @cached_property
     def mean_pair(self) -> np.ndarray:

@@ -74,7 +74,10 @@ def c_k(beta: float, gamma: float, profile: np.ndarray, n: int) -> complex:
 
 
 def mean_ck_squared(space: TargetSpace, beta: float, gamma: float) -> float:
-    """mean_k |c_k|^2 over the targets, one target at a time (oracle route)."""
+    """mean_k |c_k|^2 over the targets, one target at a time (oracle route).
+
+    Reads `space.profiles`, which is rebuilt on every call, not kept.
+    """
     fn = fn_matrix(beta, space.n)
     phase = cmath.exp(-1j * gamma) - 1.0
     ck = phase * (space.profiles @ fn) + binomial_row(space.n) @ fn

@@ -55,14 +55,19 @@ def write_json(doc, path: str | Path) -> None:
 
 
 def _read_json(path: str | Path):
+    """The JSON document at `path`; any file it cannot decode is a UsageError."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # deep nesting; an integer past the digit limit
+        raise UsageError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

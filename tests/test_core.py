@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qaoa_landscape._kernels import PAIRWISE_ROUTE, SHELL_ROUTE, profile_route
 from qaoa_landscape.core import (
     _PAIR_BLOCK,
     MAX_GRID_POINTS,
@@ -110,10 +111,12 @@ class TestTargetSpace:
             TargetSpace(3, (state,))
 
     def test_means_divide_the_exact_sums_once(self, rng):
-        space = random_space(rng, 6, 9)
-        assert np.array_equal(space.mean_profile, space.profiles.sum(0) / 9)
-        assert np.array_equal(space.mean_pair, exact_pair_sums(space.profiles) / 9)
-        assert space.mean_pair is space.mean_pair  # cached, not rebuilt per read
+        for n, m, route in ((6, 9, PAIRWISE_ROUTE), (10, 600, SHELL_ROUTE)):
+            assert profile_route(n, m) == route
+            space = random_space(rng, n, m)
+            assert np.array_equal(space.mean_profile, space.profiles.sum(0) / m)
+            assert np.array_equal(space.mean_pair, exact_pair_sums(space.profiles) / m)
+            assert space.mean_pair is space.mean_pair  # cached, not rebuilt per read
 
 
 class TestExactPairSums:

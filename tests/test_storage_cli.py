@@ -734,6 +734,25 @@ class TestCli:
         assert err.startswith("error: cannot write nodir/") and err.count("\n") == 1
         assert sorted(path.name for path in tmp_path.iterdir()) == ["s.json"]
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe{}", "not UTF-8 text: invalid start byte at byte 0"),
+            (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+            (b"1" * 5000, "invalid JSON: Exceeds the limit (4300 digits)"),
+        ],
+        ids=["not-utf8", "deep-nesting", "long-integer"],
+    )
+    @pytest.mark.parametrize("reader", ["summarize --ensemble", "optimize --summary"])
+    def test_undecodable_input_file_exits_1(self, tmp_path, capsys, reader, content, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        code = cli.main(reader.split() + [str(path), "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert [entry.name for entry in tmp_path.iterdir()] == ["in.json"]
+
 
 GOOD_SUMMARY = {
     "n": 1,

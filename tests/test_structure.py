@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,27 @@ class TestAggregate:
         summary = aggregate([random_space(rng, 5, 8)])
         assert summary.var_tsize == 0.0
         assert summary.e_tsize == 8.0
+
+    def test_keeps_no_profile_matrix(self, rng):
+        # n = 16, |T| = 2^14 takes the shell route; each profile matrix holds 2.2 MB,
+        # and each kept uint64 state array, built here before tracing, 128 KiB
+        spaces = [random_space(rng, 16, 1 << 14) for _ in range(9)]
+        for space in spaces:
+            space.states_array
+        _, one_peak = traced(lambda: spaces[8].mean_pair)
+        kept, peak = traced(lambda: aggregate(spaces[:8]))
+        assert kept < 2**20
+        assert peak <= 1.1 * one_peak
+
+
+def traced(call) -> tuple[int, int]:
+    """Bytes still held after call() returns, and its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
 
 
 def summary(e_profile, e_pair, e_tsize=1.0) -> StructuralSummary:
