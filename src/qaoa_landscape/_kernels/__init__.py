@@ -1,14 +1,18 @@
 """Numpy kernels: distance profiles and the statevector mixer.
 
 Two exact integer routes build a target space's (|T|, n+1) profile matrix
-and give the same int64 values:
+and give the same values:
 
-* `pairwise_profiles` histograms all |T|^2 pairwise distances, O(|T|^2 n);
+* `pairwise_profiles` histograms all |T|^2 pairwise distances, O(|T|^2 n),
+  into an int64 matrix;
 * `shell_profiles` grows Hamming shells around the targets over all 2^n
-  states, one pass per qubit, O(n^2 2^n) integer adds made in place.
+  states, one pass per qubit, O(n^2 2^n) integer adds made in place, and
+  returns the shell table read at the targets in the table's own narrow
+  integer type, never widened.
 
 `distance_profiles` runs the one that `profile_route` picks from n and |T|
-alone.  `apply_mixer` serves only the statevector oracle.
+alone; a caller that needs int64 widens what it reads.  `apply_mixer` serves
+only the statevector oracle.
 """
 
 import math
@@ -36,7 +40,10 @@ def profile_route(n: int, m: int) -> str:
 
 
 def distance_profiles(states: np.ndarray, n: int) -> np.ndarray:
-    """(m, n+1) int64 profile matrix of m distinct states, by the cheaper route."""
+    """(m, n+1) profile matrix of m distinct states, by the cheaper route.
+
+    int64 from the pairwise route; the shell table's narrow type from shells.
+    """
     if profile_route(n, len(states)) == SHELL_ROUTE:
         return shell_profiles(states, n)
     return pairwise_profiles(states, n)
@@ -60,7 +67,7 @@ def pairwise_profiles(states: np.ndarray, n: int) -> np.ndarray:
 
 
 def shell_profiles(states: np.ndarray, n: int) -> np.ndarray:
-    """(m, n+1) int64 matrix equal to `pairwise_profiles(states, n)`.
+    """(m, n+1) matrix equal in value to `pairwise_profiles(states, n)`.
 
     shells[d, x] counts the states at distance d from x over the qubits
     passed so far.  It starts as the indicator of the set at d = 0; the pass
@@ -70,6 +77,8 @@ def shell_profiles(states: np.ndarray, n: int) -> np.ndarray:
 
     No count exceeds m, so the table takes the narrowest signed integer type
     that holds m: the passes are memory-bound, and int16 halves int32's bytes.
+    The result is the table's columns at the targets in that type, a
+    transposed (Fortran-ordered) view of the gather `shells[:, states]`.
     """
     index = np.ascontiguousarray(states, dtype=np.intp)
     m = index.shape[0]
@@ -80,7 +89,7 @@ def shell_profiles(states: np.ndarray, n: int) -> np.ndarray:
         rows = shells.reshape(n + 1, -1, 2, 1 << q)
         for d in range(q + 1, 0, -1):
             rows[d] += rows[d - 1, :, ::-1]
-    return np.ascontiguousarray(shells[:, index].T, dtype=np.int64)
+    return shells[:, index].T
 
 
 def apply_mixer(amps: np.ndarray, beta: float, n: int) -> None:

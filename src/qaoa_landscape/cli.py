@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on usage errors (bad flags, malformed inputs),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -157,6 +158,7 @@ def _cmd_sat_alpha(args) -> int:
     return 0
 
 
+@functools.cache  # parsing keeps no state in the parser: one tree serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="qaoa-landscape", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

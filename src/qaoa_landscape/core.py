@@ -93,9 +93,11 @@ class TargetSpace:
 
         Built on each access, never kept, by the exact kernel that costs less
         at this n and |T|: pairwise distances, O(|T|^2 n), or Hamming shells
-        over all 2^n states, O(n^2 2^n).  Both give the same integers.
+        over all 2^n states, O(n^2 2^n).  Both give the same integers; the
+        shells' narrow table is widened to int64 here, on read.
         """
-        return _kernels.distance_profiles(self.states_array, self.n)
+        profiles = _kernels.distance_profiles(self.states_array, self.n)
+        return np.ascontiguousarray(profiles, dtype=np.int64)
 
     @property
     def mean_profile(self) -> np.ndarray:
@@ -104,23 +106,31 @@ class TargetSpace:
 
     @cached_property
     def mean_pair(self) -> np.ndarray:
-        """(n+1, n+1) float64 mean profile outer product: exact P^T P / |T|."""
-        return exact_pair_sums(self.profiles) / len(self)
+        """(n+1, n+1) float64 mean profile outer product: exact P^T P / |T|.
+
+        Summed straight from the profile kernel's own integer type: on the
+        shell route no int64 copy of P is made.
+        """
+        return exact_pair_sums(_kernels.distance_profiles(self.states_array, self.n)) / len(self)
 
 
 def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
-    """P^T P of a non-negative int64 profile matrix, refused where int64 would wrap.
+    """int64 P^T P of a non-negative integer matrix, refused where int64 would wrap.
 
-    Every entry is a sum of m products of two entries of P, so it stays below
-    m * max(P)^2; that bound must stay below 2^63.
+    P may have any integer type and either memory order.  Every entry is a
+    sum of m products of two entries of P, so it stays below m * max(P)^2;
+    that bound must stay below 2^63.
 
     numpy's integer matmul does not use BLAS, so the sums run as float64
     gemms on an error-free split of P into b-bit limbs (Ozaki, Ogita, Oishi
     and Rump, Numer. Algorithms 59, 2012).  A block of r rows gets limbs of
     b = (53 - bitlen(r)) // 2 bits, so each partial sum of a gemm is an
-    integer below r * 2^(2b) <= 2^53 and exact in any summation order.  The
-    limb blocks of each gemm are shifted back and summed in int64, one row
-    block at a time, so no float64 copy of the whole matrix is held.
+    integer below r * 2^(2b) <= 2^53 and exact in any summation order.  One
+    limb (every profile up to the full space at n = 22) is the block itself
+    converted to float64; several are shifted and masked out of the block.
+    The limb blocks of each gemm are shifted back and summed in int64, one
+    row block at a time, so no float64 or int64 copy of the whole matrix is
+    held.
     """
     m, width = profiles.shape
     peak = int(profiles.max(initial=0))
@@ -134,9 +144,12 @@ def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
     out = np.zeros((width, width), dtype=np.int64)
     for start in range(0, m, _PAIR_BLOCK):
         block = profiles[start : start + _PAIR_BLOCK]
-        split = np.empty((block.shape[0], limbs * width))
-        for i in range(limbs):
-            split[:, i * width : (i + 1) * width] = (block >> (i * bits)) & mask
+        if limbs == 1:  # the counts are their own limb (a 20-bit mask overflows int8, int16)
+            split = block.astype(np.float64)
+        else:  # counts of 2^20 or more come in 32 bits or more, which every mask fits
+            split = np.empty((block.shape[0], limbs * width))
+            for i in range(limbs):
+                split[:, i * width : (i + 1) * width] = (block >> (i * bits)) & mask
         gram = (split.T @ split).astype(np.int64)
         for i in range(limbs):
             for j in range(limbs):

@@ -161,6 +161,31 @@ def profile_matrices(draw):
     return profiles
 
 
+NARROW_TYPES = (np.int8, np.int16, np.int32)
+
+
+@st.composite
+def narrow_profile_matrices(draw):
+    """Non-negative (m, width) int8, int16 or int32 matrices with m * max^2 < 2^63.
+
+    The peak is small, anywhere up to the type's or the wrap bound's limit,
+    or at that limit: int32 reaches two limbs (2^20 and more) and, for m >= 3,
+    the wrap bound.  Half are Fortran-ordered, as the shell route's
+    transposed gather is.
+    """
+    dtype = draw(st.sampled_from(NARROW_TYPES))
+    m = draw(st.one_of(st.integers(1, 50), st.integers(_PAIR_BLOCK - 1, 2 * _PAIR_BLOCK + 1)))
+    width = draw(st.integers(1, 24))
+    top = min(int(np.iinfo(dtype).max), math.isqrt(((1 << 63) - 1) // m))
+    peak = draw(st.one_of(st.integers(0, min(top, 100)), st.integers(0, top), st.just(top)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    profiles = rng.integers(0, peak, size=(m, width), endpoint=True, dtype=dtype)
+    profiles[draw(st.integers(0, m - 1)), draw(st.integers(0, width - 1))] = peak
+    if draw(st.booleans()):
+        profiles = np.ascontiguousarray(profiles.T).T
+    return profiles
+
+
 class TestLimbRoute:
     @settings(max_examples=60, deadline=None)
     @given(profile_matrices())
@@ -168,6 +193,36 @@ class TestLimbRoute:
         got = exact_pair_sums(profiles)
         assert got.dtype == np.int64
         assert np.array_equal(got, int64_pair_sums(profiles))
+
+    @settings(max_examples=80, deadline=None)
+    @given(narrow_profile_matrices())
+    def test_narrow_types_equal_the_int64_oracle(self, profiles):
+        got = exact_pair_sums(profiles)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, int64_pair_sums(profiles.astype(np.int64)))
+
+    @pytest.mark.parametrize(
+        "dtype,m,peak",
+        [
+            (np.int8, 3, 127),  # one limb
+            (np.int16, 3 * _PAIR_BLOCK + 5, (1 << 15) - 1),  # one limb, four blocks
+            (np.int32, _PAIR_BLOCK - 1, 1 << 20),  # two 20-bit limbs
+            (np.int32, _PAIR_BLOCK - 1, math.isqrt(((1 << 63) - 1) // (_PAIR_BLOCK - 1))),
+            (np.int32, 3, math.isqrt(((1 << 63) - 1) // 3)),  # two 25-bit limbs, at the bound
+        ],
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_narrow_constant_rows(self, dtype, m, peak, order):
+        profiles = np.full((m, 3), peak, dtype=dtype, order=order)
+        got = exact_pair_sums(profiles)
+        assert np.array_equal(got, int64_pair_sums(profiles.astype(np.int64)))
+        assert np.all(got == m * peak * peak)
+
+    def test_narrow_products_that_would_wrap_are_refused(self):
+        # three int32 rows of 2^31 - 1: 3 (2^31 - 1)^2 wraps int64
+        profiles = np.full((3, 2), (1 << 31) - 1, dtype=np.int32)
+        with pytest.raises(UsageError, match="overflow int64"):
+            exact_pair_sums(profiles)
 
     @pytest.mark.parametrize(
         "m,peak",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qaoa_landscape.core import TargetSpace, distance_profile
+from qaoa_landscape.core import _PAIR_BLOCK, TargetSpace, distance_profile
 from qaoa_landscape._kernels import (
     PAIRWISE_ROUTE,
     SHELL_ROUTE,
@@ -16,6 +16,8 @@ from qaoa_landscape._kernels import (
     profile_route,
     shell_profiles,
 )
+
+from conftest import random_space
 
 PROFILE_KERNELS = [pairwise_profiles, shell_profiles]
 
@@ -33,6 +35,11 @@ def brute_force_profiles(states, n):
     return out
 
 
+def table_type(m):
+    """The shell table's type for m targets: the narrowest signed int that holds m."""
+    return np.int8 if m < 1 << 7 else np.int16 if m < 1 << 15 else np.int32
+
+
 def random_amps(rng, n):
     return rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
 
@@ -41,14 +48,14 @@ class TestPairwiseProfiles:
     """Each test runs both profile kernels, pairwise and shells."""
 
     # a pairwise block holds 2^19 // m rows: m=1500 spans five blocks of 349
-    # rows, the last one partial
+    # rows, the last one partial; shells return their table's type
     @pytest.mark.parametrize("n,m", [(1, 2), (4, 7), (8, 100), (11, 600), (12, 1500)])
     def test_matches_brute_force(self, rng, n, m):
         states = random_states(rng, n, m)
         want = brute_force_profiles(states, n)
-        for kernel in PROFILE_KERNELS:
+        for kernel, dtype in ((pairwise_profiles, np.int64), (shell_profiles, table_type(m))):
             profiles = kernel(states, n)
-            assert profiles.dtype == np.int64
+            assert profiles.dtype == dtype, kernel.__name__
             assert np.array_equal(profiles, want), kernel.__name__
 
     def test_rows_sum_to_m(self, rng):
@@ -75,10 +82,12 @@ class TestShellsAgainstPairwise:
     @settings(max_examples=80, deadline=None)
     @given(state_sets())
     def test_equal_int64_arrays(self, case):
+        # equal values: int64 from the pairwise route, the table's narrow type
+        # from shells (m <= 2^10 here, so int8 or int16)
         n, states = case
         shells = shell_profiles(states, n)
         pairwise = pairwise_profiles(states, n)
-        assert shells.dtype == pairwise.dtype == np.int64
+        assert pairwise.dtype == np.int64 and shells.dtype == table_type(len(states))
         assert np.array_equal(shells, pairwise)
 
 
@@ -93,7 +102,8 @@ class TestShellTableWidths:
 
     Each case holds a row whose largest count is m - 1, the most any target's
     row can hold away from distance 0; one past each switch point that count
-    no longer fits the narrower type, so a switch made too late shows.
+    no longer fits the narrower type, so a switch made too late shows in the
+    values, and one made too early in the type the profiles come back in.
     """
 
     @pytest.mark.parametrize("m", [127, 128, 129])
@@ -102,7 +112,7 @@ class TestShellTableWidths:
         for states in (star(10, 4, m), np.arange(m, dtype=np.uint64)):
             shells = shell_profiles(states, 10)
             pairwise = pairwise_profiles(states, 10)
-            assert shells.dtype == pairwise.dtype == np.int64
+            assert shells.dtype == table_type(m) and pairwise.dtype == np.int64
             assert np.array_equal(shells, pairwise)  # shapes included
 
     @pytest.mark.parametrize("m", [32767, 32768, 32769])
@@ -112,7 +122,7 @@ class TestShellTableWidths:
         n = 18
         states = star(n, 9, m)
         shells = shell_profiles(states, n)
-        assert shells.dtype == np.int64 and shells.shape == (m, n + 1)
+        assert shells.dtype == table_type(m) and shells.shape == (m, n + 1)
         assert shells[0, 9] == m - 1
         assert np.all(shells.sum(axis=1) == m)
         space = TargetSpace.from_iterable(n, states.tolist())
@@ -139,11 +149,11 @@ class TestProfileRoute:
         assert profile_route(30, 1 << 25) == PAIRWISE_ROUTE
 
 
-def traced_peak(kernel, states, n):
-    """Bytes the kernel call peaks at under tracemalloc, its inputs excluded."""
+def traced_peak(call, *args):
+    """Bytes call(*args) peaks at under tracemalloc, its inputs excluded."""
     tracemalloc.start()
     try:
-        kernel(states, n)
+        call(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -158,6 +168,19 @@ class TestKernelMemory:
         gathered = (n + 1) * m * 4
         result = (n + 1) * m * 8
         assert traced_peak(shell_profiles, states, n) <= 1.1 * (table + gathered + result)
+
+    def test_mean_pair_reads_the_narrow_table(self, rng):
+        # m = 2^15 - 1 holds an int16 table: the pair sums read its gather
+        # block by block as float64, and an int64 (m, n+1) copy (4.5 MB)
+        # would not fit the bound
+        n, m = 16, (1 << 15) - 1
+        space = random_space(rng, n, m)
+        assert profile_route(n, m) == SHELL_ROUTE
+        space.states_array  # an input: built before the trace
+        table = (n + 1) * (1 << n) * 2
+        gathered = (n + 1) * m * 2
+        split = _PAIR_BLOCK * (n + 1) * 8
+        assert traced_peak(lambda: space.mean_pair) <= 1.1 * (table + gathered + split)
 
     def test_pairwise_block_sized_by_m(self, rng):
         # all 4000^2 distances take 128 MB as uint64; a block of 2^19 takes 4 MB

@@ -22,6 +22,7 @@ from qaoa_landscape.experiments import (
     run_success_comparison,
 )
 from qaoa_landscape.landscape import LandscapeForm, LandscapeGrid, f1, f1_closed
+from qaoa_landscape.optimize import best_angles
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import aggregate
 
@@ -484,6 +485,44 @@ class TestCli:
         bad.write_text("{ nope")
         assert cli.main(["summarize", "--ensemble", str(bad),
                          "--out", str(tmp_path / "s.json")]) == 1
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        # the parser is built once per process, so no parsed value may leak
+        # into the next call: two passes of all seven commands, with a bad
+        # flag between them, write the same bytes
+        assert cli.build_parser() is cli.build_parser()
+        commands = [
+            ["gen", "--family", "uniform", "--n", "5", "--count", "3", "--t-size", "6",
+             "--seed", "2", "--out", "e.json"],
+            ["summarize", "--ensemble", "e.json", "--out", "s.json"],
+            ["analytic-uniform", "--n", "5", "--t-size", "6", "--out", "a.json"],
+            ["landscape", "--ensemble", "e.json", "--grid", "4x3", "--gamma-c", "1.2",
+             "--out-prefix", "le"],
+            ["landscape", "--summary", "a.json", "--grid", "4x3", "--out-prefix", "la"],
+            ["optimize", "--ensemble", "e.json", "--instance", "1", "--out", "oi.json"],
+            ["optimize", "--summary", "s.json", "--out", "os.json"],  # no --instance left over
+            ["compare", "--ensemble", "e.json", "--shots", "5", "--seed", "3", "--out-prefix", "c"],
+            ["sat-alpha", "--n", "5", "--alphas", "2", "--count", "2", "--shots", "5",
+             "--out-prefix", "sa"],
+        ]
+        outputs = []
+        for run in ("first", "second"):
+            if run == "second":
+                code = cli.main(["summarize", "--ensemble", "e.json", "--bogus", "1",
+                                 "--out", "x.json"])
+                err = capsys.readouterr().err
+                assert code == 1
+                assert err == "error: unrecognized arguments: --bogus 1\n"
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)  # relative paths: _config.json matches too
+            for argv in commands:
+                assert cli.main(argv) == 0, argv
+            outputs.append({p.name: p.read_bytes() for p in Path.cwd().iterdir()})
+        assert len(outputs[0]) == 17
+        assert outputs[1] == outputs[0]
+        storage.save_optresult(best_angles(storage.load_summary("s.json")), "want.json")
+        assert Path("want.json").read_bytes() == outputs[0]["os.json"]
+        assert capsys.readouterr().err == ""
 
     def test_computation_errors_exit_2(self, tmp_path, capsys, monkeypatch):
         # an asymmetric pair matrix breaks the real-by-construction contract;
