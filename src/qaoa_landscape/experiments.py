@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Angles, AngleGrid, ComputationError, UsageError
+from .core import MAX_STATEVECTOR_WIDTH, Angles, AngleGrid, ComputationError, UsageError
 from .landscape import LandscapeForm, LandscapeGrid, f1, f1_closed, form_z
 from .optimize import best_angles_all
 from .problems import MAX_ALPHA, Ensemble, build_ensemble
@@ -214,10 +214,12 @@ def run_sat_alpha(n: int, alphas: tuple[float, ...], count: int, shots: int, see
     """The two-arm study across SAT clause densities alpha = clauses / n.
 
     Returns one (alpha, ensemble, report) triple per density, with
-    floor(alpha * n) clauses per instance; each alpha must lie in
-    (0, MAX_ALPHA].
+    floor(alpha * n) clauses per instance; n must lie in
+    [3, MAX_STATEVECTOR_WIDTH] and each alpha in (0, MAX_ALPHA].
     """
     _check_shots(shots)
+    if not 3 <= n <= MAX_STATEVECTOR_WIDTH:  # 3-SAT clauses, and an exhaustive scan of 2^n
+        raise UsageError(f"sat-alpha needs n in [3, {MAX_STATEVECTOR_WIDTH}], got n={n}")
     if not alphas:
         raise UsageError("need at least one alpha")
     for alpha in alphas:

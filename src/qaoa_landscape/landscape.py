@@ -6,23 +6,24 @@ and applies the mixer exp(-i*beta*X).  With mixer factors
 fn_d = cos(beta)^(n-d) * (-i*sin(beta))^d and phi = exp(-i*gamma) - 1, target
 k has amplitude c_k = phi * (profile_k . fn) + sum_d C(n, d) fn_d, and
 F1 = 2^-n sum_k |c_k|^2.  The binomial sum is exp(-i*beta*n), so the mean of
-|c_k|^2 needs only the mean profile p and mean pair matrix
-Q = mean_k profile_k profile_k^T:
+|c_k|^2 needs only the mean profile p and q = mean_k |profile_k . fn|^2:
 
-    F1 = (|T| / 2^n) * [|phi|^2 fn^T Q conj(fn) + 2 Re(phi exp(i*beta*n) p . fn) + 1]
+    F1 = (|T| / 2^n) * [|phi|^2 q + 2 Re(phi exp(i*beta*n) p . fn) + 1]
 
-A ``TargetSpace`` builds (p, Q) once, in O(|T| n^2); then every angle pair
-costs O(n^2), whatever |T| is.  The bracket is linear in (p, Q), so the
-structural approximation of an ensemble is the same expression with a
-``StructuralSummary``'s expected size, profile and pair matrix.  These two
-are the only landscape sources.  A ``LandscapeForm`` holds one of them and
-is evaluated with one (beta x d) matrix of mixer factors, one contraction
-and a broadcast over gamma.  ``c_k``, ``mean_ck_squared`` and
-``w_matrix`` (per target, binomial basis) and ``f1_statevector`` (the full
-2^n state) are independent oracles for it.  Along beta a landscape is fixed
-by 2n+1 Fourier coefficients (``form_coefficients``), from which
-``coefficient_z`` and ``coefficient_scan`` give z at O(n) per beta or by one
-inverse FFT; ``form_z`` is their oracle.
+fn_d conj(fn_e) = cos^(2n-d-e) sin^(d+e) i^(e-d) is imaginary where d + e is
+odd, so of the mean pair matrix Q = mean_k profile_k profile_k^T only the
+even-diagonal sums A_t = sum_{d+e=2t} (-1)^(t-d) Q[d, e] count, and
+q = sum_t A_t |fn_t|^2 = cos^(2n)(beta) sum_t A_t tan^(2t)(beta): A_t is the
+y^(2t) coefficient of mean_k |sum_d profile_k[d] (iy)^d|^2.  A ``TargetSpace``
+builds (p, Q) once, in O(|T| n^2), a ``StructuralSummary`` holds their
+ensemble means (the bracket is linear in them), and a ``LandscapeForm`` keeps
+its source's |T|/2^n, p and A: 2n+2 real numbers, from which every beta costs
+O(n), whatever |T| is.  ``c_k``, ``mean_ck_squared`` and ``w_matrix`` (per
+target, binomial basis) and ``f1_statevector`` (the full 2^n state) are
+independent oracles for it.  Along beta a landscape is fixed by 2n+1 Fourier
+coefficients (``form_coefficients``), from which ``coefficient_z`` and
+``coefficient_scan`` give z at O(n) per beta or by one inverse FFT;
+``form_z`` is their oracle.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ from .core import (
     MAX_STATEVECTOR_WIDTH, AngleGrid, ComputationError, TargetSpace, UsageError, binomial_row,
 )
 from .structure import StructuralSummary
-
-# a scaled |imag| above this in a real-by-construction result is a defect, not rounding
-IMAG_RESIDUE_TOL = 1e-9
 
 
 def f_n(beta: float, d: int, n: int) -> complex:
@@ -86,52 +84,55 @@ def mean_ck_squared(space: TargetSpace, beta: float, gamma: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LandscapeForm:
-    """One depth-1 landscape as an (n+1)x(n+1) quadratic form.
-
-    The landscape is F1 = scale * bracket, with the bracket of the module
-    docstring built from its mean profile and mean pair matrix.
-    """
+    """One depth-1 landscape, F1 = scale * bracket, as in the module docstring."""
 
     n: int
     scale: float  # |T|/2^n, or E|T|/2^n for a summary
-    profile: np.ndarray  # (n+1,)  mean distance profile
-    pair: np.ndarray  # (n+1, n+1)  mean profile outer product
+    profile: np.ndarray  # (n+1,)  mean distance profile p
+    even: np.ndarray  # (n+1,)  A_t, the weight of |fn_t|^2 in q
 
     @classmethod
     def of(cls, source: TargetSpace | StructuralSummary) -> "LandscapeForm":
-        """The landscape of one target space or ensemble summary."""
+        """The landscape of one target space or ensemble summary.
+
+        A sums every ordered (d, e): a Q symmetric only to rounding gives
+        exactly the real part of fn^T Q conj(fn).
+        """
         if isinstance(source, StructuralSummary):
             size, profile, pair = source.e_tsize, source.e_profile, source.e_pair
         else:
             size, profile, pair = len(source), source.mean_profile, source.mean_pair
-        return cls(source.n, size / (1 << source.n), profile, pair)
+        even = _even_signs(source.n) @ pair.ravel()
+        return cls(source.n, size / (1 << source.n), profile, even)
+
+
+@functools.cache
+def _even_signs(n: int) -> np.ndarray:
+    """S with A = S @ Q.ravel(): S[t, (d, e)] = (-1)^(t-d) where d + e = 2t, else 0."""
+    d, e = np.indices((n + 1, n + 1)).reshape(2, -1)
+    return (np.arange(n + 1)[:, None] * 2 == d + e) * np.where((e - d) % 4, -1.0, 1.0)
 
 
 def form_z(form: LandscapeForm, betas) -> np.ndarray:
-    """z = q - exp(i*beta*n) * p . fn of the landscape at each beta.
+    """z = q - exp(i*beta*n) * p . fn at each beta, with q = |fn|^2 . A real by construction.
 
-    betas is a scalar or a 1-d array, and the result has its shape.
-    q = fn^T Q conj(fn) is real by construction, so a larger imaginary part
-    than rounding explains raises ComputationError.  The bracket at
-    (beta, gamma) is 1 - 2 Re(z * phi(gamma)).
+    betas is a scalar or a 1-d array, and the result has its shape.  Each
+    beta costs O(n); the bracket at (beta, gamma) is 1 - 2 Re(z * phi(gamma)).
     """
     fn = fn_matrix(betas, form.n)
-    quad = ((fn @ form.pair) * fn.conj()).sum(axis=-1)
-    residue = np.abs(quad.imag) - IMAG_RESIDUE_TOL * np.abs(quad.real)
-    if residue.max() > IMAG_RESIDUE_TOL:
-        raise ComputationError(f"imaginary residue {np.max(np.abs(quad.imag)):g} in a landscape")
-    return quad.real - np.exp(1j * form.n * np.asarray(betas)) * (form.profile @ fn.T)
+    quad = (fn.real**2 + fn.imag**2) @ form.even
+    return quad - np.exp(1j * form.n * np.asarray(betas)) * (form.profile @ fn.T)
 
 
 def form_coefficients(form: LandscapeForm) -> np.ndarray:
     """The coefficients a_k of z(beta) = sum_{k=-n..n} a_k w^k, w = exp(2i*beta).
 
     x^n fn_d = 2^-n (1 + w)^(n-d) (1 - w)^d with x = exp(i*beta), so each
-    fn_d * conj(fn_d') and each exp(i*beta*n) * fn_d is a Laurent polynomial
-    of degree n in w, and so is z.  form_z at the 2n+1 betas pi*j/(2n+1), which
-    put w at the (2n+1)-th roots of unity, therefore fixes it: one FFT of
-    those samples returns a_k exactly, along a new last axis in FFT order
-    (k = 0..n, then -n..-1).  form_z's imaginary-residue check runs on them.
+    |fn_d|^2 and each exp(i*beta*n) * fn_d is a Laurent polynomial of degree
+    n in w, and so is z.  form_z at the 2n+1 betas pi*j/(2n+1), which put w
+    at the (2n+1)-th roots of unity, therefore fixes it: one FFT of those
+    samples returns a_k exactly, along a new last axis in FFT order
+    (k = 0..n, then -n..-1).
     """
     size = 2 * form.n + 1
     return np.fft.fft(form_z(form, np.pi * np.arange(size) / size), norm="forward")
@@ -174,9 +175,8 @@ def f1(source: TargetSpace | StructuralSummary, betas, gammas) -> np.ndarray:
     f1(source, grid.betas(), grid.gammas()), beta outer, and a fixed-gamma
     curve passes one gamma.
 
-    With q = fn^T Q conj(fn), |phi|^2 = -2 Re(phi) turns the bracket into
-    1 - 2 Re(phi * z): one complex z per beta from form_z, combined with
-    phi(gamma) as an outer product.
+    |phi|^2 = -2 Re(phi) turns the bracket into 1 - 2 Re(phi * z): one
+    complex z per beta from form_z, combined with phi(gamma) as an outer product.
     """
     form = LandscapeForm.of(source)
     phi = np.exp(-1j * np.asarray(gammas)) - 1.0
@@ -239,7 +239,7 @@ class LandscapeGrid:
         expected = self.grid.beta_steps * self.grid.gamma_steps
         if self.values.shape != (expected,):
             raise UsageError(f"values must have shape ({expected},)")
-        if not np.isfinite(self.values).all():
-            raise UsageError("values must be finite")
+        if not np.isfinite(self.values).all():  # computed, never read: a numeric failure
+            raise ComputationError("landscape values must be finite")
         if self.stddev is not None and self.stddev.shape != (expected,):
             raise UsageError(f"stddev must have shape ({expected},)")

@@ -12,8 +12,8 @@ polynomial of degree n in w = exp(2i*beta), so the search takes its 2n+1
 coefficients a_k from form_z once per landscape
 (``landscape.form_coefficients``); one inverse FFT then gives z at every scan
 beta.  The derivative z' has coefficients 2i*k*a_k, so the peak's exact slope
-costs O(n) at any beta, not form_z's O(n^2), and the refinement bisects the
-best cell on the sign of that slope.  The refinement steps all landscapes at
+costs O(n) at any beta, as z does, and the refinement bisects the best cell
+on the sign of that slope.  The refinement steps all landscapes at
 once, and each landscape's result has the same bits as a search of it alone.
 
 ``maximize`` is the older generic 2-D search over the canonical domain

@@ -9,7 +9,8 @@ x^n fn_d = P_d(w) = 2^-n (1 + w)^(n-d) (1 - w)^d, so
     z = sum_{d,d'} Q[d, d'] P_d(w) P_d'(1/w) - sum_d p_d P_d(w)
 
 is a Laurent polynomial of degree n in w, built here from that binomial
-expansion rather than from samples of form_z.  Both factors above are then
+expansion and the source's own Q rather than from samples of form_z or from
+the form's even-diagonal sums.  Both factors above are then
 Laurent polynomials of degrees n and 3n, and the global maximum over beta
 lies at one of their unit-circle roots.  Each root is evaluated through
 form_z and given a parabolic polish.  This costs milliseconds per source: it
@@ -25,6 +26,8 @@ from numpy.polynomial import polynomial as P
 
 from qaoa_landscape.landscape import LandscapeForm, form_z
 
+from landscape_oracle import statistics
+
 # roots this close to the unit circle are taken as real betas
 CIRCLE_TOL = 1e-4
 # the half-width of the parabolic polish, and how often it is applied
@@ -32,15 +35,16 @@ POLISH_STEP = 1e-6
 POLISH_ROUNDS = 2
 
 
-def laurent_z(form: LandscapeForm) -> np.ndarray:
+def laurent_z(source) -> np.ndarray:
     """Coefficients of z in w for powers -n..n, from the binomial expansion."""
-    n = form.n
+    n = source.n
+    profile, pair = statistics(source)
     mixer = np.array(
         [P.polymul(P.polypow([1.0, 1.0], n - d), P.polypow([1.0, -1.0], d)) for d in range(n + 1)]
     ) / 2.0**n  # mixer[d, i]: the w^i coefficient of P_d
-    outer = mixer.T @ form.pair @ mixer  # the w^(i - j) coefficient of q, at [i, j]
+    outer = mixer.T @ pair @ mixer  # the w^(i - j) coefficient of q, at [i, j]
     z = np.array([np.trace(outer, offset=-k) for k in range(-n, n + 1)], dtype=np.complex128)
-    z[n:] -= form.profile @ mixer
+    z[n:] -= profile @ mixer
     return z
 
 
@@ -83,7 +87,7 @@ def _polish(form: LandscapeForm, beta: float) -> float:
 def best_value(source) -> float:
     """The largest F1 over the landscape's stationary betas (and the ends of [0, pi/2])."""
     form = LandscapeForm.of(source)
-    z = laurent_z(form)
+    z = laurent_z(source)
     u = (z + z[::-1].conj()) / 2.0
     v = (z - z[::-1].conj()) / 2j
     du, dv = _derivative(u), _derivative(v)

@@ -1,8 +1,14 @@
-"""Per-instance oracle for the ensemble landscape comparison.
+"""Slower oracles for landscape evaluation.
 
+``quadratic_z`` is the (n+1)x(n+1) contraction that ``landscape.form_z``
+replaces: q = Re(fn^T Q conj(fn)) at O(n^2) per beta, read straight from a
+source's mean pair matrix Q, so it shares nothing with the form's
+even-diagonal sums A.
+
+``compare`` checks the ensemble comparison.
 ``experiments.run_landscape_comparison`` reads the mean, spread and error
 bound of an ensemble off per-beta moments, without forming any per-instance
-grid.  This module forms them: every instance's F1 on the whole lattice
+grid.  ``compare`` forms them: every instance's F1 on the whole lattice
 through ``landscape.f1``, then ``np.mean`` and ``np.std`` over the
 instances, and the Cauchy-Schwarz bound sqrt(Var(s) * Var(bracket)) with
 s = |T|/2^n and bracket = F1 / s.  Its memory grows with
@@ -15,8 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qaoa_landscape.landscape import f1
-from qaoa_landscape.structure import aggregate
+from qaoa_landscape.landscape import f1, fn_matrix
+from qaoa_landscape.structure import StructuralSummary, aggregate
+
+
+def statistics(source) -> tuple[np.ndarray, np.ndarray]:
+    """The mean profile p and mean pair matrix Q of a target space or summary."""
+    if isinstance(source, StructuralSummary):
+        return source.e_profile, source.e_pair
+    return source.mean_profile, source.mean_pair
+
+
+def quadratic_z(source, betas) -> np.ndarray:
+    """z = Re(fn^T Q conj(fn)) - exp(i*beta*n) * p . fn at each beta."""
+    profile, pair = statistics(source)
+    fn = fn_matrix(betas, source.n)
+    quad = ((fn @ pair) * fn.conj()).sum(axis=-1)
+    return quad.real - np.exp(1j * source.n * np.asarray(betas)) * (profile @ fn.T)
 
 
 @dataclass(frozen=True)

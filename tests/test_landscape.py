@@ -1,12 +1,13 @@
 import cmath
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qaoa_landscape.analytic import UniformModel, summary_analytic
+from qaoa_landscape.analytic import MODES, UniformModel, summary_analytic
 from qaoa_landscape.core import (
     AngleGrid,
     ComputationError,
@@ -33,6 +34,7 @@ from qaoa_landscape.landscape import (
     w_matrix,
 )
 from qaoa_landscape.experiments import run_landscape_comparison
+from qaoa_landscape.optimize import best_angles
 from qaoa_landscape.problems import Ensemble, Instance, build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
 
@@ -230,7 +232,7 @@ def assert_coefficients_match_form_z(source, betas):
     points = 128 * n  # the search's scan: w at the 128n-th roots of unity
     scan = coefficient_scan(coeffs, points)
     assert np.abs(scan - form_z(form, np.pi * np.arange(points) / points)).max() <= 1e-13 * scale
-    expanded = laurent_z(form)  # powers -n..n; the route's FFT order is 0..n, -n..-1
+    expanded = laurent_z(source)  # powers -n..n; the route's FFT order is 0..n, -n..-1
     assert np.abs(coeffs - np.roll(expanded, -n)).max() <= 1e-13 * scale
 
 
@@ -259,12 +261,124 @@ class TestCoefficients:
         for i, beta in enumerate(betas):
             assert got[i] == coefficient_z(coeffs[i], beta)
 
-    def test_residue_check_runs_on_the_samples(self):
-        broken = LandscapeForm(
-            n=1, scale=0.5, profile=np.array([1.0, 0.0]), pair=np.array([[0.0, 1.0], [0.0, 0.0]])
+
+def term_size(source, betas) -> np.ndarray:
+    """sum |Q[d, e] fn_d fn_e| + sum |p_d fn_d| per beta: what both routes to z sum over.
+
+    Each route's rounding is a few ulps of this, whatever the cancellation.
+    """
+    profile, pair = landscape_oracle.statistics(source)
+    fn = np.abs(fn_matrix(betas, source.n))
+    return ((fn @ np.abs(pair)) * fn).sum(axis=-1) + fn @ np.abs(profile)
+
+
+def assert_form_z_matches_quadratic(source, betas):
+    got = form_z(LandscapeForm.of(source), betas)
+    gap = np.abs(got - landscape_oracle.quadratic_z(source, betas))
+    assert (gap <= 1e-14 * term_size(source, betas)).all()
+
+
+# one small ensemble per family: (family, n, params)
+FAMILY_CASES = [
+    ("uniform", 8, {"t_size": 40}),
+    ("uniform", 14, {"t_size": 4096}),
+    ("clustered", 8, {}),
+    ("sat", 8, {"num_clauses": 20}),
+    ("kclique", 10, {}),
+    ("qrfactor", 12, {}),
+]
+
+
+# i^k for k mod 4, as (real, imaginary) parts
+I_POWERS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+def exact_z(source, beta: float) -> complex:
+    """z at beta from the quadratic form in exact rationals.
+
+    Reads every float that form_z reads (the source's own Q and p, cos beta,
+    sin beta and exp(i*beta*n)) exactly, so the result differs from form_z
+    only by form_z's rounding.  fn_d = (-i)^d size_d, so
+    fn_d conj(fn_e) = i^(e-d) size_d size_e.
+    """
+    n = source.n
+    profile, pair = landscape_oracle.statistics(source)
+    cos, sin = Fraction(float(np.cos(beta))), Fraction(float(np.sin(beta)))
+    size = [cos ** (n - d) * sin**d for d in range(n + 1)]
+    quad, linear = [Fraction(0)] * 2, [Fraction(0)] * 2
+    for d in range(n + 1):
+        for part, unit in enumerate(I_POWERS[-d % 4]):
+            linear[part] += unit * Fraction(float(profile[d])) * size[d]
+        for e in range(n + 1):
+            term = Fraction(float(pair[d, e])) * size[d] * size[e]
+            for part, unit in enumerate(I_POWERS[(e - d) % 4]):
+                quad[part] += unit * term
+    turn = complex(np.exp(1j * n * np.asarray(beta)))
+    re, im = Fraction(turn.real), Fraction(turn.imag)
+    z_re = quad[0] - (re * linear[0] - im * linear[1])
+    z_im = quad[1] - (re * linear[1] + im * linear[0])
+    return complex(float(z_re), float(z_im))
+
+
+class TestFormAgainstQuadratic:
+    """form_z's (p, A) route against the O(n^2) contraction of p and Q it replaces."""
+
+    @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+    def test_families_and_summaries(self, family, n, params):
+        spaces = [inst.target for inst in build_ensemble(family, n, 4, params, seed=5).instances]
+        betas = np.random.default_rng(n).uniform(-math.pi, 2 * math.pi, 300)
+        for source in [*spaces, aggregate(spaces)]:
+            assert_form_z_matches_quadratic(source, betas)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 3), st.data())
+    def test_random_spaces_and_summaries(self, n, count, data):
+        spaces = [data.draw(oracle_spaces(n)) for _ in range(count)]
+        betas = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(0, 7, 64)
+        for source in [*spaces, aggregate(spaces)]:
+            assert_form_z_matches_quadratic(source, betas)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 3), st.data(), st.floats(-7.0, 7.0))
+    def test_exact_fractions(self, n, count, data, beta):
+        spaces = [data.draw(oracle_spaces(n)) for _ in range(count)]
+        for source in [*spaces, aggregate(spaces)]:
+            got = complex(form_z(LandscapeForm.of(source), beta))
+            assert abs(got - exact_z(source, beta)) <= 1e-14 * term_size(source, beta)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_pair_symmetric_only_to_rounding(self, n):
+        # a summary may carry an e_pair symmetric only to ROUNDING_TOL: A reads
+        # every ordered (d, e), so form_z stays the real part of the contraction
+        ensemble = build_ensemble("uniform", n, 3, {"t_size": 3}, seed=1)
+        summary = aggregate([inst.target for inst in ensemble.instances])
+        skew = 1e-12 * np.triu(np.ones((n + 1, n + 1)), 1)
+        skewed = StructuralSummary(
+            n=n, count=summary.count, e_tsize=summary.e_tsize, var_tsize=summary.var_tsize,
+            e_profile=summary.e_profile, e_pair=summary.e_pair + skew,
         )
-        with pytest.raises(ComputationError, match="imaginary residue"):
-            form_coefficients(broken)
+        assert (skewed.e_pair != skewed.e_pair.T).any()
+        betas = np.linspace(0.0, math.pi, 181)
+        assert_form_z_matches_quadratic(skewed, betas)
+        # the skew moves z by more than that check allows, so reading one triangle
+        # of e_pair (a move of 0 or of twice the skew) would fail it
+        moved = form_z(LandscapeForm.of(skewed), betas) - form_z(LandscapeForm.of(summary), betas)
+        assert (np.abs(moved) > 2e-14 * term_size(skewed, betas)).any()
+
+
+class TestWidthLimit:
+    """Dense analytic summaries up to MAX_WIDTH give finite landscapes in [0, 1]."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n, t_size", [(29, 2**29), (29, 2**28), (32, 2**32), (32, 2**31)])
+    def test_grid_and_search(self, n, t_size, mode):
+        summary = summary_analytic(UniformModel(n, t_size, mode))
+        grid = default_grid(100, 100)
+        values = f1(summary, grid.betas(), grid.gammas())
+        best = best_angles(summary).value
+        for found in (values, best):
+            assert np.isfinite(found).all()
+            assert -1e-6 <= np.min(found) and np.max(found) <= 1.0 + 1e-6
 
 
 def n1_summary() -> StructuralSummary:
@@ -341,16 +455,6 @@ class TestApproximation:
         for j, b in enumerate(grid.betas()):
             assert abs(curve[j] - approx_expected_f1(summary, float(b), 1.2)) < 1e-12
 
-    def test_imaginary_residue_guard(self):
-        # an asymmetric pair matrix cannot come from real statistics and
-        # must trip the residue check instead of returning silently; no
-        # summary holds one, so the form is built directly
-        broken = LandscapeForm(
-            n=1, scale=0.5, profile=np.array([1.0, 0.0]), pair=np.array([[1.0, 3.0], [0.0, 0.0]])
-        )
-        with pytest.raises(ComputationError):
-            form_z(broken, 0.8)
-
     def test_runtime_100x100_at_n11(self):
         summary = summary_analytic(UniformModel(11, 1024, "paper"))
         start = time.time()
@@ -420,5 +524,5 @@ class TestEvalGrid:
         grid = AngleGrid(0.0, 1.0, 0.0, 1.0, 2, 2)
         with pytest.raises(UsageError):
             LandscapeGrid(grid=grid, values=np.zeros(3))
-        with pytest.raises(UsageError):
+        with pytest.raises(ComputationError, match="finite"):  # grids are computed, never read
             LandscapeGrid(grid=grid, values=np.array([0.0, 1.0, np.nan, 0.0]))

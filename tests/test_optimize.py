@@ -218,7 +218,7 @@ class TestBestAngles:
     def test_flat_landscape_ties_break_to_origin(self, monkeypatch):
         # zero statistics give z == 0 at every beta: every beta and every gamma tie;
         # no summary holds them, so the search is handed the form itself
-        flat = LandscapeForm(n=3, scale=1 / 8, profile=np.zeros(4), pair=np.zeros((4, 4)))
+        flat = LandscapeForm(n=3, scale=1 / 8, profile=np.zeros(4), even=np.zeros(4))
         monkeypatch.setattr(LandscapeForm, "of", classmethod(lambda cls, source: flat))
         result = best_angles(TargetSpace(3, (0,)))
         assert (result.angles.beta, result.angles.gamma) == (0.0, 0.0)
@@ -226,7 +226,7 @@ class TestBestAngles:
 
     def test_non_finite_landscape_is_computation_error(self, monkeypatch):
         huge = LandscapeForm(
-            n=1, scale=0.5, profile=np.array([1.0, 1e308]), pair=np.full((2, 2), 1e308)
+            n=1, scale=0.5, profile=np.array([1.0, 1e308]), even=np.full(2, 1e308)
         )
         monkeypatch.setattr(LandscapeForm, "of", classmethod(lambda cls, source: huge))
         with np.errstate(all="ignore"), pytest.raises(ComputationError, match="not finite"):
@@ -277,7 +277,7 @@ def assert_no_stationary_point_beats(source, result):
 
 def peak_and_slope(source, beta):
     """g = 1 + 2 Re z + 2|z| and g' at beta, with z from the binomial expansion."""
-    coeffs = laurent_z(LandscapeForm.of(source))
+    coeffs = laurent_z(source)
     waves = np.exp(2j * beta * np.arange(-source.n, source.n + 1))
     z, dz = coeffs @ waves, _derivative(coeffs) @ waves
     return 1 + 2 * z.real + 2 * abs(z), 2 * dz.real + 2 * (z.conjugate() * dz).real / abs(z)

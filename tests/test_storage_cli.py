@@ -525,10 +525,10 @@ class TestCli:
         assert capsys.readouterr().err == ""
 
     def test_computation_errors_exit_2(self, tmp_path, capsys, monkeypatch):
-        # an asymmetric pair matrix breaks the real-by-construction contract;
-        # no summary holds one, so the landscape of a good file is swapped for it
+        # a non-finite form gives a non-finite grid, a numeric failure; no summary
+        # holds one, so the landscape of a good file is swapped for it
         broken = LandscapeForm(
-            n=1, scale=0.5, profile=np.array([1.0, 0.0]), pair=np.array([[0.0, 1.0], [0.0, 0.0]])
+            n=1, scale=0.5, profile=np.array([1.0, 0.0]), even=np.full(2, np.nan)
         )
         monkeypatch.setattr(LandscapeForm, "of", classmethod(lambda cls, source: broken))
         storage.write_json(GOOD_SUMMARY, tmp_path / "s.json")
@@ -536,7 +536,7 @@ class TestCli:
                          "--out-prefix", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("computation error: imaginary residue") and err.count("\n") == 1
+        assert err == "computation error: landscape values must be finite\n"
         assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
 
     @pytest.mark.parametrize(
@@ -552,6 +552,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: alpha") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("n", ["-3", "0", "2", "25"])
+    def test_sat_alpha_width_exit_1(self, tmp_path, capsys, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("an ensemble was generated at a bad width")
+
+        monkeypatch.setattr(experiments, "build_ensemble", refuse)
+        code = cli.main(["sat-alpha", "--n", n, "--count", "1",
+                         "--out-prefix", str(tmp_path / "sa")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: sat-alpha needs n in [3, 24], got n={n}\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
