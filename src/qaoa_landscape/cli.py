@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags, malformed inputs),
-2 on computation errors (a numeric contract failed while running).
+Exit codes: 0 on success, 1 on usage errors (bad flags, malformed inputs)
+and on inputs too large for the memory at hand, 2 on computation errors (a
+numeric contract failed while running).
 """
 
 from __future__ import annotations
@@ -242,6 +243,10 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # until sizes are refused up front, an input too large
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

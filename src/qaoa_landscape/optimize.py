@@ -9,11 +9,11 @@ value scale * (1 + 2 Re z + 2|z|).  Every landscape also satisfies
 F1(pi - beta, 2*pi - gamma) = F1(beta, gamma), so the search is one scan of
 beta over [0, pi/2] and a refinement of its best cell.  z is a Laurent
 polynomial of degree n in w = exp(2i*beta), so the search takes its 2n+1
-coefficients a_k from form_z once per landscape
-(``landscape.form_coefficients``); one inverse FFT then gives z at every scan
-beta.  The derivative z' has coefficients 2i*k*a_k, so the peak's exact slope
-costs O(n) at any beta, as z does, and the refinement bisects the best cell
-on the sign of that slope.  The refinement steps all landscapes at
+coefficients a_k once per landscape from z at 2n+1 betas, on a mixer basis
+built once per width (``landscape.form_coefficients``); one inverse FFT then
+gives z at every scan beta.  The derivative z' has coefficients 2i*k*a_k,
+so the peak's exact slope costs O(n) at any beta, as z does, and the
+refinement bisects the best cell on the sign of that slope.  The refinement steps all landscapes at
 once, and each landscape's result has the same bits as a search of it alone.
 
 ``maximize`` is the older generic 2-D search over the canonical domain
@@ -40,8 +40,8 @@ import numpy as np
 
 from .core import Angles, ComputationError, TargetSpace, UsageError
 from .landscape import (
-    LandscapeForm, coefficient_scan, coefficient_z, f1, f1_closed, form_coefficients,
-    wave_numbers,
+    LandscapeForm, MixerBasis, basis_f1, coefficient_scan, coefficient_z, f1_closed,
+    form_coefficients, wave_numbers,
 )
 from .structure import StructuralSummary
 
@@ -193,9 +193,9 @@ def best_angles_all(sources) -> tuple[OptResult, ...]:
     zs = coefficient_z(coeffs, beta)
     evaluations = betas.size + BETA_BISECTIONS + 1
     results = []
-    for source, b, z in zip(sources, beta.tolist(), zs):
+    for form, b, z in zip(forms, beta.tolist(), zs):
         gamma = _best_gamma(complex(z))
-        value = float(f1(source, b, gamma))
+        value = float(basis_f1(MixerBasis.at(b, form.n), form, gamma))  # f1 of the source
         results.append(OptResult(Angles(b, gamma), value, evaluations))
     return tuple(results)
 

@@ -10,6 +10,7 @@ count-1).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,18 +95,28 @@ def _check_counts(array: np.ndarray, top: np.ndarray, name: str) -> None:
 
 
 def aggregate(spaces: list[TargetSpace]) -> StructuralSummary:
-    """Average the statistics of target spaces into an ensemble summary."""
+    """Average the statistics of target spaces into an ensemble summary.
+
+    Each space's mean_profile and mean_pair are added, in order, into one
+    accumulator, which is divided by the count once: the bits of np.mean
+    over the stacked statistics (numpy sums a leading axis row by row), in
+    memory that grows with the count only by each space's |T| as one float.
+    """
     if not spaces:
         raise UsageError("cannot aggregate an empty list of target spaces")
     n = spaces[0].n
     if any(s.n != n for s in spaces):
         raise UsageError("target spaces mix different widths n")
-    sizes = np.array([len(s) for s in spaces], dtype=np.float64)
+    sizes = np.fromiter((len(s) for s in spaces), dtype=np.float64, count=len(spaces))
+    profile, pair = spaces[0].mean_profile.copy(), spaces[0].mean_pair.copy()
+    for space in itertools.islice(spaces, 1, None):
+        profile += space.mean_profile
+        pair += space.mean_pair
     return StructuralSummary(
         n=n,
         count=len(spaces),
         e_tsize=float(sizes.mean()),
         var_tsize=float(sizes.var()),
-        e_profile=np.mean([s.mean_profile for s in spaces], axis=0),
-        e_pair=np.mean([s.mean_pair for s in spaces], axis=0),
+        e_profile=profile / len(spaces),
+        e_pair=pair / len(spaces),
     )

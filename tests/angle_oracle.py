@@ -3,7 +3,8 @@
 At fixed beta a landscape peaks over gamma at scale * g(beta), with
 g = 1 + 2u + 2|z| and z = u + iv from ``landscape.form_z``.  Where z != 0,
 g' = 0 implies v * (u'^2 v - 2 u u' v' - v v'^2) = 0; where z == 0, g = 1 is
-its least value.  With w = exp(2i*beta) and x = exp(i*beta),
+its least value.  Where v vanishes identically that product says nothing,
+and g' = 2u'(1 + sign u), so the roots of u' are candidates too.  With w = exp(2i*beta) and x = exp(i*beta),
 x^n fn_d = P_d(w) = 2^-n (1 + w)^(n-d) (1 - w)^d, so
 
     z = sum_{d,d'} Q[d, d'] P_d(w) P_d'(1/w) - sum_d p_d P_d(w)
@@ -30,6 +31,8 @@ from landscape_oracle import statistics
 
 # roots this close to the unit circle are taken as real betas
 CIRCLE_TOL = 1e-4
+# coefficients this small against the largest are rounding, not terms
+NOISE_TOL = 1e-12
 # the half-width of the parabolic polish, and how often it is applied
 POLISH_STEP = 1e-6
 POLISH_ROUNDS = 2
@@ -56,8 +59,14 @@ def _derivative(coeffs: np.ndarray) -> np.ndarray:
 
 def _unit_circle_betas(coeffs: np.ndarray) -> list[float]:
     """Betas in [0, pi/2] where w = exp(2i*beta) is a root; the mirror of a
-    beta in (pi/2, pi) stands for it, as the peak has that symmetry."""
-    trimmed = np.trim_zeros(coeffs)
+    beta in (pi/2, pi) stands for it, as the peak has that symmetry.
+
+    Rounding residue is zeroed first: a leading coefficient of 1e-35 where
+    z is purely imaginary up to rounding (u ~ 1e-17) would throw the roots
+    off the circle and hide the peak.
+    """
+    scale = np.abs(coeffs).max(initial=0.0)
+    trimmed = np.trim_zeros(np.where(np.abs(coeffs) > NOISE_TOL * scale, coeffs, 0.0))
     if trimmed.size < 2:
         return []
     roots = np.roots(trimmed[::-1])  # highest power first
@@ -96,5 +105,8 @@ def best_value(source) -> float:
         - 2.0 * np.convolve(np.convolve(u, du), dv)
         - np.convolve(np.convolve(v, dv), dv)
     )
-    candidates = [0.0, math.pi / 2.0, *_unit_circle_betas(v), *_unit_circle_betas(cubic)]
+    candidates = [
+        0.0, math.pi / 2.0, *_unit_circle_betas(v), *_unit_circle_betas(cubic),
+        *_unit_circle_betas(du),
+    ]
     return max(_polish(form, beta) for beta in candidates)

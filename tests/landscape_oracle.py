@@ -5,6 +5,10 @@ replaces: q = Re(fn^T Q conj(fn)) at O(n^2) per beta, read straight from a
 source's mean pair matrix Q, so it shares nothing with the form's
 even-diagonal sums A.
 
+``lone_z`` is ``form_z`` as it stood before the mixer basis: fn built for
+the one call, then the same operations in the same order.  Every route that
+shares a basis must give its bits.
+
 ``compare`` checks the ensemble comparison.
 ``experiments.run_landscape_comparison`` reads the mean, spread and error
 bound of an ensemble off per-beta moments, without forming any per-instance
@@ -30,6 +34,13 @@ def statistics(source) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(source, StructuralSummary):
         return source.e_profile, source.e_pair
     return source.mean_profile, source.mean_pair
+
+
+def lone_z(form, betas) -> np.ndarray:
+    """z = |fn|^2 . A - exp(i*beta*n) * p . fn, with fn built for this call alone."""
+    fn = fn_matrix(betas, form.n)
+    quad = (fn.real**2 + fn.imag**2) @ form.even
+    return quad - np.exp(1j * form.n * np.asarray(betas)) * (form.profile @ fn.T)
 
 
 def quadratic_z(source, betas) -> np.ndarray:

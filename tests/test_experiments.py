@@ -16,13 +16,24 @@ from qaoa_landscape.experiments import (
     run_success_comparison,
     shot_rng,
 )
-from qaoa_landscape.landscape import approx_expected_f1, f1, f1_closed, mean_ck_squared
+from qaoa_landscape.landscape import (
+    LandscapeForm, approx_expected_f1, basis_f1, basis_z, f1, f1_closed, mean_ck_squared,
+)
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import aggregate
 
 import landscape_oracle
 
 draw_hits = experiments._draw_hits
+
+# one small ensemble per family: (family, n, params)
+FAMILY_CASES = [
+    ("uniform", 8, {"t_size": 40}),
+    ("clustered", 8, {}),
+    ("sat", 8, {"num_clauses": 24}),
+    ("kclique", 10, {}),
+    ("qrfactor", 12, {}),
+]
 
 
 def hits_at(space, angles, shots, rng):
@@ -144,6 +155,23 @@ class TestLandscapeComparison:
         assert np.array_equal(comparison.approx.values, want.approx.ravel())
         assert np.array_equal(comparison.cross_section.approx, f1(comparison.summary, grid.betas(), 1.2))
 
+    @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+    def test_z_has_the_bits_of_a_lone_evaluation(self, monkeypatch, family, n, params):
+        ensemble = build_ensemble(family, n, 6, params, seed=2)
+        grid = AngleGrid(0.0, np.pi, 0.0, 2 * np.pi, 23, 7)
+        seen = []
+
+        def recorded(basis, form):
+            seen.append(basis_z(basis, form))
+            return seen[-1]
+
+        monkeypatch.setattr(experiments, "basis_z", recorded)
+        run_landscape_comparison(ensemble, grid, gamma_c=1.2)
+        assert len(seen) == len(ensemble.instances)
+        for z, inst in zip(seen, ensemble.instances):
+            want = landscape_oracle.lone_z(LandscapeForm.of(inst.target), grid.betas())
+            assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
+
     def test_memory_does_not_grow_with_count_times_grid(self):
         # per-instance grids would take 2 x 300 x 300 x 301 float64s (about 413 MiB)
         ensemble = build_ensemble("uniform", 8, 300, {"t_size": 20}, seed=0)
@@ -233,14 +261,25 @@ class TestSuccessComparison:
         ensemble = build_ensemble("uniform", 5, 3, {"t_size": 6}, seed=2)
         calls = []
 
-        def counted(space, beta, gamma):
-            calls.append((id(space), beta, gamma))
-            return f1_closed(space, beta, gamma)
+        def counted(basis, form, gammas):
+            calls.append((basis, form.profile.tobytes(), form.even.tobytes(), gammas))
+            return basis_f1(basis, form, gammas)
 
-        monkeypatch.setattr(experiments, "f1_closed", counted)
-        run_success_comparison(ensemble, shots=10, seed=2)
+        monkeypatch.setattr(experiments, "basis_f1", counted)
+        report = run_success_comparison(ensemble, shots=10, seed=2)
         assert len(calls) == len(ensemble.instances)  # the shared arm, once each
-        assert len(set(calls)) == len(calls)
+        assert len({call[1:3] for call in calls}) == len(calls)
+        assert len({id(call[0]) for call in calls}) == 1  # one basis, at the shared beta
+        assert all(call[3] == report.shared_angles.gamma for call in calls)
+
+    @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+    def test_shared_arm_has_the_bits_of_f1_closed(self, family, n, params):
+        ensemble = build_ensemble(family, n, 6, params, seed=4)
+        report = run_success_comparison(ensemble, shots=10, seed=4)
+        beta, gamma = report.shared_angles.beta, report.shared_angles.gamma
+        for inst, rec in zip(ensemble.instances, report.records):
+            want = f1_closed(inst.target, beta, gamma)
+            assert rec.noniterative.success_prob.hex() == want.hex()
 
 
 class TestSatAlpha:

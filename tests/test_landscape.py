@@ -18,7 +18,10 @@ from qaoa_landscape.core import (
 from qaoa_landscape.landscape import (
     LandscapeForm,
     LandscapeGrid,
+    MixerBasis,
     approx_expected_f1,
+    basis_f1,
+    basis_z,
     c_k,
     coefficient_scan,
     coefficient_z,
@@ -262,6 +265,71 @@ class TestCoefficients:
             assert got[i] == coefficient_z(coeffs[i], beta)
 
 
+# one small ensemble per family: (family, n, params)
+FAMILY_CASES = [
+    ("uniform", 8, {"t_size": 40}),
+    ("uniform", 14, {"t_size": 4096}),
+    ("clustered", 8, {}),
+    ("sat", 8, {"num_clauses": 20}),
+    ("kclique", 10, {}),
+    ("qrfactor", 12, {}),
+]
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits, -0.0 and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    return np.array_equal(a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64))
+
+
+def sampled_coefficients(form: LandscapeForm) -> np.ndarray:
+    """form_coefficients as it was before it kept a basis: one FFT of lone samples of z."""
+    size = 2 * form.n + 1
+    return np.fft.fft(landscape_oracle.lone_z(form, np.pi * np.arange(size) / size), norm="forward")
+
+
+class TestMixerBasis:
+    """One basis per width and beta set gives every source the bits of a lone evaluation."""
+
+    @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+    def test_coefficients_are_the_sampled_fft(self, family, n, params):
+        spaces = [inst.target for inst in build_ensemble(family, n, 6, params, seed=1).instances]
+        for source in [*spaces, aggregate(spaces)]:
+            form = LandscapeForm.of(source)
+            assert same_bits(form_coefficients(form), sampled_coefficients(form))
+
+    @pytest.mark.parametrize("n, t", [(1, 1), (1, 2), (2, 1), (2, 3), (32, 1 << 31)])
+    def test_coefficients_are_the_sampled_fft_analytic(self, n, t):
+        for mode in MODES:
+            form = LandscapeForm.of(summary_analytic(UniformModel(n, t, mode)))
+            assert same_bits(form_coefficients(form), sampled_coefficients(form))
+
+    def test_one_basis_serves_every_form(self, rng):
+        spaces = [random_space(rng, 7) for _ in range(5)]
+        betas = np.linspace(-1.0, 4.0, 37)
+        basis = MixerBasis.at(betas, 7)
+        for source in [*spaces, aggregate(spaces)]:
+            form = LandscapeForm.of(source)
+            assert same_bits(basis_z(basis, form), landscape_oracle.lone_z(form, betas))
+            assert same_bits(form_z(form, betas), landscape_oracle.lone_z(form, betas))
+            gammas = np.array([0.3, 1.2, 5.0])
+            assert same_bits(basis_f1(basis, form, gammas), f1(source, betas, gammas))
+
+    def test_scalar_beta(self, rng):
+        space = random_space(rng, 6)
+        form = LandscapeForm.of(space)
+        basis = MixerBasis.at(0.4, 6)
+        assert same_bits(basis_z(basis, form), landscape_oracle.lone_z(form, 0.4))
+        assert float(basis_f1(basis, form, 2.1)) == f1_closed(space, 0.4, 2.1)
+
+    def test_basis_is_read_only(self):
+        basis = MixerBasis.at(np.linspace(0.0, 1.0, 5), 3)
+        for array in (basis.square, basis.fn_t):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
 def term_size(source, betas) -> np.ndarray:
     """sum |Q[d, e] fn_d fn_e| + sum |p_d fn_d| per beta: what both routes to z sum over.
 
@@ -276,17 +344,6 @@ def assert_form_z_matches_quadratic(source, betas):
     got = form_z(LandscapeForm.of(source), betas)
     gap = np.abs(got - landscape_oracle.quadratic_z(source, betas))
     assert (gap <= 1e-14 * term_size(source, betas)).all()
-
-
-# one small ensemble per family: (family, n, params)
-FAMILY_CASES = [
-    ("uniform", 8, {"t_size": 40}),
-    ("uniform", 14, {"t_size": 4096}),
-    ("clustered", 8, {}),
-    ("sat", 8, {"num_clauses": 20}),
-    ("kclique", 10, {}),
-    ("qrfactor", 12, {}),
-]
 
 
 # i^k for k mod 4, as (real, imaginary) parts

@@ -295,6 +295,14 @@ class TestExactOracle:
                 peak, slope = peak_and_slope(source, beta)
                 assert abs(slope) <= 1e-10 * peak
 
+    def test_z_imaginary_up_to_rounding(self):
+        # u ~ 1e-17 everywhere: the peak, at beta = pi/4, is a double root of v'
+        full = TargetSpace(2, (0, 1, 2, 3))
+        summary = aggregate([full, full, TargetSpace(2, (2, 3))])
+        result = best_angles(summary)
+        assert result.value == pytest.approx(10 / 9, rel=1e-12)
+        assert_no_stationary_point_beats(summary, result)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 3), st.data())
     def test_random_spaces_and_summaries(self, n, count, data):

@@ -691,6 +691,30 @@ class TestCli:
         assert err == message + " of instance 0\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 8.00 GiB for an array with shape (1073741824,)"
+                         " and data type int64"),
+             "error: out of memory: Unable to allocate 8.00 GiB for an array with shape"
+             " (1073741824,) and data type int64"),
+            (MemoryError(), "error: out of memory"),
+            (MemoryError("first line\nsecond line"),
+             "error: out of memory: first line second line"),
+        ],
+        ids=["numpy", "bare", "two-lines"],
+    )
+    def test_memory_error_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, exc, line):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(problems, "sample_uniform", exhausted)
+        code = cli.main(["gen", "--family", "uniform", "--n", "30", "--count", "1",
+                         "--t-size", "200000000", "--out", str(tmp_path / "e.json")])
+        assert code == 1
+        assert capsys.readouterr().err == line + "\n"
+        assert not list(tmp_path.iterdir())
+
     def test_sat_density_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
         class NoDraws:
             def __getattr__(self, name):

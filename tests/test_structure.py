@@ -101,6 +101,32 @@ class TestAggregate:
         assert peak <= 1.1 * one_peak
 
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_statistics_are_the_stacked_mean(self, family):
+        """The running sum has the bits np.mean gives the stacked statistics."""
+        n, params = {"sat": (8, {"num_clauses": 24}), "qrfactor": (10, {})}.get(family, (8, {}))
+        if family == "uniform":
+            params = {"t_size": 40}
+        spaces = [inst.target for inst in build_ensemble(family, n, 30, params, 6).instances]
+        summary = aggregate(spaces)
+        for got, stack in ((summary.e_profile, [s.mean_profile for s in spaces]),
+                           (summary.e_pair, [s.mean_pair for s in spaces])):
+            want = np.mean(stack, axis=0)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_peak_does_not_grow_with_the_count(self, rng):
+        """On warm spaces only |T|, as one float per space, is held per space.
+
+        A stack of the pair matrices would add (n+1)^2 floats, 968 bytes, per space.
+        """
+        spaces = [random_space(rng, 10, 4) for _ in range(2000)]
+        for space in spaces:
+            space.mean_pair
+        _, few = traced(lambda: aggregate(spaces[:10]))
+        _, many = traced(lambda: aggregate(spaces))
+        assert many - few <= 16 * len(spaces)
+
+
 def traced(call) -> tuple[int, int]:
     """Bytes still held after call() returns, and its peak, under tracemalloc."""
     tracemalloc.start()
