@@ -6,8 +6,8 @@ pipeline optimises every instance on its own landscape.  Every measured shot
 hits the target set with probability F1, so an arm's hit count is one
 binomial draw at the exact closed-form F1, from an independent RNG stream per
 (instance, arm); results do not depend on evaluation order.  Each driver
-builds one mixer basis (``landscape.MixerBasis``) per beta set, the grid's
-betas or the shared beta, and evaluates every instance and the summary on it.
+reads z for all its sources at one beta set, the grid's betas or the shared
+beta, from one ``landscape.form_z`` call.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_STATEVECTOR_WIDTH, Angles, AngleGrid, ComputationError, UsageError
-from .landscape import LandscapeForm, LandscapeGrid, MixerBasis, basis_f1, basis_z
+from .landscape import LandscapeForm, LandscapeGrid, form_z, z_f1
 # unused here, but perfbench/test_harness.py checks that this module binds it
 from .landscape import f1_closed  # noqa: F401
 from .optimize import best_angles_all
@@ -82,23 +82,21 @@ def run_landscape_comparison(
 ) -> LandscapeComparison:
     """Empirical mean landscape vs the structural approximation on one grid.
 
-    With z = form_z(form, beta), s = form.scale and phi = exp(-i*gamma) - 1,
+    With z a form's z at beta, s = form.scale and phi = exp(-i*gamma) - 1,
     an instance's bracket is c(gamma) . x(beta) with x = (1, Re z, Im z) and
     c = (1, -2 Re phi, 2 Im phi), and its F1 is c . (s*x).  So the mean, the
     spread and the bound over the instances follow from the per-beta mean
     and covariance of s*x and of x; no per-instance grid is formed.  One
-    mixer basis at the grid betas serves every instance and the summary, and
-    each z has the bits form_z gives alone; the approximation has the bits
-    that f1 gives the summary.  The last gamma column is the cross-section
-    at gamma_c.
+    form_z call at the grid betas serves every instance and the summary, so
+    the approximation has the bits that f1 gives the summary.  The last
+    gamma column is the cross-section at gamma_c.
     """
     spaces = [inst.target for inst in ensemble.instances]
     summary = aggregate(spaces)
     betas, gammas = grid.betas(), np.append(grid.gammas(), gamma_c)
-    basis = MixerBasis.at(betas, summary.n)
-    forms = [LandscapeForm.of(space) for space in spaces]
-    scales = np.array([form.scale for form in forms])
-    z = np.array([basis_z(basis, form) for form in forms])  # (count, beta)
+    forms = [LandscapeForm.of(source) for source in [*spaces, summary]]
+    every_z = form_z(forms, betas)  # (count + 1, beta): the instances, then the summary
+    z, scales = every_z[:-1], np.array([form.scale for form in forms[:-1]])
     x = np.stack([np.ones_like(z.real), z.real, z.imag], axis=-1)
     phi = np.exp(-1j * gammas) - 1.0
     c = np.stack([np.ones_like(gammas), -2.0 * phi.real, 2.0 * phi.imag], axis=-1)
@@ -106,7 +104,7 @@ def run_landscape_comparison(
     mean = scaled.mean(axis=0) @ c.T
     stddev = np.sqrt(_spread(scaled, c))
     bound = np.sqrt(scales.var() * _spread(x, c))
-    approx = basis_f1(basis, LandscapeForm.of(summary), gammas)
+    approx = z_f1(forms[-1].scale, every_z[-1], gammas)
     mean_values = mean[:, :-1].ravel()
     approx_values = approx[:, :-1].ravel()
 
@@ -179,22 +177,23 @@ def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> Compari
     """Per-instance optimisation against one problem-global optimisation.
 
     One batched search covers every instance and, last, their summary.  One
-    mixer basis at the shared beta then gives every instance's F1 at the
+    form_z call at the shared beta then gives every instance's F1 at the
     shared angles, each with the bits of f1_closed.
     """
     _check_shots(shots)
     spaces = [inst.target for inst in ensemble.instances]
     *owns, shared = best_angles_all([*spaces, aggregate(spaces)])
-    basis = MixerBasis.at(shared.angles.beta, ensemble.n)
+    forms = [LandscapeForm.of(space) for space in spaces]
+    shared_z = form_z(forms, shared.angles.beta)
 
     records = []
-    for inst, own in zip(ensemble.instances, owns):
+    for inst, own, form, z in zip(ensemble.instances, owns, forms, shared_z):
         standard = ArmOutcome(
             angles=own.angles,
             success_prob=own.value,  # F1 at own.angles
             shots_hit=_draw_hits(own.value, shots, shot_rng(seed, inst.id, STANDARD_ARM)),
         )
-        prob = float(basis_f1(basis, LandscapeForm.of(inst.target), shared.angles.gamma))
+        prob = float(z_f1(form.scale, z, shared.angles.gamma))
         noniterative = ArmOutcome(
             angles=shared.angles,
             success_prob=prob,

@@ -23,12 +23,12 @@ target, binomial basis) and ``f1_statevector`` (the full 2^n state) are
 independent oracles for it.  Along beta a landscape is fixed by 2n+1 Fourier
 coefficients (``form_coefficients``), from which ``coefficient_z`` and
 ``coefficient_scan`` give z at O(n) per beta or by one inverse FFT;
-``form_z`` is their oracle.  What z reads of the mixer at given betas (a
-``MixerBasis``: |fn|^2, fn and exp(i*beta*n)) does not depend on the
-landscape, so it is built once per width and beta set and serves every
-source: ``form_coefficients`` keeps one per width n, and the ensemble
-drivers build one per grid or shared beta.  Each source still takes its own
-gemv on it (``basis_z``), so every z has the bits ``form_z`` gives it alone.
+``form_z`` is their oracle.  What z reads of the mixer at given betas
+(|fn|^2, fn and exp(i*beta*n)) does not depend on the landscape, so
+``form_z`` takes a stack of forms of one width and builds it once for all of
+them; the drivers pass every source of a beta set in one call.  Each form
+still takes its own gemv, so its z has the same bits alone or in any stack,
+and ``z_f1`` turns a form's z into F1 at any gammas.
 """
 
 from __future__ import annotations
@@ -118,63 +118,38 @@ def _even_signs(n: int) -> np.ndarray:
     return (np.arange(n + 1)[:, None] * 2 == d + e) * np.where((e - d) % 4, -1.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class MixerBasis:
-    """What form_z reads of the mixer factors fn at fixed betas, for any form of width n.
+def form_z(forms, betas) -> np.ndarray:
+    """z = q - exp(i*beta*n) * p . fn of each form at each beta, with q = |fn|^2 . A real.
 
-    square is |fn|^2 with the betas' shape plus a last d axis, fn_t is fn
-    with the d axis first, and phase is exp(i*beta*n).  None depends on the
-    landscape, so one basis per width and beta set serves every source; its
-    arrays are read-only.
+    All forms share one width n, and fn is built once for them.  The result
+    has shape (len(forms),) + shape(betas).  Each beta costs O(n) per form;
+    the bracket at (beta, gamma) is 1 - 2 Re(z * phi(gamma)).  Each form
+    takes its own gemv, so its z has the same bits alone or in any stack: a
+    stacked contraction would round differently.
     """
-
-    square: np.ndarray
-    fn_t: np.ndarray
-    phase: np.ndarray
-
-    @classmethod
-    def at(cls, betas, n: int) -> "MixerBasis":
-        fn = fn_matrix(betas, n)
-        square = fn.real**2 + fn.imag**2
-        fn.flags.writeable = square.flags.writeable = False
-        # fn.T stays a view: a contiguous copy takes another BLAS path and rounds differently
-        return cls(square, fn.T, np.exp(1j * n * np.asarray(betas)))
+    betas = np.asarray(betas)
+    # at most 1-d for the gemvs; a scalar stays one, or its dot products round differently
+    flat = betas.reshape(-1) if betas.ndim > 1 else betas
+    n = forms[0].n
+    fn = fn_matrix(flat, n)
+    square, phase = fn.real**2 + fn.imag**2, np.exp(1j * n * flat)
+    fn_t = fn.T  # a view: a contiguous copy takes another BLAS path and rounds differently
+    z = np.array([square @ form.even - phase * (form.profile @ fn_t) for form in forms])
+    return z.reshape((len(forms),) + betas.shape)
 
 
-def basis_z(basis: MixerBasis, form: LandscapeForm) -> np.ndarray:
-    """z = q - exp(i*beta*n) * p . fn at the basis' betas, with q = |fn|^2 . A real.
-
-    The result has the basis' beta shape.  Each beta costs O(n); the bracket
-    at (beta, gamma) is 1 - 2 Re(z * phi(gamma)).  One gemv per form: a
-    stacked contraction over several forms would round differently.
-    """
-    return basis.square @ form.even - basis.phase * (form.profile @ basis.fn_t)
-
-
-def form_z(form: LandscapeForm, betas) -> np.ndarray:
-    """basis_z at betas, a scalar or a 1-d array, from a basis built for this call alone."""
-    return basis_z(MixerBasis.at(betas, form.n), form)
-
-
-@functools.cache
-def _sample_basis(n: int) -> MixerBasis:
-    """The basis at the 2n+1 betas pi*j/(2n+1) that form_coefficients samples."""
-    size = 2 * n + 1
-    return MixerBasis.at(np.pi * np.arange(size) / size, n)
-
-
-def form_coefficients(form: LandscapeForm) -> np.ndarray:
-    """The coefficients a_k of z(beta) = sum_{k=-n..n} a_k w^k, w = exp(2i*beta).
+def form_coefficients(forms) -> np.ndarray:
+    """The coefficients a_k of each form's z(beta) = sum_{k=-n..n} a_k w^k, w = exp(2i*beta).
 
     x^n fn_d = 2^-n (1 + w)^(n-d) (1 - w)^d with x = exp(i*beta), so each
     |fn_d|^2 and each exp(i*beta*n) * fn_d is a Laurent polynomial of degree
     n in w, and so is z.  z at the 2n+1 betas pi*j/(2n+1), which put w at
     the (2n+1)-th roots of unity, therefore fixes it: one FFT of those
-    samples returns a_k exactly, along a new last axis in FFT order
-    (k = 0..n, then -n..-1).  The samples come from one basis per width,
-    built on first use, and have the bits form_z gives at those betas.
+    samples returns a_k exactly, in one row per form, along the last axis in
+    FFT order (k = 0..n, then -n..-1).  A row has the bits of one form alone.
     """
-    return np.fft.fft(basis_z(_sample_basis(form.n), form), norm="forward")
+    size = 2 * forms[0].n + 1
+    return np.fft.fft(form_z(forms, np.pi * np.arange(size) / size), norm="forward")
 
 
 def coefficient_z(coeffs: np.ndarray, betas) -> np.ndarray:
@@ -213,18 +188,20 @@ def f1(source: TargetSpace | StructuralSummary, betas, gammas) -> np.ndarray:
     shape shape(betas) + shape(gammas): a lattice is
     f1(source, grid.betas(), grid.gammas()), beta outer, and a fixed-gamma
     curve passes one gamma.
-
-    |phi|^2 = -2 Re(phi) turns the bracket into 1 - 2 Re(phi * z): one
-    complex z per beta from basis_z, combined with phi(gamma) as an outer product.
     """
     form = LandscapeForm.of(source)
-    return basis_f1(MixerBasis.at(betas, form.n), form, gammas)
+    (z,) = form_z([form], betas)
+    return z_f1(form.scale, z, gammas)
 
 
-def basis_f1(basis: MixerBasis, form: LandscapeForm, gammas) -> np.ndarray:
-    """F1 of one form at the outer product of the basis' betas and gammas, as f1 gives it."""
+def z_f1(scale: float, z, gammas) -> np.ndarray:
+    """F1 = scale * bracket from z, at the outer product of z's betas and gammas.
+
+    |phi|^2 = -2 Re(phi) turns the bracket into 1 - 2 Re(phi * z): one
+    complex z per beta, combined with phi(gamma) as an outer product.
+    """
     phi = np.exp(-1j * np.asarray(gammas)) - 1.0
-    return form.scale * (1.0 - 2.0 * np.multiply.outer(basis_z(basis, form), phi).real)
+    return scale * (1.0 - 2.0 * np.multiply.outer(z, phi).real)
 
 
 def f1_closed(space: TargetSpace, beta: float, gamma: float) -> float:

@@ -9,11 +9,11 @@ value scale * (1 + 2 Re z + 2|z|).  Every landscape also satisfies
 F1(pi - beta, 2*pi - gamma) = F1(beta, gamma), so the search is one scan of
 beta over [0, pi/2] and a refinement of its best cell.  z is a Laurent
 polynomial of degree n in w = exp(2i*beta), so the search takes its 2n+1
-coefficients a_k once per landscape from z at 2n+1 betas, on a mixer basis
-built once per width (``landscape.form_coefficients``); one inverse FFT then
-gives z at every scan beta.  The derivative z' has coefficients 2i*k*a_k,
-so the peak's exact slope costs O(n) at any beta, as z does, and the
-refinement bisects the best cell on the sign of that slope.  The refinement steps all landscapes at
+coefficients a_k from z at 2n+1 betas, for all landscapes in one call
+(``landscape.form_coefficients``); one inverse FFT then gives z at every
+scan beta.  The derivative z' has coefficients 2i*k*a_k, so the peak's
+exact slope costs O(n) at any beta, as z does, and the refinement bisects
+the best cell on the sign of that slope.  The refinement steps all landscapes at
 once, and each landscape's result has the same bits as a search of it alone.
 
 ``maximize`` is the older generic 2-D search over the canonical domain
@@ -40,8 +40,8 @@ import numpy as np
 
 from .core import Angles, ComputationError, TargetSpace, UsageError
 from .landscape import (
-    LandscapeForm, MixerBasis, basis_f1, coefficient_scan, coefficient_z, f1_closed,
-    form_coefficients, wave_numbers,
+    LandscapeForm, coefficient_scan, coefficient_z, f1_closed, form_coefficients, form_z,
+    wave_numbers, z_f1,
 )
 from .structure import StructuralSummary
 
@@ -170,8 +170,7 @@ def best_angles_all(sources) -> tuple[OptResult, ...]:
     forms = [LandscapeForm.of(source) for source in sources]
     if not forms or any(form.n != forms[0].n for form in forms):
         raise UsageError("need one or more landscape sources of one width n")
-    # per source: a stacked form_z rounds differently from a lone one
-    coeffs = np.array([form_coefficients(form) for form in forms])
+    coeffs = form_coefficients(forms)
     cells = SCAN_CELLS_PER_QUBIT * forms[0].n
     betas = BETA_SCAN_END * np.arange(cells + 1) / cells
     # row by row, so the transform's temporaries do not grow with the ensemble
@@ -195,7 +194,7 @@ def best_angles_all(sources) -> tuple[OptResult, ...]:
     results = []
     for form, b, z in zip(forms, beta.tolist(), zs):
         gamma = _best_gamma(complex(z))
-        value = float(basis_f1(MixerBasis.at(b, form.n), form, gamma))  # f1 of the source
+        value = float(z_f1(form.scale, form_z([form], b)[0], gamma))  # f1 of the source
         results.append(OptResult(Angles(b, gamma), value, evaluations))
     return tuple(results)
 

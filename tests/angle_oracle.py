@@ -76,7 +76,7 @@ def _unit_circle_betas(coeffs: np.ndarray) -> list[float]:
 
 
 def _peak(form: LandscapeForm, beta: float) -> float:
-    z = complex(form_z(form, beta))
+    z = complex(form_z([form], beta)[0])
     return float(form.scale * (1.0 + 2.0 * z.real + 2.0 * abs(z)))
 
 

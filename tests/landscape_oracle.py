@@ -5,9 +5,9 @@ replaces: q = Re(fn^T Q conj(fn)) at O(n^2) per beta, read straight from a
 source's mean pair matrix Q, so it shares nothing with the form's
 even-diagonal sums A.
 
-``lone_z`` is ``form_z`` as it stood before the mixer basis: fn built for
-the one call, then the same operations in the same order.  Every route that
-shares a basis must give its bits.
+``lone_z`` is ``form_z`` for one form, written out: fn built for that form
+alone, then the same operations in the same order.  Every row of a stacked
+``form_z`` call, whatever the stack, must give its bits.
 
 ``compare`` checks the ensemble comparison.
 ``experiments.run_landscape_comparison`` reads the mean, spread and error

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qaoa_landscape import experiments
+from qaoa_landscape import experiments, landscape
 from qaoa_landscape.core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
 from qaoa_landscape.experiments import (
     DEFAULT_GAMMA_C,
@@ -17,8 +17,9 @@ from qaoa_landscape.experiments import (
     shot_rng,
 )
 from qaoa_landscape.landscape import (
-    LandscapeForm, approx_expected_f1, basis_f1, basis_z, f1, f1_closed, mean_ck_squared,
+    LandscapeForm, approx_expected_f1, f1, f1_closed, form_z, mean_ck_squared, z_f1,
 )
+from qaoa_landscape.optimize import best_angles_all
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import aggregate
 
@@ -34,6 +35,18 @@ FAMILY_CASES = [
     ("kclique", 10, {}),
     ("qrfactor", 12, {}),
 ]
+
+
+def count_mixer_builds(monkeypatch) -> list:
+    """Record the width of every landscape.fn_matrix call from now on."""
+    builds, build = [], landscape.fn_matrix
+
+    def counted(betas, n):
+        builds.append(n)
+        return build(betas, n)
+
+    monkeypatch.setattr(landscape, "fn_matrix", counted)
+    return builds
 
 
 def hits_at(space, angles, shots, rng):
@@ -161,16 +174,26 @@ class TestLandscapeComparison:
         grid = AngleGrid(0.0, np.pi, 0.0, 2 * np.pi, 23, 7)
         seen = []
 
-        def recorded(basis, form):
-            seen.append(basis_z(basis, form))
+        def recorded(forms, betas):
+            seen.append(form_z(forms, betas))
             return seen[-1]
 
-        monkeypatch.setattr(experiments, "basis_z", recorded)
-        run_landscape_comparison(ensemble, grid, gamma_c=1.2)
-        assert len(seen) == len(ensemble.instances)
-        for z, inst in zip(seen, ensemble.instances):
-            want = landscape_oracle.lone_z(LandscapeForm.of(inst.target), grid.betas())
+        monkeypatch.setattr(experiments, "form_z", recorded)
+        comparison = run_landscape_comparison(ensemble, grid, gamma_c=1.2)
+        (every_z,) = seen  # the instances, then the summary
+        sources = [*(inst.target for inst in ensemble.instances), comparison.summary]
+        assert len(every_z) == len(sources)
+        for z, source in zip(every_z, sources):
+            want = landscape_oracle.lone_z(LandscapeForm.of(source), grid.betas())
             assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("count", [3, 30])
+    def test_one_mixer_build_whatever_the_count(self, monkeypatch, count):
+        ensemble = build_ensemble("uniform", 6, count, {"t_size": 5}, seed=1)
+        grid = AngleGrid(0.0, np.pi, 0.0, 2 * np.pi, 11, 5)
+        builds = count_mixer_builds(monkeypatch)
+        run_landscape_comparison(ensemble, grid)
+        assert len(builds) == 1
 
     def test_memory_does_not_grow_with_count_times_grid(self):
         # per-instance grids would take 2 x 300 x 300 x 301 float64s (about 413 MiB)
@@ -259,18 +282,33 @@ class TestSuccessComparison:
 
     def test_no_f1_evaluated_twice_after_search(self, monkeypatch):
         ensemble = build_ensemble("uniform", 5, 3, {"t_size": 6}, seed=2)
-        calls = []
+        z_calls, f1_calls = [], []
 
-        def counted(basis, form, gammas):
-            calls.append((basis, form.profile.tobytes(), form.even.tobytes(), gammas))
-            return basis_f1(basis, form, gammas)
+        def recorded_z(forms, betas):
+            z_calls.append((forms, betas))
+            return form_z(forms, betas)
 
-        monkeypatch.setattr(experiments, "basis_f1", counted)
+        def recorded_f1(scale, z, gammas):
+            f1_calls.append(gammas)
+            return z_f1(scale, z, gammas)
+
+        monkeypatch.setattr(experiments, "form_z", recorded_z)
+        monkeypatch.setattr(experiments, "z_f1", recorded_f1)
         report = run_success_comparison(ensemble, shots=10, seed=2)
-        assert len(calls) == len(ensemble.instances)  # the shared arm, once each
-        assert len({call[1:3] for call in calls}) == len(calls)
-        assert len({id(call[0]) for call in calls}) == 1  # one basis, at the shared beta
-        assert all(call[3] == report.shared_angles.gamma for call in calls)
+        ((forms, beta),) = z_calls  # the shared arm, in one call at the shared beta
+        distinct = {(form.profile.tobytes(), form.even.tobytes()) for form in forms}
+        assert len(forms) == len(distinct) == len(ensemble.instances)
+        assert beta == report.shared_angles.beta
+        assert f1_calls == [report.shared_angles.gamma] * len(ensemble.instances)
+
+    def test_shared_arm_builds_the_mixer_once(self, monkeypatch):
+        ensemble = build_ensemble("uniform", 5, 4, {"t_size": 6}, seed=2)
+        spaces = [inst.target for inst in ensemble.instances]
+        builds = count_mixer_builds(monkeypatch)
+        best_angles_all([*spaces, aggregate(spaces)])
+        search = len(builds)
+        run_success_comparison(ensemble, shots=10, seed=2)
+        assert len(builds) == 2 * search + 1
 
     @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
     def test_shared_arm_has_the_bits_of_f1_closed(self, family, n, params):

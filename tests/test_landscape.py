@@ -18,10 +18,7 @@ from qaoa_landscape.core import (
 from qaoa_landscape.landscape import (
     LandscapeForm,
     LandscapeGrid,
-    MixerBasis,
     approx_expected_f1,
-    basis_f1,
-    basis_z,
     c_k,
     coefficient_scan,
     coefficient_z,
@@ -35,6 +32,7 @@ from qaoa_landscape.landscape import (
     mean_ck_squared,
     qaoa_state,
     w_matrix,
+    z_f1,
 )
 from qaoa_landscape.experiments import run_landscape_comparison
 from qaoa_landscape.optimize import best_angles
@@ -226,15 +224,15 @@ class TestFormAgainstOracles:
 def assert_coefficients_match_form_z(source, betas):
     """The coefficient route against form_z, and against the binomial expansion."""
     form = LandscapeForm.of(source)
-    coeffs = form_coefficients(form)
+    (coeffs,) = form_coefficients([form])
     n = form.n
     # bounds |z| at every beta; the bracket itself averages to 1 over the angles
     scale = max(np.abs(coeffs).sum(), 1.0)
     assert coeffs.shape == (2 * n + 1,)
-    assert np.abs(coefficient_z(coeffs, betas) - form_z(form, betas)).max() <= 1e-13 * scale
+    assert np.abs(coefficient_z(coeffs, betas) - form_z([form], betas)[0]).max() <= 1e-13 * scale
     points = 128 * n  # the search's scan: w at the 128n-th roots of unity
     scan = coefficient_scan(coeffs, points)
-    assert np.abs(scan - form_z(form, np.pi * np.arange(points) / points)).max() <= 1e-13 * scale
+    assert np.abs(scan - form_z([form], np.pi * np.arange(points) / points)[0]).max() <= 1e-13 * scale
     expanded = laurent_z(source)  # powers -n..n; the route's FFT order is 0..n, -n..-1
     assert np.abs(coeffs - np.roll(expanded, -n)).max() <= 1e-13 * scale
 
@@ -257,7 +255,7 @@ class TestCoefficients:
 
     def test_one_beta_per_row(self, rng):
         spaces = [random_space(rng, 6) for _ in range(3)]
-        coeffs = np.array([form_coefficients(LandscapeForm.of(space)) for space in spaces])
+        coeffs = form_coefficients([LandscapeForm.of(space) for space in spaces])
         betas = np.array([0.1, 0.7, 1.3])
         got = coefficient_z(coeffs, betas)
         assert got.shape == (3,)
@@ -285,50 +283,82 @@ def same_bits(a, b) -> bool:
 
 
 def sampled_coefficients(form: LandscapeForm) -> np.ndarray:
-    """form_coefficients as it was before it kept a basis: one FFT of lone samples of z."""
+    """One form's coefficients written out: one FFT of lone samples of z."""
     size = 2 * form.n + 1
     return np.fft.fft(landscape_oracle.lone_z(form, np.pi * np.arange(size) / size), norm="forward")
 
 
-class TestMixerBasis:
-    """One basis per width and beta set gives every source the bits of a lone evaluation."""
+def family_forms(family, n, params):
+    """The forms of a six-instance ensemble of one family, then of its summary."""
+    spaces = [inst.target for inst in build_ensemble(family, n, 6, params, seed=1).instances]
+    return [LandscapeForm.of(source) for source in [*spaces, aggregate(spaces)]]
+
+
+def analytic_forms(n, t):
+    """The forms of the analytic summaries of width n and size t, in every mode."""
+    return [LandscapeForm.of(summary_analytic(UniformModel(n, t, mode))) for mode in MODES]
+
+
+def stacks(forms):
+    """Stacks of 1, 7 and 200 forms, cycling through forms."""
+    return [[forms[i % len(forms)] for i in range(size)] for size in (1, 7, 200)]
+
+
+ANALYTIC_CASES = [(1, 1), (1, 2), (2, 1), (2, 3), (32, 1 << 31)]
+
+
+def assert_rows_are_lone(forms):
+    """Every row of form_z and form_coefficients, in every stack, has the bits of its form alone."""
+    betas = np.linspace(-1.0, 4.0, 37)
+    for stack in stacks(forms):
+        got = form_z(stack, betas)
+        assert got.shape == (len(stack), betas.size)
+        for row, form in zip(got, stack):
+            assert same_bits(row, landscape_oracle.lone_z(form, betas))
+        for row, form in zip(form_coefficients(stack), stack):
+            assert same_bits(row, sampled_coefficients(form))
+
+
+class TestFormStack:
+    """Each row of a stacked evaluation has the bits of its form alone."""
 
     @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
     def test_coefficients_are_the_sampled_fft(self, family, n, params):
-        spaces = [inst.target for inst in build_ensemble(family, n, 6, params, seed=1).instances]
-        for source in [*spaces, aggregate(spaces)]:
-            form = LandscapeForm.of(source)
-            assert same_bits(form_coefficients(form), sampled_coefficients(form))
+        assert_rows_are_lone(family_forms(family, n, params))
 
-    @pytest.mark.parametrize("n, t", [(1, 1), (1, 2), (2, 1), (2, 3), (32, 1 << 31)])
+    @pytest.mark.parametrize("n, t", ANALYTIC_CASES)
     def test_coefficients_are_the_sampled_fft_analytic(self, n, t):
-        for mode in MODES:
-            form = LandscapeForm.of(summary_analytic(UniformModel(n, t, mode)))
-            assert same_bits(form_coefficients(form), sampled_coefficients(form))
-
-    def test_one_basis_serves_every_form(self, rng):
-        spaces = [random_space(rng, 7) for _ in range(5)]
-        betas = np.linspace(-1.0, 4.0, 37)
-        basis = MixerBasis.at(betas, 7)
-        for source in [*spaces, aggregate(spaces)]:
-            form = LandscapeForm.of(source)
-            assert same_bits(basis_z(basis, form), landscape_oracle.lone_z(form, betas))
-            assert same_bits(form_z(form, betas), landscape_oracle.lone_z(form, betas))
-            gammas = np.array([0.3, 1.2, 5.0])
-            assert same_bits(basis_f1(basis, form, gammas), f1(source, betas, gammas))
+        assert_rows_are_lone(analytic_forms(n, t))
 
     def test_scalar_beta(self, rng):
-        space = random_space(rng, 6)
-        form = LandscapeForm.of(space)
-        basis = MixerBasis.at(0.4, 6)
-        assert same_bits(basis_z(basis, form), landscape_oracle.lone_z(form, 0.4))
-        assert float(basis_f1(basis, form, 2.1)) == f1_closed(space, 0.4, 2.1)
+        spaces = [random_space(rng, 6) for _ in range(3)]
+        forms = [LandscapeForm.of(space) for space in spaces]
+        got = form_z(forms, 0.4)
+        assert got.shape == (3,)
+        for z, form, space in zip(got, forms, spaces):
+            assert same_bits(z, landscape_oracle.lone_z(form, 0.4))
+            assert float(z_f1(form.scale, z, 2.1)) == f1_closed(space, 0.4, 2.1)
 
-    def test_basis_is_read_only(self):
-        basis = MixerBasis.at(np.linspace(0.0, 1.0, 5), 3)
-        for array in (basis.square, basis.fn_t):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+    def test_one_call_serves_every_form(self, rng):
+        spaces = [random_space(rng, 7) for _ in range(5)]
+        sources = [*spaces, aggregate(spaces)]
+        forms = [LandscapeForm.of(source) for source in sources]
+        betas, gammas = np.linspace(-1.0, 4.0, 37), np.array([0.3, 1.2, 5.0])
+        for z, form, source in zip(form_z(forms, betas), forms, sources):
+            assert same_bits(z_f1(form.scale, z, gammas), f1(source, betas, gammas))
+
+    def test_betas_of_any_shape(self, rng):
+        # profile @ fn.T reverses every axis of fn: 2-d betas are flattened for it
+        space = TargetSpace(3, (1, 6))
+        forms = [LandscapeForm.of(space), LandscapeForm.of(random_space(rng, 3))]
+        betas = np.linspace(-1.0, 4.0, 8).reshape(2, 4)
+        got, values = form_z(forms, betas), f1(space, betas, 0.7)
+        assert got.shape == (2, 2, 4) and values.shape == (2, 4)
+        for i, row in enumerate(betas):
+            assert same_bits(got[:, i], form_z(forms, row))
+            assert same_bits(values[i], f1(space, row, 0.7))
+        assert f1(space, betas.reshape(2, 2, 2), np.zeros((3, 5))).shape == (2, 2, 2, 3, 5)
+
 
 def term_size(source, betas) -> np.ndarray:
     """sum |Q[d, e] fn_d fn_e| + sum |p_d fn_d| per beta: what both routes to z sum over.
@@ -341,7 +371,7 @@ def term_size(source, betas) -> np.ndarray:
 
 
 def assert_form_z_matches_quadratic(source, betas):
-    got = form_z(LandscapeForm.of(source), betas)
+    (got,) = form_z([LandscapeForm.of(source)], betas)
     gap = np.abs(got - landscape_oracle.quadratic_z(source, betas))
     assert (gap <= 1e-14 * term_size(source, betas)).all()
 
@@ -400,7 +430,7 @@ class TestFormAgainstQuadratic:
     def test_exact_fractions(self, n, count, data, beta):
         spaces = [data.draw(oracle_spaces(n)) for _ in range(count)]
         for source in [*spaces, aggregate(spaces)]:
-            got = complex(form_z(LandscapeForm.of(source), beta))
+            got = complex(form_z([LandscapeForm.of(source)], beta)[0])
             assert abs(got - exact_z(source, beta)) <= 1e-14 * term_size(source, beta)
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -419,7 +449,8 @@ class TestFormAgainstQuadratic:
         assert_form_z_matches_quadratic(skewed, betas)
         # the skew moves z by more than that check allows, so reading one triangle
         # of e_pair (a move of 0 or of twice the skew) would fail it
-        moved = form_z(LandscapeForm.of(skewed), betas) - form_z(LandscapeForm.of(summary), betas)
+        skewed_z, summary_z = form_z([LandscapeForm.of(skewed), LandscapeForm.of(summary)], betas)
+        moved = skewed_z - summary_z
         assert (np.abs(moved) > 2e-14 * term_size(skewed, betas)).any()
 
 
