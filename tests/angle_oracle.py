@@ -16,6 +16,10 @@ Laurent polynomials of degrees n and 3n, and the global maximum over beta
 lies at one of their unit-circle roots.  Each root is evaluated through
 form_z and given a parabolic polish.  This costs milliseconds per source: it
 checks the search, it is not a route for it.
+
+``bisect_refine`` is the search's earlier refinement, kept as the oracle
+for its steps: 52 bisections of the best scan cell on the sign of the
+peak's exact slope, which end where the bracket's ends are adjacent floats.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from qaoa_landscape.landscape import LandscapeForm, form_z
+from qaoa_landscape import optimize
+from qaoa_landscape.landscape import (
+    LandscapeForm, coefficient_scan, coefficient_z, form_coefficients, form_z, wave_numbers, z_f1,
+)
 
 from landscape_oracle import statistics
 
@@ -36,6 +43,8 @@ NOISE_TOL = 1e-12
 # the half-width of the parabolic polish, and how often it is applied
 POLISH_STEP = 1e-6
 POLISH_ROUNDS = 2
+# the bisection oracle halves its bracket this many times
+BISECTIONS = 52
 
 
 def laurent_z(source) -> np.ndarray:
@@ -110,3 +119,41 @@ def best_value(source) -> float:
         *_unit_circle_betas(du),
     ]
     return max(_polish(form, beta) for beta in candidates)
+
+
+def bisect_refine(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The bisected beta in [lo[i], hi[i]] of each row of form_coefficients' coefficients.
+
+    BISECTIONS times, the midpoint replaces lo where the peak 1 + 2 Re z + 2|z|
+    strictly rises there and hi elsewhere (z == 0 does not rise); the result
+    is the last midpoint.  The rows step as arrays, as the search's do:
+    numpy's scalar complex arithmetic can round differently.
+    """
+    both = np.stack([coeffs, coeffs * wave_numbers(coeffs.shape[-1])])
+    for _ in range(BISECTIONS):
+        mid = (lo + hi) / 2.0
+        z, dz = coefficient_z(both, mid)
+        rising = dz.real * abs(z) + (z.conj() * dz).real > 0.0  # the peak's slope times |z|/2
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    return (lo + hi) / 2.0
+
+
+def bisected_angles(source) -> tuple[float, float]:
+    """beta and f1 at the best angles, with the best scan cell refined by bisect_refine.
+
+    The scan, the bracket, the rule that keeps the refined beta only where it
+    peaks strictly higher than the scan, and gamma and the value are
+    best_angles' own.
+    """
+    form = LandscapeForm.of(source)
+    coeffs = form_coefficients([form])
+    cells = optimize.SCAN_CELLS_PER_QUBIT * form.n
+    betas = optimize.BETA_SCAN_END * np.arange(cells + 1) / cells
+    peaks = optimize._peak(coefficient_scan(coeffs[0], 2 * cells)[: cells + 1])
+    best = int(np.argmax(peaks))
+    lo, hi = betas[[max(best - 1, 0)]], betas[[min(best + 1, cells)]]
+    refined = bisect_refine(coeffs, lo, hi)
+    higher = optimize._peak(coefficient_z(coeffs, refined)) > peaks[best]
+    beta = np.where(higher, refined, betas[best])
+    gamma = optimize._best_gamma(complex(coefficient_z(coeffs, beta)[0]))
+    return float(beta[0]), float(z_f1(form.scale, form_z([form], float(beta[0]))[0], gamma))

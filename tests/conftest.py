@@ -2,7 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from qaoa_landscape.analytic import MODES, UniformModel, summary_analytic
 from qaoa_landscape.core import TargetSpace
+from qaoa_landscape.problems import build_ensemble
+from qaoa_landscape.structure import aggregate
+
+# one small ensemble per family: (family, n, params)
+FAMILY_CASES = [
+    ("uniform", 8, {"t_size": 40}),
+    ("uniform", 14, {"t_size": 4096}),
+    ("clustered", 8, {}),
+    ("sat", 8, {"num_clauses": 20}),
+    ("kclique", 10, {}),
+    ("qrfactor", 12, {}),
+]
+# analytic summaries (n, |T|), down to the smallest widths and up to the width limit
+ANALYTIC_CASES = [(1, 1), (1, 2), (2, 1), (2, 3), (32, 1 << 31)]
 
 
 def random_space(rng: np.random.Generator, n: int, size: int | None = None) -> TargetSpace:
@@ -10,6 +25,17 @@ def random_space(rng: np.random.Generator, n: int, size: int | None = None) -> T
         size = int(rng.integers(1, (1 << n) + 1))
     states = rng.choice(1 << n, size=size, replace=False)
     return TargetSpace.from_iterable(n, states)
+
+
+def family_sources(family, n, params) -> list:
+    """The target spaces of a six-instance ensemble of one family, then its summary."""
+    spaces = [inst.target for inst in build_ensemble(family, n, 6, params, seed=1).instances]
+    return [*spaces, aggregate(spaces)]
+
+
+def analytic_summaries(n, t) -> list:
+    """The analytic summaries of width n and size t, in every mode."""
+    return [summary_analytic(UniformModel(n, t, mode)) for mode in MODES]
 
 
 @st.composite

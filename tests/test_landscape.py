@@ -41,7 +41,9 @@ from qaoa_landscape.structure import StructuralSummary, aggregate
 
 import landscape_oracle
 from angle_oracle import laurent_z
-from conftest import oracle_spaces, random_space
+from conftest import (
+    ANALYTIC_CASES, FAMILY_CASES, analytic_summaries, family_sources, oracle_spaces, random_space,
+)
 
 
 @st.composite
@@ -263,17 +265,6 @@ class TestCoefficients:
             assert got[i] == coefficient_z(coeffs[i], beta)
 
 
-# one small ensemble per family: (family, n, params)
-FAMILY_CASES = [
-    ("uniform", 8, {"t_size": 40}),
-    ("uniform", 14, {"t_size": 4096}),
-    ("clustered", 8, {}),
-    ("sat", 8, {"num_clauses": 20}),
-    ("kclique", 10, {}),
-    ("qrfactor", 12, {}),
-]
-
-
 def same_bits(a, b) -> bool:
     """Equal shapes and equal bits, -0.0 and NaN payloads included."""
     a, b = np.asarray(a), np.asarray(b)
@@ -290,21 +281,17 @@ def sampled_coefficients(form: LandscapeForm) -> np.ndarray:
 
 def family_forms(family, n, params):
     """The forms of a six-instance ensemble of one family, then of its summary."""
-    spaces = [inst.target for inst in build_ensemble(family, n, 6, params, seed=1).instances]
-    return [LandscapeForm.of(source) for source in [*spaces, aggregate(spaces)]]
+    return [LandscapeForm.of(source) for source in family_sources(family, n, params)]
 
 
 def analytic_forms(n, t):
     """The forms of the analytic summaries of width n and size t, in every mode."""
-    return [LandscapeForm.of(summary_analytic(UniformModel(n, t, mode))) for mode in MODES]
+    return [LandscapeForm.of(summary) for summary in analytic_summaries(n, t)]
 
 
 def stacks(forms):
     """Stacks of 1, 7 and 200 forms, cycling through forms."""
     return [[forms[i % len(forms)] for i in range(size)] for size in (1, 7, 200)]
-
-
-ANALYTIC_CASES = [(1, 1), (1, 2), (2, 1), (2, 3), (32, 1 << 31)]
 
 
 def assert_rows_are_lone(forms):

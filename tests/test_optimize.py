@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from qaoa_landscape.core import ComputationError, TargetSpace, UsageError
 from qaoa_landscape.experiments import run_success_comparison
 from qaoa_landscape.landscape import LandscapeForm, approx_expected_f1, f1, f1_closed
 from qaoa_landscape.optimize import (
-    BETA_BISECTIONS,
+    BETA_STEP_CAP,
     OptConfig,
     _best_gamma,
     best_angles,
@@ -20,8 +21,10 @@ from qaoa_landscape.optimize import (
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
 
-from angle_oracle import _derivative, best_value, laurent_z
-from conftest import oracle_spaces, random_space
+from angle_oracle import _derivative, best_value, bisected_angles, laurent_z
+from conftest import (
+    ANALYTIC_CASES, FAMILY_CASES, analytic_summaries, family_sources, oracle_spaces, random_space,
+)
 
 
 def n1_objective(beta, gamma):
@@ -177,6 +180,11 @@ def criterion_9_sources(request):
     return spaces[:10] + [aggregate(spaces)]
 
 
+def refine_steps(source, result) -> int:
+    """The refinement's steps: evaluations less the 64n+1 scan betas and the refined beta."""
+    return result.evaluations - (64 * source.n + 1) - 1
+
+
 def objective(source):
     """The landscape of a space or a summary as a scalar (beta, gamma) function."""
     if isinstance(source, StructuralSummary):
@@ -200,8 +208,7 @@ class TestBestAngles:
             result = best_angles(source)
             assert 0.0 <= result.angles.beta <= math.pi / 2
             assert 0.0 <= result.angles.gamma < 2 * math.pi
-            # the 64n+1 scan betas, the midpoints and the refined beta
-            assert result.evaluations == 64 * source.n + 1 + BETA_BISECTIONS + 1
+            assert 1 <= refine_steps(source, result) <= BETA_STEP_CAP
 
     def test_never_below_its_scan(self, rng):
         space = random_space(rng, 6, 9)
@@ -223,6 +230,15 @@ class TestBestAngles:
         result = best_angles(TargetSpace(3, (0,)))
         assert (result.angles.beta, result.angles.gamma) == (0.0, 0.0)
         assert result.value == 1 / 8
+
+    def test_z_zero_raises_no_warning(self, monkeypatch):
+        # z == 0 leaves the Newton step undefined; the search takes the midpoint silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best_angles(TargetSpace(1, (1,)))
+            flat = LandscapeForm(n=3, scale=1 / 8, profile=np.zeros(4), even=np.zeros(4))
+            monkeypatch.setattr(LandscapeForm, "of", classmethod(lambda cls, source: flat))
+            best_angles(TargetSpace(3, (0,)))
 
     def test_non_finite_landscape_is_computation_error(self, monkeypatch):
         huge = LandscapeForm(
@@ -266,6 +282,64 @@ class TestBestAngles:
             alone = best_angles(source)
             assert batched.angles == alone.angles
             assert batched.value == alone.value and batched.evaluations == alone.evaluations
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """How many floats from a to b, for a, b >= 0."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def assert_bisection_bits(source, result):
+    """The search's angles and value are those of the bisection oracle, to the bit."""
+    beta, value = bisected_angles(source)
+    assert (result.angles.beta.hex(), result.value.hex()) == (beta.hex(), value.hex())
+
+
+class TestBisectionOracle:
+    """The refinement's Newton steps against the 52 bisections they replace."""
+
+    @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+    def test_family_sources(self, family, n, params):
+        sources = family_sources(family, n, params)
+        for source, result in zip(sources, best_angles_all(sources), strict=True):
+            assert_bisection_bits(source, result)
+
+    @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+    def test_family_sources_refine_in_few_steps(self, family, n, params):
+        # bisection takes all 52 steps; Newton's end in 4 to 6 on these
+        sources = family_sources(family, n, params)
+        for source, result in zip(sources, best_angles_all(sources), strict=True):
+            assert refine_steps(source, result) <= 8
+
+    def test_criterion_9_sources(self, criterion_9_sources):
+        for source, result in zip(criterion_9_sources, best_angles_all(criterion_9_sources)):
+            assert_bisection_bits(source, result)
+
+    @pytest.mark.parametrize("n, t", ANALYTIC_CASES)
+    def test_analytic_summaries(self, n, t):
+        for summary in analytic_summaries(n, t):
+            assert_bisection_bits(summary, best_angles(summary))
+
+    def test_plateau_does_not_creep(self):
+        # the slope is exactly 0 across ~1e-12 of beta near 0.7854: Newton points on an end
+        # of the bracket, each moved one float in, would shrink it by a float a step to the cap
+        full = TargetSpace(3, tuple(range(8)))
+        summary = aggregate([full, full, TargetSpace(3, (2, 5))])
+        result = best_angles(summary)
+        assert_bisection_bits(summary, result)
+        assert refine_steps(summary, result) < BETA_STEP_CAP
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 3), st.data())
+    def test_random_spaces_and_summaries(self, n, count, data):
+        spaces = [data.draw(oracle_spaces(n)) for _ in range(count)]
+        sources = [*spaces, aggregate(spaces)]
+        for source, result in zip(sources, best_angles_all(sources)):
+            beta, value = bisected_angles(source)
+            if (result.angles.beta, result.value) != (beta, value):
+                # where the slope's sign is rounding noise the two may end apart
+                assert ulps_apart(result.angles.beta, beta) <= 16
+                assert result.value >= value - 1e-13 * result.value
 
 
 def assert_no_stationary_point_beats(source, result):
