@@ -94,6 +94,7 @@ def _cmd_landscape(args) -> int:
     ensemble = storage.load_ensemble(args.ensemble)
     gamma_c = args.gamma_c if args.gamma_c is not None else DEFAULT_GAMMA_C
     result = run_landscape_comparison(ensemble, grid, gamma_c=gamma_c)
+    del ensemble  # its targets are not needed for the files: the writers reuse their memory
     storage.grid_to_csv(result.mean, f"{prefix}_mean.csv")
     storage.grid_to_csv(result.approx, f"{prefix}_approx.csv")
     storage.grid_to_csv(result.error, f"{prefix}_error.csv")

@@ -91,6 +91,10 @@ class OptResult:
     evaluations: int
 
 
+# best_angles_all's result where F1 = 1 at every angle: the tie to beta 0, gamma 0, unsearched
+_FLAT = OptResult(Angles(0.0, 0.0), 1.0, 0)
+
+
 def maximize(objective, config: OptConfig = OptConfig()) -> OptResult:
     """Maximise objective(beta, gamma) over the canonical angle domain.
 
@@ -168,13 +172,23 @@ def best_angles_all(sources) -> tuple[OptResult, ...]:
     midpoint is kept only if it peaks strictly higher than the scan.
     gamma is atan2(-Im z, -Re z) mod 2*pi, or 0 where z == 0.  The angles lie
     in [0, pi/2] x [0, 2*pi); value is f1 at them and evaluations counts the
-    betas evaluated, 64n+1 + the source's steps + 1.  Each result is the one
-    best_angles gives for its source alone, to the bit.
+    betas evaluated, 64n+1 + the source's steps + 1.  A form of scale 1 (a full
+    target space, or a summary with e_tsize = 2^n) has F1 = 1 at every angle, so
+    it is not searched: it takes the tie, beta 0 and gamma 0, value 1 and
+    evaluations 0.  Each result is the one best_angles gives for its source
+    alone, to the bit.
     """
-    sources = tuple(sources)
     forms = [LandscapeForm.of(source) for source in sources]
     if not forms or any(form.n != forms[0].n for form in forms):
         raise UsageError("need one or more landscape sources of one width n")
+    found = iter(_searched([form for form in forms if form.scale != 1.0]))
+    return tuple(_FLAT if form.scale == 1.0 else next(found) for form in forms)
+
+
+def _searched(forms: list[LandscapeForm]) -> list[OptResult]:
+    """best_angles_all's scan and refinement of each form, in order; none for none."""
+    if not forms:
+        return []
     coeffs = form_coefficients(forms)
     cells = SCAN_CELLS_PER_QUBIT * forms[0].n
     betas = BETA_SCAN_END * np.arange(cells + 1) / cells
@@ -214,7 +228,7 @@ def best_angles_all(sources) -> tuple[OptResult, ...]:
         gamma = _best_gamma(complex(z))
         value = float(z_f1(form.scale, form_z([form], b)[0], gamma))  # f1 of the source
         results.append(OptResult(Angles(b, gamma), value, betas.size + count + 1))
-    return tuple(results)
+    return results
 
 
 def best_angles(source: TargetSpace | StructuralSummary) -> OptResult:

@@ -1,6 +1,6 @@
 """On-disk formats: ensemble and summary JSON, grid and report CSV.
 
-Every file the package writes goes through `write_json` or `_write_csv`.
+Every file the package writes goes through `_write`.
 All floats in CSV are written with 17 significant digits, enough to
 round-trip a double exactly; JSON uses Python's shortest-exact float
 representation.  Writers emit keys in a fixed order so identical inputs
@@ -9,6 +9,7 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -27,15 +28,90 @@ def _texts(values) -> list[str]:
     return [format(v, ".17g") for v in np.asarray(values, dtype=np.float64).tolist()]
 
 
-def _write_csv(path: str | Path, header: str, lines) -> None:
-    """The header, then each line of the iterable `lines`.
+_CELL_BLOCK = 2048  # floats per block of a grid CSV: O(block) memory, numpy's call cost spread
+_EXPONENTS = range(-284, 285)  # the tables' decimal exponents: those of [1e-280, 1e280), and more
 
-    Lines are streamed to the file, so no copy of the whole text is held.
+
+def _split(a):  # Dekker's split into halves of 26 bits: a = high + low
+    high = 134217729.0 * a - (134217729.0 * a - a)
+    return high, a - high
+
+
+@functools.cache
+def _format_tables():
+    """By exponent e: 10^(16-e) as a split double and its rest, head bytes (by sign, by one
+    digit or more) and exponent bytes.  Then the 4-digit groups, less trailing zeros or not."""
+    tens = [(10 ** max(16 - e, 0), 10 ** max(e - 16, 0)) for e in _EXPONENTS]  # 10^(16-e) = n / d
+    high = [n / d for n, d in tens]  # int / int is correctly rounded
+    ratios = map(float.as_integer_ratio, high)
+    rest = [(n * q - p * d) / (d * q) for (n, d), (p, q) in zip(tens, ratios)]
+    heads = [sign + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "").rjust(5, "\0") + "\0"
+             + ("\0" if one or -4 <= e < 17 else ".")  # d.ddde+XX: the point after the first
+             for one in (False, True) for sign in "\0-" for e in _EXPONENTS]
+    exps = [("\0" + ("" if -4 <= e < 17 else f"e{e:+03d}")).ljust(8, "\0") for e in _EXPONENTS]
+    digits = np.frombuffer(b"".join(b"%04d" % g for g in range(10**4)), np.uint8).reshape(-1, 4)
+    last = np.logical_or.accumulate(digits[:, ::-1] > 48, axis=1)[:, ::-1]  # to the last nonzero
+    return ((*_split(np.array(high)), np.array(rest)),
+            *(np.frombuffer("".join(words).encode(), np.uint64) for words in (heads, exps)),
+            np.concatenate([digits, digits * last]).view(np.uint32).ravel())
+
+
+def _format17g(x: np.ndarray) -> np.ndarray:
+    """1-D float64 x as (len(x), 32) uint8: row i holds '%.17g' % x[i]'s bytes, zeros between.
+
+    Where 1e-280 <= |x| < 1e280, y = |x| 10^(16-e), e = floor(log10 |x|), is a
+    double-double with an error below 1e-14: where 1e16 <= y and y's nearest integer
+    is below 1e17 and 1e-9 or more from a tie, it is the 17 digits (Grisu's idea:
+    Loitsch, PLDI 2010).  Zero has digits 0; other rows are '%.17g' % x[i] itself.
+    Bytes: 0 the sign, 1-5 the "0.000" below 1, 6 the first digit, 7 its point in
+    d.ddde+XX, 8-24 the others less trailing zeros (with the point at or above 1),
+    25-29 the exponent; 31 stays zero.
     """
+    powers, heads, exps, groups = _format_tables()
+    a = np.abs(x)
+    fast, zero = (a >= 1e-280) & (a < 1e280), a == 0.0
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    row = e - _EXPONENTS.start
+    high, low, rest = (table[row] for table in powers)
+    p = a * (high + low)
+    a_high, a_low = _split(a)  # Dekker's exact two-product of a and high + low, then a * rest
+    lo = (((a_high * high - p) + a_high * low + a_low * high) + a_low * low) + a * rest
+    floor = np.floor(lo)
+    base, lo = p.astype(np.int64) + floor.astype(np.int64), lo - floor  # floor(y), its fraction
+    digits = base + (lo > 0.5)
+    # 1e16 <= y < 1e17 (else log10 missed e by one) and no near tie
+    fast = (fast & (base >= 10**16) & (digits < 10**17) & (np.abs(lo - 0.5) >= 1e-9)) | zero
+    del a, p, lo, floor, base, high, low, rest, a_high, a_low
+    (lead, upper), lower = np.divmod(digits * ~zero // 10**8, 10**8), digits * ~zero % 10**8
+    cells = np.empty((len(x), 32), np.uint8)
+    # a group followed by zero groups only drops its trailing zeros: the table's second half
+    for col, half, bare in ((2, upper, lower == 0), (4, lower, True)):
+        first, second = np.divmod(half, 10**4)
+        cells.view(np.uint32)[:, col] = groups[first + 10**4 * (bare & (second == 0))]
+        cells.view(np.uint32)[:, col + 1] = groups[second + 10**4 * bare]
+    one = (upper | lower) == 0  # one digit, and no point
+    head = row + len(_EXPONENTS) * (np.signbit(x) + 2 * one)
+    cells.view(np.uint64)[:, 0] = heads[head] | (lead.astype(np.uint64) + 48) << 48
+    cells.view(np.uint64)[:, 3] = exps[row]
+    if (dotted := np.flatnonzero((e > 0) & (e < 17) | (e == 0) & ~one)).size:  # point after e of 16
+        k, at, tail = e[dotted, None], np.arange(17), cells[dotted, 8:25]
+        tail[:, :16] |= (at[:16] < k) * np.uint8(48)  # digits before the point keep their zeros
+        tail[:, 16:] = ord(".") * ((np.take_along_axis(tail, np.minimum(k, 15), 1) != 0) & (k < 16))
+        moves = np.where(at < k, at, np.where(at > k, at - 1, 16))
+        cells[dotted, 8:25] = np.take_along_axis(tail, moves, 1)
+    for i in np.flatnonzero(~fast):
+        cells[i] = np.frombuffer((b"%.17g" % x[i]).ljust(32, b"\0"), np.uint8)
+    return cells
+
+
+def _write(path: str | Path, head: str, chunks=()) -> None:
+    """Write head, then each chunk (str lines or bytes of lines), streamed: no whole text held."""
     try:
-        with open(path, "w") as out:
-            out.write(header + "\n")
-            out.writelines(lines)
+        with open(path, "wb") as out:
+            out.write(head.encode())
+            for chunk in chunks:
+                out.write(chunk.encode() if isinstance(chunk, str) else chunk)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -47,11 +123,7 @@ def _rows(columns: list[list[str]]):
 
 def write_json(doc, path: str | Path) -> None:
     """`doc` as JSON indented by one space, with a final newline."""
-    text = json.dumps(doc, indent=1) + "\n"
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+    _write(path, json.dumps(doc, indent=1) + "\n")
 
 
 def _read_json(path: str | Path):
@@ -228,31 +300,39 @@ def load_summary(path: str | Path) -> StructuralSummary:
 def grid_to_csv(grid: LandscapeGrid, path: str | Path) -> None:
     """One row per lattice point, row-major (beta outer, gamma inner).
 
-    Each axis value is formatted once.  The gamma texts fix one template per
-    beta row, and each row of cells is written by a single `%` call, so the
-    text held at any time is one beta row.
+    Each axis value is formatted once, the cells by _format17g _CELL_BLOCK floats
+    at a time; a block's lines are laid out in one byte matrix whose zero bytes
+    are dropped, so the text held at any time is one block's.
     """
-    lattice = grid.grid
-    header = "beta,gamma,value" + (",stddev" if grid.stddev is not None else "")
-    cells = [grid.values] if grid.stddev is None else [grid.values, grid.stddev]
-    slots = ",%.17g" * len(cells) + "\n"
-    pieces = [f",{gamma}{slots}" for gamma in _texts(lattice.gammas())]
-    rows = zip(*(np.asarray(c, dtype=np.float64).reshape(lattice.beta_steps, -1) for c in cells))
-    lines = (
-        (beta + beta.join(pieces)) % tuple(np.stack(row, axis=-1).ravel().tolist())
-        for beta, row in zip(_texts(lattice.betas()), rows)
-    )
-    _write_csv(path, header, lines)
+    lattice, width = grid.grid, grid.grid.gamma_steps
+    columns = [np.asarray(c, dtype=np.float64) for c in (grid.values, grid.stddev) if c is not None]
+    betas, gammas = (np.array([f"{t}," for t in _texts(axis)], "S")[:, None].view(np.uint8)
+                     for axis in (lattice.betas(), lattice.gammas()))
+    step = max(_CELL_BLOCK // len(columns), 1)
+
+    def blocks():
+        for start in range(0, columns[0].size, step):
+            at = np.arange(start, min(start + step, columns[0].size))
+            cells = _format17g(np.stack([c[at] for c in columns], axis=-1).ravel())
+            cells[:, 31] = ord(",")  # the last byte of a cell, which its text leaves zero
+            cells = cells.reshape(len(at), -1)
+            cells[:, -1] = ord("\n")
+            fields = [betas[at // width], gammas[at % width], cells]
+            text = bytearray(sum(field.nbytes for field in fields))
+            np.concatenate(fields, axis=1, out=np.frombuffer(text, np.uint8).reshape(len(at), -1))
+            yield text.translate(None, b"\0")
+
+    _write(path, "beta,gamma,value" + ",stddev" * (len(columns) - 1) + "\n", blocks())
 
 
 def cross_section_to_csv(section: CrossSection, path: str | Path) -> None:
     columns = [section.betas, section.values, section.stddev, section.approx]
-    _write_csv(path, "beta,value,stddev,approx", _rows([_texts(c) for c in columns]))
+    _write(path, "beta,value,stddev,approx\n", _rows([_texts(c) for c in columns]))
 
 
 def curve_to_csv(betas, values, path: str | Path) -> None:
     """A fixed-gamma curve: one row per beta."""
-    _write_csv(path, "beta,value", _rows([_texts(betas), _texts(values)]))
+    _write(path, "beta,value\n", _rows([_texts(betas), _texts(values)]))
 
 
 def report_to_csv(report: ComparisonReport, path: str | Path) -> None:
@@ -272,7 +352,7 @@ def report_to_csv(report: ComparisonReport, path: str | Path) -> None:
         [str(outcome.shots_hit) for outcome in outcomes],
         [str(report.shots)] * len(outcomes),
     ]
-    _write_csv(path, "id,arm,beta,gamma,success_prob,shots_hit,shots", _rows(columns))
+    _write(path, "id,arm,beta,gamma,success_prob,shots_hit,shots\n", _rows(columns))
 
 
 def report_to_dict(report: ComparisonReport) -> dict:

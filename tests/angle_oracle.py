@@ -143,9 +143,11 @@ def bisected_angles(source) -> tuple[float, float]:
 
     The scan, the bracket, the rule that keeps the refined beta only where it
     peaks strictly higher than the scan, and gamma and the value are
-    best_angles' own.
+    best_angles' own, as is the unsearched tie (0, 1) of a flat landscape.
     """
     form = LandscapeForm.of(source)
+    if form.scale == 1.0:  # |T| = 2^n: F1 = 1 at every angle
+        return 0.0, 1.0
     coeffs = form_coefficients([form])
     cells = optimize.SCAN_CELLS_PER_QUBIT * form.n
     betas = optimize.BETA_SCAN_END * np.arange(cells + 1) / cells

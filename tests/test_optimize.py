@@ -231,6 +231,31 @@ class TestBestAngles:
         assert (result.angles.beta, result.angles.gamma) == (0.0, 0.0)
         assert result.value == 1 / 8
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_space_takes_the_tie_unsearched(self, n):
+        # |T| = 2^n: F1 = 1 at every angle, so the angles are the documented tie, not noise
+        full = TargetSpace(n, tuple(range(1 << n)))
+        result = best_angles(full)
+        assert (result.angles.beta, result.angles.gamma) == (0.0, 0.0)
+        assert result.value == 1.0 == f1_closed(full, 0.0, 0.0)
+        assert result.evaluations == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_full_space_summaries_take_the_tie(self, n):
+        full = TargetSpace(n, tuple(range(1 << n)))
+        summaries = [aggregate([full, full]), *analytic_summaries(n, 1 << n)]
+        for result in best_angles_all(summaries):
+            assert (result.angles.beta, result.angles.gamma) == (0.0, 0.0)
+            assert (result.value, result.evaluations) == (1.0, 0)
+
+    def test_full_spaces_leave_the_others_searched(self):
+        full, other = TargetSpace(3, tuple(range(8))), TargetSpace(3, (1, 2))
+        alone = best_angles(other)
+        first, searched, last = best_angles_all([full, other, full])
+        assert (first.evaluations, last.evaluations) == (0, 0)
+        assert searched.angles == alone.angles and searched.value == alone.value
+        assert searched.evaluations == alone.evaluations > 64 * 3 + 1
+
     def test_z_zero_raises_no_warning(self, monkeypatch):
         # z == 0 leaves the Newton step undefined; the search takes the midpoint silently
         with warnings.catch_warnings():

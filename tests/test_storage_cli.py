@@ -154,7 +154,7 @@ class TestGridCsv:
         assert lines[0] == "beta,gamma,value,stddev"
         assert float(lines[1].split(",")[3]) == 0.01
 
-    def test_memory_holds_one_row_of_text(self, tmp_path):
+    def test_memory_holds_one_block_of_text(self, tmp_path):
         # the text of all 90000 cells would take about 17 MiB
         grid = AngleGrid(0.0, 1.0, 0.0, 2.0, 300, 300)
         rng = np.random.default_rng(0)
@@ -170,6 +170,106 @@ class TestGridCsv:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert len(path.read_text().splitlines()) == 1 + 90000
+
+    @pytest.mark.parametrize("beta_steps, gamma_steps", [(1, 1), (1, 5000), (5000, 1), (300, 300)])
+    @pytest.mark.parametrize("with_stddev", [False, True])
+    def test_bytes_of_the_template_writer(self, tmp_path, beta_steps, gamma_steps, with_stddev):
+        # shapes that fill less than a block, cut a beta row, or cut many rows
+        rng = np.random.default_rng(beta_steps * 7 + gamma_steps)
+        size = beta_steps * gamma_steps
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+        values[rng.random(size) < 0.2] = 0.0
+        values[::7] = rng.random(values[::7].size)  # landscape-like values in [0, 1)
+        stddev = np.abs(rng.standard_normal(size)) * 1e-3 if with_stddev else None
+        grid = LandscapeGrid(
+            grid=AngleGrid(0.0, math.pi, -1e-5, 12.5, beta_steps, gamma_steps),
+            values=values, stddev=stddev,
+        )
+        path = tmp_path / "g.csv"
+        storage.grid_to_csv(grid, path)
+        assert path.read_bytes() == template_grid_csv(grid)
+
+
+def template_grid_csv(grid: LandscapeGrid) -> bytes:
+    """The grid CSV of a `%.17g` template per beta row: the oracle of grid_to_csv's bytes."""
+    lattice = grid.grid
+    header = "beta,gamma,value" + (",stddev" if grid.stddev is not None else "")
+    cells = [grid.values] if grid.stddev is None else [grid.values, grid.stddev]
+    slots = ",%.17g" * len(cells) + "\n"
+    pieces = [f",{gamma}{slots}" for gamma in storage._texts(lattice.gammas())]
+    rows = zip(*(np.asarray(c, dtype=np.float64).reshape(lattice.beta_steps, -1) for c in cells))
+    lines = [
+        (beta + beta.join(pieces)) % tuple(np.stack(row, axis=-1).ravel().tolist())
+        for beta, row in zip(storage._texts(lattice.betas()), rows)
+    ]
+    return (header + "\n" + "".join(lines)).encode()
+
+
+def assert_17g(values):
+    """_format17g's text of each value, its row less the zero bytes, is `'%.17g' % value`."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    for start in range(0, values.size, 100_000):  # a few MiB of rows at a time
+        chunk = values[start : start + 100_000]
+        cells = storage._format17g(chunk)
+        assert not cells[:, 31].any()  # the byte grid_to_csv puts the separator in
+        cells[:, 31] = ord("\n")
+        got = cells.tobytes().translate(None, b"\0").splitlines()
+        want = [b"%.17g" % value for value in chunk.tolist()]
+        wrong = [(value, g, w) for value, g, w in zip(chunk.tolist(), got, want) if g != w]
+        assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+def neighbours(values) -> np.ndarray:
+    """Each value, the floats either side of it, and the negatives of all three."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the largest float's upper neighbour is inf
+        near = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+    return np.concatenate([near, -near])
+
+
+class TestFormat17g:
+    """The grid cells' formatter against `'%.17g' % x`, value by value."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(17).integers(0, 2**64, 10**6, dtype=np.uint64)
+        assert_17g(bits.view(np.float64))  # every class: nan, inf, subnormal, huge exponents
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        assert_17g(neighbours([float(f"1e{k}") for k in range(-323, 309)]))
+
+    def test_exact_halves(self):
+        # k / 2^j is exact; with 18 significant digits ending in 5 it ties at 17
+        ties = [1.00000762939453125, 1.00002288818359375, 9.99999237060546875]
+        assert [b"%.17g" % tie for tie in ties] == [
+            b"1.0000076293945312", b"1.0000228881835938", b"9.9999923706054688"
+        ]
+        rng = np.random.default_rng(2)
+        j = np.arange(1, 80)[:, None]
+        k = rng.integers(1, 2**53, (j.size, 200)) | 1
+        ones = np.arange(2**17, 10 * 2**17) / 2**17  # 1 + i / 2^17: a tie wherever i is odd
+        assert_17g(neighbours([*ties, *(k / 2.0**j).ravel(), *ones]))
+
+    def test_integers_near_2_to_the_53(self):
+        assert_17g(neighbours(2.0**53 + np.arange(-3000, 3000)))
+        assert_17g(neighbours(2.0 ** np.arange(40, 70)[:, None] + np.arange(-40, 40)))
+
+    def test_notation_switches(self):
+        # fixed below 1e17 and from 1e-4, an exponent beyond; rounding near the switches
+        switches = [1e16, 1e17, 1e-4, 1e-5, 9.999999999999999e-5, 99999.99999999999,
+                    9.9999999999999998e16, 1.0000000000000002e16, 99999999999999984.0]
+        below = [10.0**k * (1 - m * 2.0**-53) for k in range(-6, 19) for m in range(1, 9)]
+        assert_17g(neighbours(switches + below))
+
+    def test_zeros_subnormals_and_non_finite(self):
+        specials = [0.0, 5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                    1e-280, 1e280, 1.7976931348623157e308, np.inf, np.nan]
+        assert_17g(neighbours(specials))
+        assert_17g([-0.0, np.copysign(np.nan, -1.0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        assert_17g(values)
 
 
 @pytest.fixture(scope="module")
@@ -809,6 +909,19 @@ class TestCli:
         assert code == 1
         assert err.startswith("error: cannot write nodir/") and err.count("\n") == 1
         assert sorted(path.name for path in tmp_path.iterdir()) == ["s.json"]
+
+    @pytest.mark.parametrize("source, grid_file", [("--summary", "p_approx.csv"),
+                                                   ("--ensemble", "p_mean.csv")])
+    def test_unwritable_grid_path_exits_1(self, tmp_path, capsys, monkeypatch, source, grid_file):
+        # the grid's path is a directory: the grid writer's open fails like any other writer's
+        monkeypatch.chdir(tmp_path)
+        storage.write_json(GOOD_SUMMARY if source == "--summary" else GOOD_ENSEMBLE, "in.json")
+        (tmp_path / grid_file).mkdir()
+        code = cli.main(["landscape", source, "in.json", "--grid", "3x3", "--out-prefix", "p"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot write {grid_file}: ") and err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["in.json", grid_file])
 
     @pytest.mark.parametrize(
         "content, message",
