@@ -313,7 +313,7 @@ def grid_to_csv(grid: LandscapeGrid, path: str | Path) -> None:
     def blocks():
         for start in range(0, columns[0].size, step):
             at = np.arange(start, min(start + step, columns[0].size))
-            cells = _format17g(np.stack([c[at] for c in columns], axis=-1).ravel())
+            cells = _format17g(np.stack([c[at[0] : at[-1] + 1] for c in columns], axis=-1).ravel())
             cells[:, 31] = ord(",")  # the last byte of a cell, which its text leaves zero
             cells = cells.reshape(len(at), -1)
             cells[:, -1] = ord("\n")
