@@ -176,15 +176,15 @@ NONITERATIVE_ARM = 1
 def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> ComparisonReport:
     """Per-instance optimisation against one problem-global optimisation.
 
-    One batched search covers every instance and, last, their summary.  One
-    form_z call at the shared beta then gives every instance's F1 at the
-    shared angles, each with the bits of f1_closed.
+    Each instance's form and their summary's are built once.  One batched
+    search covers them; one form_z call at the shared beta then gives every
+    instance's F1 at the shared angles, with f1_closed's bits.
     """
     _check_shots(shots)
     spaces = [inst.target for inst in ensemble.instances]
-    *owns, shared = best_angles_all([*spaces, aggregate(spaces)])
-    forms = [LandscapeForm.of(space) for space in spaces]
-    shared_z = form_z(forms, shared.angles.beta)
+    forms = [LandscapeForm.of(source) for source in (*spaces, aggregate(spaces))]
+    *owns, shared = best_angles_all(forms)  # every instance, then the summary
+    shared_z = form_z(forms[:-1], shared.angles.beta)
 
     records = []
     for inst, own, form, z in zip(ensemble.instances, owns, forms, shared_z):

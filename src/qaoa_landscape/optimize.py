@@ -176,9 +176,9 @@ def best_angles_all(sources) -> tuple[OptResult, ...]:
     target space, or a summary with e_tsize = 2^n) has F1 = 1 at every angle, so
     it is not searched: it takes the tie, beta 0 and gamma 0, value 1 and
     evaluations 0.  Each result is the one best_angles gives for its source
-    alone, to the bit.
+    alone, to the bit.  A source may be passed as its built LandscapeForm.
     """
-    forms = [LandscapeForm.of(source) for source in sources]
+    forms = [s if isinstance(s, LandscapeForm) else LandscapeForm.of(s) for s in sources]
     if not forms or any(form.n != forms[0].n for form in forms):
         raise UsageError("need one or more landscape sources of one width n")
     found = iter(_searched([form for form in forms if form.scale != 1.0]))

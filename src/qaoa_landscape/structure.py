@@ -10,7 +10,6 @@ count-1).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,10 +96,11 @@ def _check_counts(array: np.ndarray, top: np.ndarray, name: str) -> None:
 def aggregate(spaces: list[TargetSpace]) -> StructuralSummary:
     """Average the statistics of target spaces into an ensemble summary.
 
-    Each space's mean_profile and mean_pair are added, in order, into one
-    accumulator, which is divided by the count once: the bits of np.mean
-    over the stacked statistics (numpy sums a leading axis row by row), in
-    memory that grows with the count only by each space's |T| as one float.
+    The spaces' mean_pair matrices are summed in order and divided by the
+    count once: the bits of np.mean over the stacked matrices (numpy sums a
+    leading axis row by row), in memory that grows with the count only by
+    each space's |T| as one float.  e_profile is row 0, as each space's
+    mean_profile is row 0 of its mean_pair.
     """
     if not spaces:
         raise UsageError("cannot aggregate an empty list of target spaces")
@@ -108,15 +108,12 @@ def aggregate(spaces: list[TargetSpace]) -> StructuralSummary:
     if any(s.n != n for s in spaces):
         raise UsageError("target spaces mix different widths n")
     sizes = np.fromiter((len(s) for s in spaces), dtype=np.float64, count=len(spaces))
-    profile, pair = spaces[0].mean_profile.copy(), spaces[0].mean_pair.copy()
-    for space in itertools.islice(spaces, 1, None):
-        profile += space.mean_profile
-        pair += space.mean_pair
+    pair = sum(space.mean_pair for space in spaces)  # 0 + the first matrix is that matrix
     return StructuralSummary(
         n=n,
         count=len(spaces),
         e_tsize=float(sizes.mean()),
         var_tsize=float(sizes.var()),
-        e_profile=profile / len(spaces),
+        e_profile=pair[0] / len(spaces),
         e_pair=pair / len(spaces),
     )

@@ -21,7 +21,7 @@ from qaoa_landscape.landscape import (
 )
 from qaoa_landscape.optimize import best_angles_all
 from qaoa_landscape.problems import build_ensemble
-from qaoa_landscape.structure import aggregate
+from qaoa_landscape.structure import StructuralSummary, aggregate
 
 import landscape_oracle
 
@@ -244,7 +244,7 @@ class TestSuccessComparison:
             shared = f1_closed(
                 inst.target, rep.shared_angles.beta, rep.shared_angles.gamma
             )
-            assert abs(rec.standard.success_prob - own) < 1e-12
+            assert rec.standard.success_prob.hex() == own.hex()  # the search's value is f1's
             assert abs(rec.noniterative.success_prob - shared) < 1e-12
 
     def test_shared_angles_used_everywhere(self, success_report):
@@ -309,6 +309,20 @@ class TestSuccessComparison:
         search = len(builds)
         run_success_comparison(ensemble, shots=10, seed=2)
         assert len(builds) == 2 * search + 1
+
+    def test_each_source_built_once(self, monkeypatch):
+        ensemble = build_ensemble("uniform", 5, 4, {"t_size": 6}, seed=2)
+        builds, build = [], LandscapeForm.of.__func__
+
+        def counted(cls, source):
+            builds.append(source)
+            return build(cls, source)
+
+        monkeypatch.setattr(LandscapeForm, "of", classmethod(counted))
+        run_success_comparison(ensemble, shots=10, seed=2)
+        spaces = [inst.target for inst in ensemble.instances]
+        assert builds[:-1] == spaces  # every instance once, then the summary
+        assert isinstance(builds[-1], StructuralSummary)
 
     @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
     def test_shared_arm_has_the_bits_of_f1_closed(self, family, n, params):

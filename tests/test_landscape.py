@@ -441,6 +441,91 @@ class TestFormAgainstQuadratic:
         assert (np.abs(moved) > 2e-14 * term_size(skewed, betas)).any()
 
 
+def krawtchouk(n: int) -> list[list[int]]:
+    """K[d][j], the w^j coefficient of (1 + w)^(n-d) (1 - w)^d, in Python ints."""
+    rows = []
+    for d in range(n + 1):
+        poly = [1]
+        for sign in [1] * (n - d) + [-1] * d:
+            poly = [a + sign * b for a, b in zip(poly + [0], [0] + poly)]
+        rows.append(poly)
+    return rows
+
+
+def as_integers(values) -> tuple[list[int], int]:
+    """Floats as integers over one power of two 2^bits, exactly."""
+    fractions = [Fraction(float(value)) for value in values]
+    bits = max(f.denominator for f in fractions).bit_length() - 1
+    return [int(f * (1 << bits)) for f in fractions], bits
+
+
+def exact_coefficients(summary) -> dict[int, float]:
+    """The a_k of z for a summary's own float e_profile and e_pair, rounded once.
+
+    exp(i*beta*n) fn_d = 2^-n sum_j K[d][j] w^j, so q, the real part of
+    fn^T Q conj(fn), has w^k coefficient sum_b (K^T S K)[b + k, b] / 4^n with
+    S = (Q + Q^T) / 2, and exp(i*beta*n) p . fn has (p K)_k / 2^n for k >= 0.
+    Every product and sum is in Python ints; each a_k is one Fraction, rounded
+    once to a float.
+    """
+    n = summary.n
+    kraw = krawtchouk(n)
+    flat, pair_bits = as_integers(summary.e_pair.ravel())
+    pair = [flat[d * (n + 1):(d + 1) * (n + 1)] for d in range(n + 1)]
+    twice = [[pair[d][e] + pair[e][d] for e in range(n + 1)] for d in range(n + 1)]
+    right = [[sum(twice[d][e] * kraw[e][b] for e in range(n + 1)) for b in range(n + 1)]
+             for d in range(n + 1)]
+    both = [[sum(kraw[d][a] * right[d][b] for d in range(n + 1)) for b in range(n + 1)]
+            for a in range(n + 1)]
+    profile, profile_bits = as_integers(summary.e_profile)
+    linear = [sum(profile[d] * kraw[d][k] for d in range(n + 1)) for k in range(n + 1)]
+    coeffs = {}
+    for k in range(-n, n + 1):
+        quad = sum(both[b + k][b] for b in range(max(0, -k), min(n, n - k) + 1))
+        exact = Fraction(quad, 1 << (pair_bits + 1 + 2 * n))
+        if k >= 0:
+            exact -= Fraction(linear[k], 1 << (profile_bits + n))
+        coeffs[k] = float(exact)
+    return coeffs
+
+
+def reference_f1(summary, coeffs, betas, gammas) -> np.ndarray:
+    """F1 from rounded exact coefficients, z summed by fsum: within a few 1e-16 of the true F1."""
+    scale = summary.e_tsize / 2.0**summary.n
+    values = np.empty((len(betas), len(gammas)))
+    for i, beta in enumerate(betas.tolist()):
+        re = math.fsum(c * math.cos(2 * k * beta) for k, c in coeffs.items())
+        im = math.fsum(c * math.sin(2 * k * beta) for k, c in coeffs.items())
+        for j, gamma in enumerate(gammas.tolist()):
+            values[i, j] = scale * (1.0 - 2.0 * ((math.cos(gamma) - 1.0) * re + math.sin(gamma) * im))
+    return values
+
+
+class TestAccuracyAgainstExactRationals:
+    """f1 of dense analytic summaries against exact arithmetic on the same floats.
+
+    |T| = 2^n/3 + 1.  Each bound is about twice the error of f1 (form_z from
+    A and p), measured on 61 x 7 angles (paper, exact mode): 1.7e-14 and
+    5.9e-14 at n = 14, 1.3e-12 and 3.0e-12 at n = 24, 1.4e-10 and 7.7e-10 at
+    n = 32.  z from float64 Krawtchouk coefficients K^T Q K misses by 3.4e-12
+    and 7.1e-12 at n = 24 and by 1.8e-9 in both modes at n = 32, past each
+    bound there.
+    """
+
+    @pytest.mark.parametrize(
+        "n, mode, bound",
+        [(14, MODES[0], 3.3e-14), (14, MODES[1], 1.2e-13),
+         (24, MODES[0], 2.7e-12), (24, MODES[1], 6e-12),
+         (32, MODES[0], 2.8e-10), (32, MODES[1], 1.6e-9)],
+    )
+    def test_f1_within_twice_its_measured_error(self, n, mode, bound):
+        summary = summary_analytic(UniformModel(n, (1 << n) // 3 + 1, mode))
+        betas = np.linspace(0.0, math.pi / 2, 61)
+        gammas = np.linspace(0.0, 2 * math.pi, 7)
+        want = reference_f1(summary, exact_coefficients(summary), betas, gammas)
+        assert np.abs(f1(summary, betas, gammas) - want).max() <= bound
+
+
 class TestWidthLimit:
     """Dense analytic summaries up to MAX_WIDTH give finite landscapes in [0, 1]."""
 

@@ -203,6 +203,21 @@ class TestBestAngles:
             want = objective(source)(result.angles.beta, result.angles.gamma)
             assert abs(result.value - want) <= 1e-12
 
+    @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+    def test_value_has_the_bits_of_f1(self, family, n, params):
+        # every space and the empirical summary: the value is f1's own, not a close copy
+        for source in family_sources(family, n, params):
+            result = best_angles(source)
+            want = f1(source, result.angles.beta, result.angles.gamma)
+            assert result.value.hex() == float(want).hex()
+
+    @pytest.mark.parametrize("n, t", ANALYTIC_CASES)
+    def test_value_has_the_bits_of_f1_analytic(self, n, t):
+        for source in analytic_summaries(n, t):
+            result = best_angles(source)
+            want = f1(source, result.angles.beta, result.angles.gamma)
+            assert result.value.hex() == float(want).hex()
+
     def test_angles_in_the_half_domain(self, criterion_9_sources):
         for source in criterion_9_sources:
             result = best_angles(source)
