@@ -21,7 +21,7 @@ import numpy as np
 
 BACKEND = "numpy"
 
-_BLOCK_DISTANCES = 512 * 1024  # per pairwise row block: ~4 MB of uint64 XORs
+_BLOCK_DISTANCES = 512 * 1024  # per pairwise row block: ~4 MB of int64 XORs
 
 PAIRWISE_ROUTE = "pairwise"
 SHELL_ROUTE = "shells"
@@ -51,7 +51,6 @@ def distance_profiles(states: np.ndarray, n: int) -> np.ndarray:
 
 def pairwise_profiles(states: np.ndarray, n: int) -> np.ndarray:
     """(m, n+1) int64 matrix; row i histograms distances from states[i] to all states."""
-    states = np.ascontiguousarray(states, dtype=np.uint64)
     m = states.shape[0]
     out = np.empty((m, n + 1), dtype=np.int64)
     width = n + 1
@@ -80,16 +79,15 @@ def shell_profiles(states: np.ndarray, n: int) -> np.ndarray:
     The result is the table's columns at the targets in that type, a
     transposed (Fortran-ordered) view of the gather `shells[:, states]`.
     """
-    index = np.ascontiguousarray(states, dtype=np.intp)
-    m = index.shape[0]
+    m = states.shape[0]
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
     shells = np.zeros((n + 1, 1 << n), dtype=dtype)
-    shells[0, index] = 1
+    shells[0, states] = 1
     for q in range(n):
         rows = shells.reshape(n + 1, -1, 2, 1 << q)
         for d in range(q + 1, 0, -1):
             rows[d] += rows[d - 1, :, ::-1]
-    return shells[:, index].T
+    return shells[:, states].T
 
 
 def apply_mixer(amps: np.ndarray, beta: float, n: int) -> None:

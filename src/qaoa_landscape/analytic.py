@@ -28,10 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_WIDTH, UsageError, binomial, binomial_row
-from .structure import StructuralSummary
+from .structure import EXACT_MODE, PAPER_MODE, StructuralSummary
 
-PAPER_MODE = "paper"
-EXACT_MODE = "exact_hypergeometric"
 MODES = (PAPER_MODE, EXACT_MODE)
 
 

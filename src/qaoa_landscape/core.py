@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * bit i of an integer holds qubit i, so a state's integer value is its
   computational-basis index;
-* target spaces are sorted duplicate-free tuples of such integers;
+* a target space holds its states in one read-only, ascending int64 array;
 * a distance profile of a reference state k against a target space T is the
   dense length-(n+1) vector whose entry d counts the members of T at Hamming
   distance d from k.
@@ -49,43 +49,52 @@ def binomial_row(n: int) -> np.ndarray:
     return np.array([binomial(n, d) for d in range(n + 1)], dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSpace:
     """A non-empty set of n-bit target states, and its distance statistics.
 
-    The one validator of a target set: every state is an int (bool refused)
-    that fits n bits, and the states are distinct and ascending.  The space
-    also owns everything the landscape reads from it: |T|, the mean distance
+    The one validator of a target set, of ints (bool refused) or an integer
+    array: each state fits n bits, the states are distinct and ascending,
+    and `states` keeps them as one read-only int64 array.  The space also
+    owns everything the landscape reads from it: |T|, the mean distance
     profile and the mean pair matrix, of which it keeps only the pair matrix.
     """
 
     n: int
-    states: tuple[int, ...]
+    states: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_WIDTH:
-            raise UsageError(f"n must be in [1, {MAX_WIDTH}], got {self.n}")
-        if not self.states:
+        n, given = self.n, self.states
+        if not 1 <= n <= MAX_WIDTH:
+            raise UsageError(f"n must be in [1, {MAX_WIDTH}], got {n}")
+        if len(given) == 0:
             raise UsageError("empty target list")
-        limit = 1 << self.n
-        prev = -1
-        for s in self.states:
-            if type(s) is not int or not 0 <= s < limit:
-                raise UsageError(f"state {s!r} does not fit {self.n} bits")
-            if s <= prev:
-                raise UsageError("duplicate target states" if s == prev else "states must ascend")
-            prev = s
+        if isinstance(given, np.ndarray) and given.dtype.kind not in "iu":
+            given = given.tolist()  # a bool, float or object array takes the sequence route
+        array = isinstance(given, np.ndarray)
+        try:  # np.array would take a bool or a float for an int
+            ints = array or set(map(type, given)) == {int}
+            states = np.array(given, dtype=np.int64) if ints else None
+        except OverflowError:  # an int of 64 bits or more
+            states = None
+        fits = states is not None and states.ndim == 1 and states[0] >= 0 and states[-1] >> n == 0
+        if not fits or np.count_nonzero(states[1:] <= states[:-1]):  # name the first faulty state
+            values = given.tolist() if array else given
+            for prev, s in zip((-1, *values), values):
+                if type(s) is not int or not 0 <= s < 1 << n:
+                    raise UsageError(f"state {s!r} does not fit {n} bits")
+                if s <= prev:
+                    raise UsageError("duplicate target states" if s == prev else "states must ascend")
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
 
     @classmethod
     def from_iterable(cls, n: int, states) -> "TargetSpace":
-        return cls(n, tuple(sorted({int(s) for s in states})))
+        """The space of the distinct values int(s) for s in states."""
+        return cls(n, sorted({int(s) for s in states}))
 
     def __len__(self) -> int:
         return len(self.states)
-
-    @cached_property
-    def states_array(self) -> np.ndarray:
-        return np.asarray(self.states, dtype=np.uint64)
 
     @property
     def profiles(self) -> np.ndarray:
@@ -96,7 +105,7 @@ class TargetSpace:
         over all 2^n states, O(n^2 2^n).  Both give the same integers; the
         shells' narrow table is widened to int64 here, on read.
         """
-        profiles = _kernels.distance_profiles(self.states_array, self.n)
+        profiles = _kernels.distance_profiles(self.states, self.n)
         return np.ascontiguousarray(profiles, dtype=np.int64)
 
     @property
@@ -111,7 +120,7 @@ class TargetSpace:
         Summed straight from the profile kernel's own integer type: on the
         shell route no int64 copy of P is made.
         """
-        return exact_pair_sums(_kernels.distance_profiles(self.states_array, self.n)) / len(self)
+        return exact_pair_sums(_kernels.distance_profiles(self.states, self.n)) / len(self)
 
 
 def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
@@ -164,10 +173,10 @@ def distance_profile(space: TargetSpace, k: int) -> np.ndarray:
     k need not belong to the space (then counts[0] == 0), but it must fit
     n bits.  The per-reference oracle of ``TargetSpace.profiles``.
     """
+    k = int(k) if isinstance(k, np.integer) else k  # a member of space.states; XOR needs the int
     if type(k) is not int or not 0 <= k < 1 << space.n:
         raise UsageError(f"reference {k!r} does not fit {space.n} bits")
-    dist = np.bitwise_count(space.states_array ^ np.uint64(k))
-    return np.bincount(dist.astype(np.int64), minlength=space.n + 1).astype(np.int64)
+    return np.bincount(np.bitwise_count(space.states ^ k), minlength=space.n + 1)
 
 
 @dataclass(frozen=True)

@@ -235,16 +235,14 @@ def qaoa_state(space: TargetSpace, beta: float, gamma: float) -> np.ndarray:
     if n > MAX_STATEVECTOR_WIDTH:
         raise UsageError(f"statevector needs n <= {MAX_STATEVECTOR_WIDTH}, got {n}")
     amps = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
-    idx = space.states_array.astype(np.int64)
-    amps[idx] *= cmath.exp(-1j * gamma)
+    amps[space.states] *= cmath.exp(-1j * gamma)
     _kernels.apply_mixer(amps, beta, n)
     return amps
 
 
 def f1_statevector(space: TargetSpace, beta: float, gamma: float) -> float:
     """Success probability by direct statevector simulation (oracle route)."""
-    amps = qaoa_state(space, beta, gamma)
-    hit = amps[space.states_array.astype(np.int64)]
+    hit = qaoa_state(space, beta, gamma)[space.states]
     return float(np.abs(hit) @ np.abs(hit))
 
 

@@ -55,8 +55,7 @@ def sample_uniform(n: int, t_size: int, rng: np.random.Generator) -> TargetSpace
         raise UsageError(f"n must be in [1, {MAX_WIDTH}], got {n}")
     if not 1 <= t_size <= (1 << n):
         raise UsageError(f"t_size must be in [1, 2^n], got {t_size}")
-    states = rng.choice(1 << n, size=t_size, replace=False)
-    return TargetSpace.from_iterable(n, states)
+    return TargetSpace(n, np.sort(rng.choice(1 << n, size=t_size, replace=False)))
 
 
 def random_walk(start: int, n: int, rng: np.random.Generator) -> tuple[int, int]:
@@ -156,10 +155,8 @@ def enumerate_sat(cnf: Cnf) -> TargetSpace | None:
             bit = (states >> np.uint32(var)) & np.uint32(1)
             sat |= (bit == 0) if negated else (bit == 1)
         ok &= sat
-    hits = np.nonzero(ok)[0]
-    if hits.size == 0:
-        return None
-    return TargetSpace.from_iterable(n, hits)
+    hits = np.flatnonzero(ok)  # ascending, as a space holds them
+    return TargetSpace(n, hits) if hits.size else None
 
 
 def to_dimacs(cnf: Cnf) -> str:

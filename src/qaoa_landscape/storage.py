@@ -156,7 +156,7 @@ def ensemble_to_dict(ensemble: Ensemble) -> dict:
         "seed": ensemble.seed,
         "params": ensemble.params,
         "instances": [
-            {"id": inst.id, "targets": list(inst.target.states), "meta": inst.meta}
+            {"id": inst.id, "targets": inst.target.states.tolist(), "meta": inst.meta}
             for inst in ensemble.instances
         ],
     }
@@ -195,7 +195,7 @@ def ensemble_from_dict(data: dict) -> Ensemble:
         if not isinstance(targets, list):
             raise UsageError(f"{where}: targets must be a JSON list")
         try:
-            target = TargetSpace(n, tuple(sorted(targets)))
+            target = TargetSpace(n, sorted(targets))
         except TypeError:  # sorted() met values of kinds that do not compare
             raise UsageError(f"{where}: targets must all be integers") from None
         except UsageError as exc:
@@ -268,11 +268,6 @@ def summary_from_dict(data: dict) -> StructuralSummary:
     missing = {"n", "count", "mode", "e_tsize", "var_tsize", "e_profile", "e_pair"} - set(data)
     if missing:
         raise UsageError(f"summary document lacks keys: {sorted(missing)}")
-    n, count = data["n"], data["count"]
-    if type(n) is not int:
-        raise UsageError(f"summary n must be an integer in [1, {MAX_WIDTH}], got {n!r}")
-    if type(count) is not int:
-        raise UsageError(f"summary count must be a non-negative integer, got {count!r}")
     fields = {
         "e_tsize": _summary_number(data, "e_tsize"),
         "var_tsize": _summary_number(data, "var_tsize"),
@@ -280,7 +275,7 @@ def summary_from_dict(data: dict) -> StructuralSummary:
         "e_pair": _summary_array(data["e_pair"], "e_pair"),
     }
     try:
-        return StructuralSummary(n=n, count=count, mode=str(data["mode"]), **fields)
+        return StructuralSummary(n=data["n"], count=data["count"], mode=data["mode"], **fields)
     except UsageError as exc:
         raise UsageError(f"summary {exc}") from None
 

@@ -18,6 +18,9 @@ import numpy as np
 from .core import MAX_WIDTH, TargetSpace, UsageError, binomial_row
 
 EMPIRICAL_MODE = "empirical"
+PAPER_MODE = "paper"
+EXACT_MODE = "exact_hypergeometric"
+SUMMARY_MODES = (EMPIRICAL_MODE, PAPER_MODE, EXACT_MODE)
 
 # rounding a summary may show, relative to each entry's bound (covariance: to max e_pair)
 ROUNDING_TOL = 1e-9
@@ -42,9 +45,11 @@ class StructuralSummary:
 
     def __post_init__(self) -> None:
         n = self.n
-        if not 1 <= n <= MAX_WIDTH:
+        if self.mode not in SUMMARY_MODES:
+            raise UsageError(f"mode must be one of {SUMMARY_MODES}, got {self.mode!r}")
+        if type(n) is not int or not 1 <= n <= MAX_WIDTH:  # bool refused
             raise UsageError(f"n must be an integer in [1, {MAX_WIDTH}], got {n!r}")
-        if self.count < 0:
+        if type(self.count) is not int or self.count < 0:
             raise UsageError(f"count must be a non-negative integer, got {self.count!r}")
         for name, value in (("e_tsize", self.e_tsize), ("var_tsize", self.var_tsize)):
             if not math.isfinite(value):

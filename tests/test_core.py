@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ class TestBinomial:
 class TestTargetSpace:
     def test_from_iterable_sorts_and_dedupes(self):
         space = TargetSpace.from_iterable(3, [5, 1, 5, 2])
-        assert space.states == (1, 2, 5)
+        assert space.states.tolist() == [1, 2, 5]
 
     def test_rejects_empty(self):
         with pytest.raises(UsageError):
@@ -109,6 +110,67 @@ class TestTargetSpace:
     def test_rejects_non_int_states(self, state):
         with pytest.raises(UsageError, match="does not fit 3 bits"):
             TargetSpace(3, (state,))
+
+    @pytest.mark.parametrize("given", [np.array([True, False]), np.array([1.0, 2.0])])
+    def test_rejects_non_integer_arrays(self, given):
+        with pytest.raises(UsageError, match=f"state {given.tolist()[0]!r} does not fit 3 bits"):
+            TargetSpace(3, given)
+
+    @pytest.mark.parametrize(
+        "state, given",
+        [
+            (-1, np.array([-1, 1])),
+            (8, np.array([1, 8], dtype=np.uint64)),
+            (8, np.array([1, 8], dtype=object)),
+            (2**63, [1, 2**63]),
+            (2**64 - 1, np.array([1, 2**64 - 1], dtype=np.uint64)),
+            (2**70, [1, 2**70]),
+        ],
+    )
+    def test_out_of_range_refused_on_both_routes(self, state, given):
+        for build in (TargetSpace, TargetSpace.from_iterable):
+            with pytest.raises(UsageError, match=f"state {state} does not fit 3 bits"):
+                build(3, given)
+
+    @pytest.mark.parametrize(
+        "given",
+        [(1, 6), [1, 6], np.array([1, 6]), np.array([1, 6], dtype=np.uint8), np.array([1, 6], dtype=object)],
+    )
+    def test_states_are_one_read_only_int64_array(self, given):
+        states = TargetSpace(3, given).states
+        assert states.dtype == np.int64 and states.ndim == 1 and states.flags.c_contiguous
+        assert states.tolist() == [1, 6] and not states.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            states[0] = 0
+        if isinstance(given, np.ndarray):  # the caller's array is copied, not frozen
+            assert given.flags.writeable
+
+    def test_retains_about_one_int64_per_state(self, rng):
+        # 2^16 states: 512 KiB as int64; as a tuple of new Python ints, about 2.5 MiB
+        given = rng.permutation(1 << 16)
+        tracemalloc.start()
+        try:
+            space = TargetSpace.from_iterable(16, given)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(space) == 1 << 16
+        assert kept <= 10 << 16
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.sampled_from(
+            [list, set, lambda xs: (x for x in xs)]
+            + [lambda xs, t=t: np.array(xs, dtype=t) for t in (np.int32, np.int64, np.uint64)]
+        ),
+        st.data(),
+    )
+    def test_from_iterable_is_the_sorted_set(self, n, container, data):
+        xs = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+        xs += data.draw(st.lists(st.sampled_from(xs), max_size=10))  # duplicates
+        space = TargetSpace.from_iterable(n, container(xs))
+        assert space.states.tolist() == sorted(set(map(int, xs)))
 
     def test_means_divide_the_exact_sums_once(self, rng):
         for n, m, route in ((6, 9, PAIRWISE_ROUTE), (10, 600, SHELL_ROUTE)):
@@ -259,7 +321,7 @@ class TestDistanceProfile:
 
     def test_width_mismatch(self):
         space = TargetSpace.from_iterable(3, [1])
-        for k in (8, -1, True, 1.0):  # wider than the space, negative, or not an int
+        for k in (8, -1, True, 1.0, np.int64(8), np.True_):  # too wide, negative, not an int
             with pytest.raises(UsageError, match="does not fit 3 bits"):
                 distance_profile(space, k)
 
@@ -276,7 +338,7 @@ class TestDistanceProfile:
 
     def test_matches_profile_matrix_rows(self, rng):
         space = random_space(rng, 6, 20)
-        for i, state in enumerate(space.states):
+        for i, state in enumerate(space.states):  # np.int64 members, as the array holds them
             expected = distance_profile(space, state)
             assert np.array_equal(space.profiles[i], expected)
 

@@ -23,7 +23,7 @@ PROFILE_KERNELS = [pairwise_profiles, shell_profiles]
 
 
 def random_states(rng, n, m):
-    return rng.choice(1 << n, size=m, replace=False).astype(np.uint64)
+    return rng.choice(1 << n, size=m, replace=False)
 
 
 def brute_force_profiles(states, n):
@@ -75,7 +75,7 @@ def state_sets(draw):
     n = draw(st.integers(1, 10))
     states = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=1 << n))
     order = draw(st.permutations(sorted(states)))
-    return n, np.array(order, dtype=np.uint64)
+    return n, np.array(order, dtype=np.int64)
 
 
 class TestShellsAgainstPairwise:
@@ -94,7 +94,7 @@ class TestShellsAgainstPairwise:
 def star(n, d, m):
     """State 0 and m - 1 states of weight d: row 0 counts m - 1 at distance d."""
     weight_d = (sum(1 << q for q in bits) for bits in combinations(range(n), d))
-    return np.array([0, *islice(weight_d, m - 1)], dtype=np.uint64)
+    return np.array([0, *islice(weight_d, m - 1)], dtype=np.int64)
 
 
 class TestShellTableWidths:
@@ -109,7 +109,7 @@ class TestShellTableWidths:
     @pytest.mark.parametrize("m", [127, 128, 129])
     def test_int8_to_int16(self, m):
         # the star, and the first m states: at m = 128 the whole n=7 space
-        for states in (star(10, 4, m), np.arange(m, dtype=np.uint64)):
+        for states in (star(10, 4, m), np.arange(m, dtype=np.int64)):
             shells = shell_profiles(states, 10)
             pairwise = pairwise_profiles(states, 10)
             assert shells.dtype == table_type(m) and pairwise.dtype == np.int64
@@ -176,14 +176,13 @@ class TestKernelMemory:
         n, m = 16, (1 << 15) - 1
         space = random_space(rng, n, m)
         assert profile_route(n, m) == SHELL_ROUTE
-        space.states_array  # an input: built before the trace
         table = (n + 1) * (1 << n) * 2
         gathered = (n + 1) * m * 2
         split = _PAIR_BLOCK * (n + 1) * 8
         assert traced_peak(lambda: space.mean_pair) <= 1.1 * (table + gathered + split)
 
     def test_pairwise_block_sized_by_m(self, rng):
-        # all 4000^2 distances take 128 MB as uint64; a block of 2^19 takes 4 MB
+        # all 4000^2 distances take 128 MB as int64; a block of 2^19 takes 4 MB
         states = random_states(rng, 20, 4000)
         assert traced_peak(pairwise_profiles, states, 20) < 24 * 2**20
 

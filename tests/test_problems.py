@@ -27,6 +27,15 @@ from qaoa_landscape.problems import (
     to_dimacs,
 )
 
+from conftest import FAMILY_CASES
+
+
+@pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+def test_generators_hold_read_only_int64_states(family, n, params):
+    for inst in build_ensemble(family, n, 3, params, seed=2).instances:
+        states = inst.target.states
+        assert states.dtype == np.int64 and states.ndim == 1 and not states.flags.writeable
+
 
 class TestUniform:
     def test_size_and_range(self, rng):
@@ -36,7 +45,7 @@ class TestUniform:
 
     def test_full_space(self, rng):
         space = sample_uniform(3, 8, rng)
-        assert space.states == tuple(range(8))
+        assert space.states.tolist() == list(range(8))
 
     def test_validation(self, rng):
         with pytest.raises(UsageError):
@@ -139,7 +148,7 @@ class TestSat:
 
         want = [z for z in range(64) if satisfied(z)]
         space = enumerate_sat(cnf)
-        got = [] if space is None else list(space.states)
+        got = [] if space is None else space.states.tolist()
         assert got == want
 
     def test_width_capped(self):
@@ -229,7 +238,7 @@ class TestKClique:
     def test_triangle_with_isolated_vertex(self):
         graph = Graph(n=4, edges=((0, 1), (0, 2), (1, 2)))
         space = enumerate_kcliques(graph, 3)
-        assert space.states == (0b0111,)
+        assert space.states.tolist() == [0b0111]
 
     def test_no_clique_is_none(self):
         graph = Graph(n=4, edges=((0, 1), (2, 3)))
@@ -240,7 +249,7 @@ class TestKClique:
         space = enumerate_kcliques(Graph(n=5, edges=edges), 3)
         assert len(space) == math.comb(5, 3)
         # every mask has exactly k bits set
-        assert all(s.bit_count() == 3 for s in space.states)
+        assert all(s.bit_count() == 3 for s in space.states.tolist())
 
     def test_k_validated(self):
         graph = Graph(n=3, edges=())
@@ -257,7 +266,7 @@ class TestKClique:
             graph = gen_graph(n, edge_prob, rng)
             for k in range(1, n + 1):
                 space = enumerate_kcliques(graph, k)
-                assert (None if space is None else list(space.states)) == \
+                assert (None if space is None else space.states.tolist()) == \
                     kcliques_by_brute_force(graph, k)
 
     def test_gen_graph_extremes(self, rng):
@@ -283,7 +292,7 @@ class TestQrFactor:
                 return np.array([1, 2])  # indices of 3 and 5 in (2, 3, 5, 7)
 
         space, meta = sample_qr(6, FixedRng())
-        assert space.states == (0b011101, 0b101011)
+        assert space.states.tolist() == [0b011101, 0b101011]
         assert meta == {"q": 3, "r": 5, "x": 15}
 
     def test_always_two_targets(self, rng):
@@ -309,7 +318,7 @@ class TestEnsembles:
         a = build_ensemble("sat", 5, 5, {"num_clauses": 10}, seed=3)
         b = build_ensemble("sat", 5, 5, {"num_clauses": 10}, seed=3)
         for x, y in zip(a.instances, b.instances):
-            assert x.target.states == y.target.states
+            assert x.target.states.tolist() == y.target.states.tolist()
             assert x.meta == y.meta
 
     def test_instances_independent_of_count(self):
@@ -317,26 +326,29 @@ class TestEnsembles:
         small = build_ensemble("uniform", 6, 3, {"t_size": 8}, seed=4)
         large = build_ensemble("uniform", 6, 9, {"t_size": 8}, seed=4)
         for x, y in zip(small.instances, large.instances):
-            assert x.target.states == y.target.states
+            assert x.target.states.tolist() == y.target.states.tolist()
 
     def test_seed_changes_output(self):
         a = build_ensemble("uniform", 6, 3, {"t_size": 8}, seed=4)
         b = build_ensemble("uniform", 6, 3, {"t_size": 8}, seed=5)
-        assert any(x.target.states != y.target.states for x, y in zip(a.instances, b.instances))
+        assert any(
+            x.target.states.tolist() != y.target.states.tolist()
+            for x, y in zip(a.instances, b.instances)
+        )
 
     def test_sat_meta_round_trips(self):
         ensemble = build_ensemble("sat", 5, 3, {"num_clauses": 8}, seed=6)
         for inst in ensemble.instances:
             cnf = from_dimacs(inst.meta["dimacs"])
             space = enumerate_sat(cnf)
-            assert space is not None and space.states == inst.target.states
+            assert space is not None and space.states.tolist() == inst.target.states.tolist()
 
     def test_kclique_masks_match_meta(self):
         ensemble = build_ensemble("kclique", 6, 3, {}, seed=7)
         for inst in ensemble.instances:
             graph = Graph(n=6, edges=tuple(tuple(e) for e in inst.meta["edges"]))
             space = enumerate_kcliques(graph, inst.meta["k"])
-            assert space.states == inst.target.states
+            assert space.states.tolist() == inst.target.states.tolist()
 
     def test_defaults_recorded(self):
         ensemble = build_ensemble("clustered", 8, 1, {}, seed=8)
@@ -404,5 +416,5 @@ class TestDrawCap:
             space = enumerate_sat(cnf)
             if space is not None:
                 break
-        assert inst.target.states == space.states
+        assert inst.target.states.tolist() == space.states.tolist()
         assert inst.meta == {"dimacs": to_dimacs(cnf)}

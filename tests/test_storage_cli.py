@@ -43,7 +43,7 @@ class TestEnsembleJson:
         assert loaded.params == sat_ensemble.params
         for orig, back in zip(sat_ensemble.instances, loaded.instances):
             assert back.id == orig.id
-            assert back.target.states == orig.target.states
+            assert back.target.states.tolist() == orig.target.states.tolist()
             assert back.meta == orig.meta  # DIMACS text survives verbatim
 
     def test_second_save_is_byte_identical(self, sat_ensemble, tmp_path):
@@ -982,6 +982,12 @@ GOOD_SUMMARY = {
         # JSON true/false are not counts, also beside numbers
         ("e_profile", [True, 0.0], "e_profile must hold numbers only"),
         ("e_pair", [[1.0, 0.0], [0.0, False]], "e_pair must hold numbers only"),
+        ("mode", None, r"summary mode must be one of \('empirical', 'paper', "
+                       r"'exact_hypergeometric'\), got None"),
+        ("mode", 3, "summary mode must be one of .*, got 3"),
+        ("mode", ["x"], r"summary mode must be one of .*, got \['x'\]"),
+        ("mode", "bogus", "summary mode must be one of .*, got 'bogus'"),
+        ("mode", "Paper", "summary mode must be one of .*, got 'Paper'"),
     ],
 )
 def test_malformed_summary_refused_at_load(tmp_path, capsys, key, value, message):
@@ -1168,6 +1174,13 @@ GOOD_ENSEMBLE = {
         ({"instances": [{"id": 0, "targets": [1, "a"]}]}, "targets must all be integers"),
         ({"instances": [{"id": 0, "targets": [1, None]}]}, "targets must all be integers"),
         ({"instances": [{"id": 0, "targets": [1, 8]}]}, r"instances\[0\]: state 8 does not fit"),
+        # each of these reaches the int64 conversion of the targets
+        ({"instances": [{"id": 0, "targets": [2**70]}]}, f"state {2**70} does not fit"),
+        ({"instances": [{"id": 0, "targets": [-1]}]}, "state -1 does not fit"),
+        ({"instances": [{"id": 0, "targets": [1.5]}]}, "state 1.5 does not fit"),
+        ({"instances": [{"id": 0, "targets": ["a"]}]}, "state 'a' does not fit"),
+        ({"instances": [{"id": 0, "targets": [2, True]}]}, "state True does not fit"),
+        ({"instances": [{"id": 0, "targets": [[1]]}]}, r"state \[1\] does not fit"),
     ],
 )
 def test_malformed_ensemble_refused_at_load(tmp_path, capsys, change, message):
@@ -1221,7 +1234,9 @@ def test_ensemble_loader_raises_only_usage_error(doc):
     assert all(type(i) is int for i in ids) and len(set(ids)) == len(ids)
     for inst in ensemble.instances:
         assert inst.target.n == ensemble.n
-        assert all(type(k) is int and 0 <= k < 1 << ensemble.n for k in inst.target.states)
+        states = inst.target.states
+        assert states.dtype == np.int64 and states.ndim == 1 and not states.flags.writeable
+        assert all(0 <= k < 1 << ensemble.n for k in states.tolist())
 
 
 _ODD_INTS = st.one_of(st.integers(-2, 70), st.sampled_from([2**31, 2**63, 10**30, -(10**30)]))

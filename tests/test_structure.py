@@ -91,10 +91,8 @@ class TestAggregate:
 
     def test_keeps_no_profile_matrix(self, rng):
         # n = 16, |T| = 2^14 takes the shell route; each profile matrix holds 2.2 MB,
-        # and each kept uint64 state array, built here before tracing, 128 KiB
+        # and each space's int64 states, built with it before tracing, 128 KiB
         spaces = [random_space(rng, 16, 1 << 14) for _ in range(9)]
-        for space in spaces:
-            space.states_array
         _, one_peak = traced(lambda: spaces[8].mean_pair)
         kept, peak = traced(lambda: aggregate(spaces[:8]))
         assert kept < 2**20
