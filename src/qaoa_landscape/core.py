@@ -90,8 +90,13 @@ class TargetSpace:
 
     @classmethod
     def from_iterable(cls, n: int, states) -> "TargetSpace":
-        """The space of the distinct values int(s) for s in states."""
-        return cls(n, sorted({int(s) for s in states}))
+        """The space of the distinct states in states: ints or numpy integers, bools refused.
+
+        A numpy scalar counts as its Python value; the elements of any other
+        type go on to the constructor, which refuses them.
+        """
+        values = [s.item() if isinstance(s, np.generic) else s for s in states]
+        return cls(n, [s for s in values if type(s) is not int] or sorted(set(values)))
 
     def __len__(self) -> int:
         return len(self.states)

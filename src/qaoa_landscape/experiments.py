@@ -7,7 +7,8 @@ hits the target set with probability F1, so an arm's hit count is one
 binomial draw at the exact closed-form F1, from an independent RNG stream per
 (instance, arm); results do not depend on evaluation order.  Each driver
 reads z for all its sources at one beta set, the grid's betas or the shared
-beta, from one ``landscape.form_z`` call.
+beta, from one ``landscape.form_z`` call.  A two-arm report holds the study
+as columns: the instance ids, and one row per arm of angles, F1 and hits.
 """
 
 from __future__ import annotations
@@ -136,25 +137,18 @@ def _spread(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("gj,bjk,gk->bg", c, cov, c), 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class ArmOutcome:
-    """One instance's result under one pipeline arm."""
-
-    angles: Angles
-    success_prob: float  # exact F1 at the arm's angles
-    shots_hit: int
-
-
-@dataclass(frozen=True, eq=False)
-class InstanceComparison:
-    id: int
-    standard: ArmOutcome
-    noniterative: ArmOutcome
+STANDARD_ARM = 0
+NONITERATIVE_ARM = 1
 
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Two-arm study over one ensemble."""
+    """Two-arm study over one ensemble, held as columns over its instances.
+
+    ids keeps the ensemble's order; betas, gammas, probs (the exact F1 at
+    each arm's angles) and hits (its binomial draw) are (2, count) arrays
+    with the STANDARD_ARM row first and the NONITERATIVE_ARM row second.
+    """
 
     family: str
     n: int
@@ -162,47 +156,36 @@ class ComparisonReport:
     seed: int
     shared_angles: Angles  # the problem-global angles of the non-iterative arm
     shared_value: float  # approximation value at those angles
-    records: tuple[InstanceComparison, ...]
-    mean_standard: float
-    std_standard: float
-    mean_noniterative: float
-    std_noniterative: float
+    ids: tuple[int, ...]  # Python ints: an id may exceed int64
+    betas: np.ndarray
+    gammas: np.ndarray
+    probs: np.ndarray
+    hits: np.ndarray
 
-
-STANDARD_ARM = 0
-NONITERATIVE_ARM = 1
+    # each arm's mean F1 and its population spread, over a contiguous row
+    mean_standard = property(lambda self: float(self.probs[STANDARD_ARM].mean()))
+    std_standard = property(lambda self: float(self.probs[STANDARD_ARM].std()))
+    mean_noniterative = property(lambda self: float(self.probs[NONITERATIVE_ARM].mean()))
+    std_noniterative = property(lambda self: float(self.probs[NONITERATIVE_ARM].std()))
 
 
 def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> ComparisonReport:
     """Per-instance optimisation against one problem-global optimisation.
 
     Each instance's form and their summary's are built once.  One batched
-    search covers them; one form_z call at the shared beta then gives every
-    instance's F1 at the shared angles, with f1_closed's bits.
+    search covers them; one form_z call at the shared beta and one z_f1
+    call at the shared gamma then give every instance's F1 at the shared
+    angles, with f1_closed's bits.
     """
     _check_shots(shots)
     spaces = [inst.target for inst in ensemble.instances]
     forms = [LandscapeForm.of(source) for source in (*spaces, aggregate(spaces))]
     *owns, shared = best_angles_all(forms)  # every instance, then the summary
+    scales = np.array([form.scale for form in forms[:-1]])
     shared_z = form_z(forms[:-1], shared.angles.beta)
-
-    records = []
-    for inst, own, form, z in zip(ensemble.instances, owns, forms, shared_z):
-        standard = ArmOutcome(
-            angles=own.angles,
-            success_prob=own.value,  # F1 at own.angles
-            shots_hit=_draw_hits(own.value, shots, shot_rng(seed, inst.id, STANDARD_ARM)),
-        )
-        prob = float(z_f1(form.scale, z, shared.angles.gamma))
-        noniterative = ArmOutcome(
-            angles=shared.angles,
-            success_prob=prob,
-            shots_hit=_draw_hits(prob, shots, shot_rng(seed, inst.id, NONITERATIVE_ARM)),
-        )
-        records.append(InstanceComparison(inst.id, standard, noniterative))
-
-    std_probs = np.array([r.standard.success_prob for r in records])
-    non_probs = np.array([r.noniterative.success_prob for r in records])
+    ids = tuple(inst.id for inst in ensemble.instances)
+    probs = np.array([[own.value for own in owns],  # each F1 at its own angles
+                      z_f1(scales, shared_z, shared.angles.gamma)])
     return ComparisonReport(
         family=ensemble.family,
         n=ensemble.n,
@@ -210,11 +193,12 @@ def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> Compari
         seed=seed,
         shared_angles=shared.angles,
         shared_value=shared.value,
-        records=tuple(records),
-        mean_standard=float(std_probs.mean()),
-        std_standard=float(std_probs.std()),
-        mean_noniterative=float(non_probs.mean()),
-        std_noniterative=float(non_probs.std()),
+        ids=ids,
+        betas=np.array([[own.angles.beta for own in owns], [shared.angles.beta] * len(owns)]),
+        gammas=np.array([[own.angles.gamma for own in owns], [shared.angles.gamma] * len(owns)]),
+        probs=probs,
+        hits=np.array([[_draw_hits(p, shots, shot_rng(seed, i, arm)) for i, p in zip(ids, row)]
+                       for arm, row in enumerate(probs.tolist())], dtype=np.int64),
     )
 
 

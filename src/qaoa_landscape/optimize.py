@@ -192,11 +192,15 @@ def _searched(forms: list[LandscapeForm]) -> list[OptResult]:
     coeffs = form_coefficients(forms)
     cells = SCAN_CELLS_PER_QUBIT * forms[0].n
     betas = BETA_SCAN_END * np.arange(cells + 1) / cells
-    # row by row, so the transform's temporaries do not grow with the ensemble
-    peaks = np.array([_peak(coefficient_scan(row, 2 * cells)[: cells + 1]) for row in coeffs])
-    if not np.isfinite(peaks).all():
-        raise ComputationError("landscape is not finite on the beta scan")
-    best = np.argmax(peaks, axis=1)  # the first maximum: the lowest beta
+    # row by row, keeping each row's first maximum (the lowest beta) and its peak, so
+    # neither the transform's temporaries nor the scan kept grow with the ensemble
+    best, top = np.empty(len(forms), dtype=int), np.empty(len(forms))
+    for i, row in enumerate(coeffs):
+        peaks = _peak(coefficient_scan(row, 2 * cells)[: cells + 1])
+        if not np.isfinite(peaks).all():
+            raise ComputationError("landscape is not finite on the beta scan")
+        best[i] = np.argmax(peaks)
+        top[i] = peaks[best[i]]
     lo, hi = betas[np.maximum(best - 1, 0)], betas[np.minimum(best + 1, cells)]
     # z^(j) = sum (2i*k)^j a_k w^k, so one coefficient_z call gives z, z' and z''
     ik = wave_numbers(coeffs.shape[-1])
@@ -220,7 +224,7 @@ def _searched(forms: list[LandscapeForm]) -> list[OptResult]:
             if not active.any():
                 break
     refined = (lo + hi) / 2.0
-    higher = _peak(coefficient_z(coeffs, refined)) > peaks[np.arange(len(forms)), best]
+    higher = _peak(coefficient_z(coeffs, refined)) > top
     beta = np.where(higher, refined, betas[best])
     zs = coefficient_z(coeffs, beta)
     results = []

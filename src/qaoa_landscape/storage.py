@@ -189,6 +189,8 @@ def ensemble_from_dict(data: dict) -> Ensemble:
         instance_id, targets = raw["id"], raw["targets"]
         if type(instance_id) is not int:
             raise UsageError(f"{where}: id must be an integer, got {instance_id!r}")
+        if instance_id < 0:  # an id is a SeedSequence spawn key of compare's draws
+            raise UsageError(f"{where}: id must be a non-negative integer, got {instance_id}")
         if instance_id in seen_ids:
             raise UsageError(f"{where}: duplicate instance id {instance_id}")
         seen_ids.add(instance_id)
@@ -331,21 +333,14 @@ def curve_to_csv(betas, values, path: str | Path) -> None:
 
 
 def report_to_csv(report: ComparisonReport, path: str | Path) -> None:
-    """One row per instance per arm."""
-    ids, arms, outcomes = [], [], []
-    for rec in report.records:
-        for arm, outcome in (("standard", rec.standard), ("noniterative", rec.noniterative)):
-            ids.append(str(rec.id))
-            arms.append(arm)
-            outcomes.append(outcome)
+    """One row per instance per arm: an instance's standard row, then its non-iterative row."""
+    count = len(report.ids)
     columns = [
-        ids,
-        arms,
-        _texts([outcome.angles.beta for outcome in outcomes]),
-        _texts([outcome.angles.gamma for outcome in outcomes]),
-        _texts([outcome.success_prob for outcome in outcomes]),
-        [str(outcome.shots_hit) for outcome in outcomes],
-        [str(report.shots)] * len(outcomes),
+        [str(i) for i in report.ids for _ in range(2)],
+        ["standard", "noniterative"] * count,
+        *(_texts(column.T.ravel()) for column in (report.betas, report.gammas, report.probs)),
+        list(map(str, report.hits.T.ravel().tolist())),
+        [str(report.shots)] * (2 * count),
     ]
     _write(path, "id,arm,beta,gamma,success_prob,shots_hit,shots\n", _rows(columns))
 
@@ -362,7 +357,7 @@ def report_to_dict(report: ComparisonReport) -> dict:
         "std_standard": report.std_standard,
         "mean_noniterative": report.mean_noniterative,
         "std_noniterative": report.std_noniterative,
-        "instances": len(report.records),
+        "instances": len(report.ids),
     }
 
 

@@ -90,6 +90,20 @@ class TestTargetSpace:
         space = TargetSpace.from_iterable(3, [5, 1, 5, 2])
         assert space.states.tolist() == [1, 2, 5]
 
+    def test_from_iterable_takes_numpy_integers(self):
+        space = TargetSpace.from_iterable(3, [np.int8(5), 1, np.uint64(2), np.int64(5)])
+        assert space.states.tolist() == [1, 2, 5]
+
+    @pytest.mark.parametrize(
+        "given, state",
+        [([1.5], "1.5"), (["1"], "'1'"), (np.array([True, False]), "True"),
+         ([2, True], "True"), ([1, 1.0], "1.0"), ([np.True_], "True"), ([np.float64(2.0)], "2.0")],
+    )
+    def test_from_iterable_refuses_what_the_constructor_refuses(self, given, state):
+        # int() would read 1.5 and '1' as 1 and a bool array as [0, 1]
+        with pytest.raises(UsageError, match=f"^state {state} does not fit 3 bits$"):
+            TargetSpace.from_iterable(3, given)
+
     def test_rejects_empty(self):
         with pytest.raises(UsageError):
             TargetSpace(3, ())

@@ -231,31 +231,40 @@ class TestLandscapeComparison:
 class TestSuccessComparison:
     def test_aggregates_consistent(self, success_report):
         _, rep = success_report
-        probs = np.array([r.standard.success_prob for r in rep.records])
-        assert abs(rep.mean_standard - probs.mean()) < 1e-15
-        assert abs(rep.std_standard - probs.std()) < 1e-15
+        for arm, mean, std in ((STANDARD_ARM, rep.mean_standard, rep.std_standard),
+                               (NONITERATIVE_ARM, rep.mean_noniterative, rep.std_noniterative)):
+            probs = np.array(rep.probs[arm].tolist())
+            assert mean.hex() == probs.mean().hex()
+            assert std.hex() == probs.std().hex()
+
+    def test_columns_follow_the_ensemble(self, success_report):
+        ensemble, rep = success_report
+        assert rep.ids == tuple(inst.id for inst in ensemble.instances)
+        for column in (rep.betas, rep.gammas, rep.probs, rep.hits):
+            assert column.shape == (2, len(ensemble.instances))
 
     def test_probs_match_landscape(self, success_report):
         ensemble, rep = success_report
-        for inst, rec in zip(ensemble.instances, rep.records):
-            own = f1_closed(
-                inst.target, rec.standard.angles.beta, rec.standard.angles.gamma
-            )
+        own_angles = zip(rep.betas[STANDARD_ARM].tolist(), rep.gammas[STANDARD_ARM].tolist())
+        for inst, (beta, gamma), own_prob, shared_prob in zip(
+            ensemble.instances, own_angles, *rep.probs.tolist()
+        ):
+            own = f1_closed(inst.target, beta, gamma)
             shared = f1_closed(
                 inst.target, rep.shared_angles.beta, rep.shared_angles.gamma
             )
-            assert rec.standard.success_prob.hex() == own.hex()  # the search's value is f1's
-            assert abs(rec.noniterative.success_prob - shared) < 1e-12
+            assert own_prob.hex() == own.hex()  # the search's value is f1's
+            assert abs(shared_prob - shared) < 1e-12
 
     def test_shared_angles_used_everywhere(self, success_report):
         _, rep = success_report
-        assert all(r.noniterative.angles == rep.shared_angles for r in rep.records)
+        assert (rep.betas[NONITERATIVE_ARM] == rep.shared_angles.beta).all()
+        assert (rep.gammas[NONITERATIVE_ARM] == rep.shared_angles.gamma).all()
 
     def test_standard_arm_never_below_shared(self, success_report):
         # per-instance optimisation saw the shared angles' value among candidates
         _, rep = success_report
-        for rec in rep.records:
-            assert rec.standard.success_prob >= rec.noniterative.success_prob - 1e-9
+        assert (rep.probs[STANDARD_ARM] >= rep.probs[NONITERATIVE_ARM] - 1e-9).all()
 
     def test_shared_value_is_approximation(self, success_report):
         ensemble, rep = success_report
@@ -267,18 +276,16 @@ class TestSuccessComparison:
 
     def test_hits_bounded_by_shots(self, success_report):
         _, rep = success_report
-        for rec in rep.records:
-            assert 0 <= rec.standard.shots_hit <= rep.shots
-            assert 0 <= rec.noniterative.shots_hit <= rep.shots
+        assert ((0 <= rep.hits) & (rep.hits <= rep.shots)).all()
 
     def test_hits_drawn_at_each_arms_probability(self, success_report):
         ensemble, rep = success_report
-        for inst, rec in zip(ensemble.instances, rep.records):
-            for arm, outcome in ((STANDARD_ARM, rec.standard),
-                                 (NONITERATIVE_ARM, rec.noniterative)):
-                hits = hits_at(inst.target, outcome.angles, rep.shots,
+        for arm in (STANDARD_ARM, NONITERATIVE_ARM):
+            angles = zip(rep.betas[arm].tolist(), rep.gammas[arm].tolist())
+            for inst, (beta, gamma), hit in zip(ensemble.instances, angles, rep.hits[arm].tolist()):
+                hits = hits_at(inst.target, Angles(beta, gamma), rep.shots,
                                shot_rng(rep.seed, inst.id, arm))
-                assert outcome.shots_hit == hits
+                assert hit == hits
 
     def test_no_f1_evaluated_twice_after_search(self, monkeypatch):
         ensemble = build_ensemble("uniform", 5, 3, {"t_size": 6}, seed=2)
@@ -299,7 +306,7 @@ class TestSuccessComparison:
         distinct = {(form.profile.tobytes(), form.even.tobytes()) for form in forms}
         assert len(forms) == len(distinct) == len(ensemble.instances)
         assert beta == report.shared_angles.beta
-        assert f1_calls == [report.shared_angles.gamma] * len(ensemble.instances)
+        assert f1_calls == [report.shared_angles.gamma]  # every instance, in one call
 
     def test_shared_arm_builds_the_mixer_once(self, monkeypatch):
         ensemble = build_ensemble("uniform", 5, 4, {"t_size": 6}, seed=2)
@@ -329,9 +336,9 @@ class TestSuccessComparison:
         ensemble = build_ensemble(family, n, 6, params, seed=4)
         report = run_success_comparison(ensemble, shots=10, seed=4)
         beta, gamma = report.shared_angles.beta, report.shared_angles.gamma
-        for inst, rec in zip(ensemble.instances, report.records):
+        for inst, prob in zip(ensemble.instances, report.probs[NONITERATIVE_ARM].tolist()):
             want = f1_closed(inst.target, beta, gamma)
-            assert rec.noniterative.success_prob.hex() == want.hex()
+            assert prob.hex() == want.hex()
 
 
 class TestSatAlpha:

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qaoa_landscape.core import ComputationError, TargetSpace, UsageError
-from qaoa_landscape.experiments import run_success_comparison
+from qaoa_landscape.core import Angles, ComputationError, TargetSpace, UsageError
+from qaoa_landscape.experiments import STANDARD_ARM, run_success_comparison
 from qaoa_landscape.landscape import LandscapeForm, approx_expected_f1, f1, f1_closed
 from qaoa_landscape.optimize import (
     BETA_STEP_CAP,
+    SCAN_CELLS_PER_QUBIT,
     OptConfig,
     _best_gamma,
     best_angles,
@@ -300,10 +302,11 @@ class TestBestAngles:
     def test_same_bits_alone_and_from_compare(self):
         ensemble = build_ensemble("uniform", 5, 6, {"t_size": 5}, seed=3)
         report = run_success_comparison(ensemble, shots=10, seed=3)
-        for inst, record in zip(ensemble.instances, report.records):
+        columns = (c[STANDARD_ARM].tolist() for c in (report.betas, report.gammas, report.probs))
+        for inst, beta, gamma, prob in zip(ensemble.instances, *columns):
             alone = best_angles(inst.target)
-            assert record.standard.angles == alone.angles
-            assert record.standard.success_prob == alone.value
+            assert Angles(beta, gamma) == alone.angles
+            assert prob == alone.value
         shared = best_angles(aggregate([inst.target for inst in ensemble.instances]))
         assert report.shared_angles == shared.angles and report.shared_value == shared.value
 
@@ -322,6 +325,22 @@ class TestBestAngles:
             alone = best_angles(source)
             assert batched.angles == alone.angles
             assert batched.value == alone.value and batched.evaluations == alone.evaluations
+
+    def test_search_keeps_no_scan_row_per_source(self):
+        # the scan keeps each source's best index and peak, not its 64n+1 peaks
+        n = 20
+        spaces = [inst.target for inst in build_ensemble("qrfactor", n, 2000, {}, seed=1).instances]
+        forms = [LandscapeForm.of(space) for space in spaces]
+        peaks = []
+        for count in (1000, 2000):
+            tracemalloc.start()
+            try:
+                best_angles_all(forms[:count])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        row = (SCAN_CELLS_PER_QUBIT * n + 1) * 8
+        assert (peaks[1] - peaks[0]) / 1000 < row
 
 
 def ulps_apart(a: float, b: float) -> int:

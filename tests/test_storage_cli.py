@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -15,11 +16,12 @@ from qaoa_landscape import cli, experiments, problems, storage
 from qaoa_landscape.analytic import MODES
 from qaoa_landscape.core import AngleGrid, Angles, UsageError, default_grid
 from qaoa_landscape.experiments import (
-    ArmOutcome,
+    NONITERATIVE_ARM,
+    STANDARD_ARM,
     ComparisonReport,
     CrossSection,
-    InstanceComparison,
     run_success_comparison,
+    shot_rng,
 )
 from qaoa_landscape.landscape import LandscapeForm, LandscapeGrid, f1, f1_closed
 from qaoa_landscape.optimize import best_angles
@@ -284,17 +286,17 @@ class TestReportFiles:
         storage.report_to_csv(report, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "id,arm,beta,gamma,success_prob,shots_hit,shots"
-        assert len(lines) == 1 + 2 * len(report.records)
+        assert len(lines) == 1 + 2 * len(report.ids)
         arms = [line.split(",")[1] for line in lines[1:]]
-        assert arms[::2] == ["standard"] * len(report.records)
-        assert arms[1::2] == ["noniterative"] * len(report.records)
+        assert arms[::2] == ["standard"] * len(report.ids)
+        assert arms[1::2] == ["noniterative"] * len(report.ids)
 
     def test_json_summary(self, report, tmp_path):
         csv_path = tmp_path / "r.csv"
         json_path = tmp_path / "r.json"
         storage.save_report(report, csv_path, json_path)
         doc = json.loads(json_path.read_text())
-        assert doc["instances"] == len(report.records)
+        assert doc["instances"] == len(report.ids)
         assert doc["mean_noniterative"] == report.mean_noniterative
         assert doc["shared_angles"]["beta"] == report.shared_angles.beta
 
@@ -366,17 +368,13 @@ class TestGoldenBytes:
         )
 
     def test_report(self, tmp_path):
-        def arm(beta, gamma, prob, hits):
-            return ArmOutcome(Angles(beta, gamma), prob, hits)
-
-        records = (
-            InstanceComparison(0, arm(0.0, -0.0, 1.0, 3), arm(0.1, 1 / 3, 5e-324, 0)),
-            InstanceComparison(7, arm(1e300, -2.5, 0.1, 5), arm(1 / 3, 0.0, 1 / 3, 1)),
-        )
         report = ComparisonReport(
             family="uniform", n=3, shots=5, seed=0, shared_angles=Angles(0.1, 1 / 3),
-            shared_value=1 / 3, records=records, mean_standard=0.1, std_standard=0.0,
-            mean_noniterative=1 / 3, std_noniterative=-0.0,
+            shared_value=1 / 3, ids=(0, 7),
+            betas=np.array([[0.0, 1e300], [0.1, 1 / 3]]),
+            gammas=np.array([[-0.0, -2.5], [1 / 3, 0.0]]),
+            probs=np.array([[1.0, 0.1], [5e-324, 1 / 3]]),
+            hits=np.array([[3, 5], [0, 1]]),
         )
         path = tmp_path / "r.csv"
         storage.report_to_csv(report, path)
@@ -549,6 +547,28 @@ class TestCli:
             "optimizer": {"shots": 10},
             "out_dir": str(tmp_path),
         }
+
+    def test_compare_keys_each_row_by_its_own_id(self, tmp_path):
+        # ids neither 0..count-1 nor int64: a report keyed by position, or by an
+        # int64 array of the ids, fails here
+        ids = [7, 2**70, 0]
+        doc = storage.ensemble_to_dict(build_ensemble("uniform", 4, 3, {"t_size": 3}, seed=2))
+        for inst, instance_id in zip(doc["instances"], ids):
+            inst["id"] = instance_id
+        ens, prefix = tmp_path / "e.json", tmp_path / "run"
+        storage.write_json(doc, ens)
+        code = cli.main(["compare", "--ensemble", str(ens), "--shots", "1000",
+                         "--seed", "5", "--out-prefix", str(prefix)])
+        assert code == 0
+        with open(tmp_path / "run.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [int(row["id"]) for row in rows] == [i for i in ids for _ in range(2)]
+        arms = {"standard": STANDARD_ARM, "noniterative": NONITERATIVE_ARM}
+        for row in rows:
+            rng = shot_rng(5, int(row["id"]), arms[row["arm"]])
+            want = experiments._draw_hits(float(row["success_prob"]), 1000, rng)
+            assert int(row["shots_hit"]) == want
+        assert json.loads((tmp_path / "run.json").read_text())["instances"] == 3
 
     def test_sat_alpha(self, tmp_path):
         prefix = tmp_path / "sa"
@@ -1181,6 +1201,11 @@ GOOD_ENSEMBLE = {
         ({"instances": [{"id": 0, "targets": ["a"]}]}, "state 'a' does not fit"),
         ({"instances": [{"id": 0, "targets": [2, True]}]}, "state True does not fit"),
         ({"instances": [{"id": 0, "targets": [[1]]}]}, r"state \[1\] does not fit"),
+        # a negative id cannot be a SeedSequence spawn key for compare's draws
+        (
+            {"instances": [{"id": -1, "targets": [1]}]},
+            r"^instances\[0\]: id must be a non-negative integer, got -1$",
+        ),
     ],
 )
 def test_malformed_ensemble_refused_at_load(tmp_path, capsys, change, message):
