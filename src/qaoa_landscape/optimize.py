@@ -9,13 +9,15 @@ value scale * (1 + 2 Re z + 2|z|).  Every landscape also satisfies
 F1(pi - beta, 2*pi - gamma) = F1(beta, gamma), so the search is one scan of
 beta over [0, pi/2] and a refinement of its best cell.  z is a Laurent
 polynomial of degree n in w = exp(2i*beta), so the search takes its 2n+1
-coefficients a_k from z at 2n+1 betas, for all landscapes in one call
-(``landscape.form_coefficients``); one inverse FFT then gives z at every
-scan beta.  z' and z'' have coefficients 2i*k*a_k and (2i*k)^2 a_k, so the
-peak's exact slope and its derivative cost O(n) at any beta, as z does; the
-refinement brackets the best cell by the slope's sign and takes Newton steps
-inside the bracket, which end where 52 bisections would, in 4 to 6 steps on
-the families here.  It steps all landscapes at once, with the bits of each alone.
+coefficients a_k from z at 2n+1 betas (``landscape.form_coefficients``); one
+inverse FFT then gives z at every scan beta.  z' and z'' have coefficients
+2i*k*a_k and (2i*k)^2 a_k, so the peak's exact slope and its derivative cost
+O(n) at any beta, as z does; the refinement brackets the best cell by the
+slope's sign and takes Newton steps inside the bracket, which end where 52
+bisections would, in 4 to 6 steps on the families here.  Landscapes go through
+in blocks of _SEARCH_BLOCK, each block's coefficients in one call and its
+refinement stepped at once, so memory stays one block's; every step is per
+landscape, so each keeps the bits it has alone.
 
 ``maximize`` is the older generic 2-D search over the canonical domain
 beta in [0, pi), gamma in [0, 2*pi): a coarse lattice scan, ties to the
@@ -54,6 +56,8 @@ BETA_SCAN_END = math.pi / 2.0
 SCAN_CELLS_PER_QUBIT = 64
 # ... and refines the best in at most this many steps: enough halvings to reach float resolution
 BETA_STEP_CAP = 52
+# sources searched together: their coefficients and the refinement's arrays are one block's
+_SEARCH_BLOCK = 256
 
 # a compass search stops once both its steps are this small
 X_TOL = 1e-8
@@ -181,14 +185,14 @@ def best_angles_all(sources) -> tuple[OptResult, ...]:
     forms = [s if isinstance(s, LandscapeForm) else LandscapeForm.of(s) for s in sources]
     if not forms or any(form.n != forms[0].n for form in forms):
         raise UsageError("need one or more landscape sources of one width n")
-    found = iter(_searched([form for form in forms if form.scale != 1.0]))
+    searched = [form for form in forms if form.scale != 1.0]
+    found = (result for start in range(0, len(searched), _SEARCH_BLOCK)
+             for result in _searched(searched[start : start + _SEARCH_BLOCK]))
     return tuple(_FLAT if form.scale == 1.0 else next(found) for form in forms)
 
 
 def _searched(forms: list[LandscapeForm]) -> list[OptResult]:
-    """best_angles_all's scan and refinement of each form, in order; none for none."""
-    if not forms:
-        return []
+    """best_angles_all's scan and refinement of each of one block of forms, in order."""
     coeffs = form_coefficients(forms)
     cells = SCAN_CELLS_PER_QUBIT * forms[0].n
     betas = BETA_SCAN_END * np.arange(cells + 1) / cells

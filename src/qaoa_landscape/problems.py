@@ -115,16 +115,8 @@ def sample_clustered(
 # satisfiability
 
 
-@dataclass(frozen=True)
-class Cnf:
-    """A conjunction of 3-literal clauses; literal = (0-based var, negated)."""
-
-    num_vars: int
-    clauses: tuple[tuple[tuple[int, bool], ...], ...]
-
-
-def gen_sat(n: int, num_clauses: int, rng: np.random.Generator) -> Cnf:
-    """Random 3-SAT: three distinct variables per clause, fair negation."""
+def gen_sat(n: int, num_clauses: int, rng: np.random.Generator) -> tuple:
+    """3-SAT clauses: 3 distinct vars each, fair negation; a literal is (0-based var, negated)."""
     if n < 3:
         raise UsageError(f"3-SAT needs n >= 3, got {n}")
     if num_clauses < 1:
@@ -136,20 +128,19 @@ def gen_sat(n: int, num_clauses: int, rng: np.random.Generator) -> Cnf:
         variables = rng.choice(n, size=3, replace=False)
         negated = rng.random(3) < 0.5
         clauses.append(tuple((int(v), bool(neg)) for v, neg in zip(variables, negated)))
-    return Cnf(num_vars=n, clauses=tuple(clauses))
+    return tuple(clauses)
 
 
-def enumerate_sat(cnf: Cnf) -> TargetSpace | None:
-    """All satisfying assignments by exhaustive scan; None if unsatisfiable.
+def enumerate_sat(n: int, clauses) -> TargetSpace | None:
+    """All n-bit assignments satisfying every clause, by exhaustive scan; None if none.
 
     Assignment bit i is variable i.  Bounded to n <= 24.
     """
-    n = cnf.num_vars
     if n > MAX_STATEVECTOR_WIDTH:
         raise UsageError(f"exhaustive SAT scan needs n <= {MAX_STATEVECTOR_WIDTH}")
     states = np.arange(1 << n, dtype=np.uint32)
     ok = np.ones(states.shape, dtype=bool)
-    for clause in cnf.clauses:
+    for clause in clauses:
         sat = np.zeros(states.shape, dtype=bool)
         for var, negated in clause:
             bit = (states >> np.uint32(var)) & np.uint32(1)
@@ -159,95 +150,40 @@ def enumerate_sat(cnf: Cnf) -> TargetSpace | None:
     return TargetSpace(n, hits) if hits.size else None
 
 
-def to_dimacs(cnf: Cnf) -> str:
+def to_dimacs(n: int, clauses) -> str:
     """DIMACS CNF text: 1-based signed literals, zero-terminated clauses."""
-    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
-    for clause in cnf.clauses:
+    lines = [f"p cnf {n} {len(clauses)}"]
+    for clause in clauses:
         literals = [-(var + 1) if negated else var + 1 for var, negated in clause]
         lines.append(" ".join(str(lit) for lit in literals) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def _dimacs_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise UsageError(f"line {lineno}: expected an integer, got {token!r}") from None
-
-
-def from_dimacs(text: str) -> Cnf:
-    """Parse DIMACS CNF; comment lines ('c ...') are skipped."""
-    num_vars = None
-    num_clauses = None
-    clauses: list[tuple[tuple[int, bool], ...]] = []
-    pending: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise UsageError(f"line {lineno}: malformed problem line {line!r}")
-            if num_vars is not None:  # it would re-range the literals already read
-                raise UsageError(f"line {lineno}: second 'p cnf' header")
-            num_vars, num_clauses = (_dimacs_int(f, lineno) for f in fields[2:])
-            if num_vars < 0:
-                raise UsageError(f"line {lineno}: negative variable count {num_vars}")
-            continue
-        if num_vars is None:
-            raise UsageError(f"line {lineno}: clause before 'p cnf' header")
-        for token in line.split():
-            lit = _dimacs_int(token, lineno)
-            if lit == 0:
-                clauses.append(tuple((abs(v) - 1, v < 0) for v in pending))
-                pending = []
-            else:
-                if abs(lit) > num_vars:
-                    raise UsageError(f"line {lineno}: literal {lit} out of range")
-                pending.append(lit)
-    if pending:
-        raise UsageError("unterminated clause at end of input")
-    if num_vars is None:
-        raise UsageError("missing 'p cnf' header")
-    if num_clauses is not None and len(clauses) != num_clauses:
-        raise UsageError(f"header promises {num_clauses} clauses, found {len(clauses)}")
-    return Cnf(num_vars=num_vars, clauses=tuple(clauses))
 
 
 # ---------------------------------------------------------------------------
 # k-clique
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected graph on vertices 0..n-1; edges as sorted (i, j) pairs."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-
-def gen_graph(n: int, edge_prob: float, rng: np.random.Generator) -> Graph:
-    """A random graph: each of the C(n, 2) edges present independently."""
+def gen_graph(n: int, edge_prob: float, rng: np.random.Generator) -> tuple:
+    """The sorted (i, j) edges of a random graph: each of the C(n, 2) present independently."""
     if n < 2:
         raise UsageError(f"graph generation needs n >= 2, got {n}")
     if not 0.0 <= edge_prob <= 1.0:
         raise UsageError(f"edge_prob must be in [0, 1], got {edge_prob}")
     pairs = list(combinations(range(n), 2))
     keep = rng.random(len(pairs)) < edge_prob
-    return Graph(n=n, edges=tuple(p for p, k in zip(pairs, keep) if k))
+    return tuple(p for p, k in zip(pairs, keep) if k)
 
 
-def enumerate_kcliques(graph: Graph, k: int) -> TargetSpace | None:
-    """Vertex-mask bitstrings of all k-cliques; None if the graph has none.
+def enumerate_kcliques(n: int, edges, k: int) -> TargetSpace | None:
+    """Vertex-mask bitstrings of all k-cliques of a graph on n vertices; None if none.
 
     Cliques grow in ascending vertex order from a bitmask of common neighbours;
     a branch with fewer than k - size candidates left is cut.
     """
-    if not 1 <= k <= graph.n:
+    if not 1 <= k <= n:
         raise UsageError(f"need 1 <= k <= n, got k={k}")
-    adjacency = [0] * graph.n
-    for i, j in graph.edges:
+    adjacency = [0] * n
+    for i, j in edges:
         adjacency[i] |= 1 << j
         adjacency[j] |= 1 << i
     masks = []
@@ -261,10 +197,10 @@ def enumerate_kcliques(graph: Graph, k: int) -> TargetSpace | None:
             candidates ^= low  # later branches take only higher vertices
             grow(clique | low, size + 1, candidates & adjacency[low.bit_length() - 1])
 
-    grow(0, 0, (1 << graph.n) - 1)
+    grow(0, 0, (1 << n) - 1)
     if not masks:
         return None
-    return TargetSpace.from_iterable(graph.n, masks)
+    return TargetSpace.from_iterable(n, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +285,13 @@ def _build_instance(
         space = sample_clustered(n, params["num_seeds"], params["per_seed"], rng, params["dedupe"])
         return space, None
     if family == "sat":
-        cnf = gen_sat(n, params["num_clauses"], rng)
-        space = enumerate_sat(cnf)
-        return None if space is None else (space, {"dimacs": to_dimacs(cnf)})
+        clauses = gen_sat(n, params["num_clauses"], rng)
+        space = enumerate_sat(n, clauses)
+        return None if space is None else (space, {"dimacs": to_dimacs(n, clauses)})
     if family == "kclique":
-        graph = gen_graph(n, params["edge_prob"], rng)
-        space = enumerate_kcliques(graph, params["k"])
-        meta = {"k": params["k"], "edges": [list(e) for e in graph.edges]}
+        edges = gen_graph(n, params["edge_prob"], rng)
+        space = enumerate_kcliques(n, edges, params["k"])
+        meta = {"k": params["k"], "edges": [list(e) for e in edges]}
         return None if space is None else (space, meta)
     return sample_qr(n, rng)
 

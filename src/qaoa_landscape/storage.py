@@ -149,19 +149,6 @@ def _read_json(path: str | Path):
 # checked with `type(value) is int` rather than isinstance.
 
 
-def ensemble_to_dict(ensemble: Ensemble) -> dict:
-    return {
-        "family": ensemble.family,
-        "n": ensemble.n,
-        "seed": ensemble.seed,
-        "params": ensemble.params,
-        "instances": [
-            {"id": inst.id, "targets": inst.target.states.tolist(), "meta": inst.meta}
-            for inst in ensemble.instances
-        ],
-    }
-
-
 def ensemble_from_dict(data: dict) -> Ensemble:
     if not isinstance(data, dict):
         raise UsageError("ensemble document must be a JSON object")
@@ -212,8 +199,31 @@ def ensemble_from_dict(data: dict) -> Ensemble:
     )
 
 
+def _nested(value, depth: int) -> str:
+    """value as the indent=1 JSON encoder writes it `depth` levels into a document."""
+    return json.dumps(value, indent=1).replace("\n", "\n" + " " * depth)
+
+
 def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
-    write_json(ensemble_to_dict(ensemble), path)
+    """The ensemble as indent=1 JSON, streamed one instance at a time.
+
+    Keys family, n, seed, params, instances; an instance's are id, targets
+    (ascending) and meta.  Every value but the targets goes through json.dumps,
+    and each instance's targets are one chunk of text, so the bytes are those
+    of json.dumps(document, indent=1) + "\n" without the document held whole.
+    """
+    head = "".join(f' "{key}": {_nested(getattr(ensemble, key), 1)},\n'
+                   for key in ("family", "n", "seed", "params"))
+
+    def chunks():
+        for i, inst in enumerate(ensemble.instances):
+            opening = f'\n  {{\n   "id": {_nested(inst.id, 3)},\n   "targets": [\n    '
+            yield ("," if i else "") + opening
+            yield ",\n    ".join(map(str, inst.target.states.tolist()))
+            yield f'\n   ],\n   "meta": {_nested(inst.meta, 3)}\n  }}'
+        yield "\n ]\n}\n" if ensemble.instances else "]\n}\n"
+
+    _write(path, "{\n" + head + ' "instances": [', chunks())
 
 
 def load_ensemble(path: str | Path) -> Ensemble:

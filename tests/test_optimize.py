@@ -13,6 +13,7 @@ from qaoa_landscape.optimize import (
     BETA_STEP_CAP,
     SCAN_CELLS_PER_QUBIT,
     OptConfig,
+    _SEARCH_BLOCK,
     _best_gamma,
     best_angles,
     best_angles_all,
@@ -341,6 +342,32 @@ class TestBestAngles:
                 tracemalloc.stop()
         row = (SCAN_CELLS_PER_QUBIT * n + 1) * 8
         assert (peaks[1] - peaks[0]) / 1000 < row
+
+    def test_search_memory_holds_one_block(self):
+        # each block has its own coefficients and refinement arrays: only the results
+        # grow with the sources (the whole-stack search grew by 5.4 KB a source here)
+        instances = build_ensemble("qrfactor", 20, 4000, {}, seed=11).instances
+        forms = [LandscapeForm.of(inst.target) for inst in instances]
+        peaks = []
+        for count in (1000, 4000):
+            tracemalloc.start()
+            try:
+                best_angles_all(forms[:count])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 3000 < 1024
+
+    def test_blocks_keep_the_lone_bits(self):
+        # flat forms between the searched ones shift where each block starts
+        spaces = [inst.target for inst in build_ensemble("uniform", 6, 2 * _SEARCH_BLOCK + 5,
+                                                         {"t_size": 5}, seed=9).instances]
+        full = TargetSpace(6, range(64))
+        sources = [full, *spaces[:100], full, *spaces[100:], full]
+        for source, batched in zip(sources, best_angles_all(sources), strict=True):
+            alone = best_angles(source)
+            assert batched.angles == alone.angles
+            assert batched.value == alone.value and batched.evaluations == alone.evaluations
 
 
 def ulps_apart(a: float, b: float) -> int:

@@ -28,6 +28,22 @@ from qaoa_landscape.optimize import best_angles
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import aggregate
 
+from conftest import FAMILY_CASES
+
+
+def ensemble_doc(ensemble) -> dict:
+    """The JSON document of an ensemble file, built whole: the writer's oracle."""
+    return {
+        "family": ensemble.family,
+        "n": ensemble.n,
+        "seed": ensemble.seed,
+        "params": ensemble.params,
+        "instances": [
+            {"id": inst.id, "targets": inst.target.states.tolist(), "meta": inst.meta}
+            for inst in ensemble.instances
+        ],
+    }
+
 
 @pytest.fixture(scope="module")
 def sat_ensemble():
@@ -54,6 +70,31 @@ class TestEnsembleJson:
         storage.save_ensemble(sat_ensemble, first)
         storage.save_ensemble(storage.load_ensemble(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+    def test_writer_is_the_stdlib_encoder(self, family, n, params, seed, tmp_path):
+        ensemble = build_ensemble(family, n, 4, params, seed)
+        storage.save_ensemble(ensemble, tmp_path / "e.json")
+        want = json.dumps(ensemble_doc(ensemble), indent=1) + "\n"
+        assert (tmp_path / "e.json").read_text() == want
+
+    @pytest.mark.parametrize("instances", [
+        [{"id": 2**70, "targets": [0, 3, 5], "meta": {
+            "q\"uote": "back\\slash\nnew line \u00e9\u2603 \U0001f600",
+            "nested": [[1, [2.5, None]], {"deep": [[]], "empty": {}}, True, -0.0, 1e300],
+         }},
+         {"id": 0, "targets": [7], "meta": ["a", ["b", ["c"]]]},
+         {"id": 9, "targets": [1, 2], "meta": "text\t\"q\""}],
+        [],
+    ], ids=["awkward-meta", "no-instances"])
+    def test_writer_saves_a_loaded_document_as_the_stdlib_encoder(self, instances, tmp_path):
+        doc = {"family": "uniform", "n": 3, "seed": -4, "params": {"t_size": 2, "x": [1, {}]},
+               "instances": instances}
+        storage.write_json(doc, tmp_path / "in.json")
+        storage.save_ensemble(storage.load_ensemble(tmp_path / "in.json"), tmp_path / "out.json")
+        # write_json is json.dumps(doc, indent=1) + "\n": the stdlib encoder's bytes
+        assert (tmp_path / "out.json").read_bytes() == (tmp_path / "in.json").read_bytes()
 
     def test_rejects_state_out_of_range(self):
         doc = {
@@ -552,7 +593,7 @@ class TestCli:
         # ids neither 0..count-1 nor int64: a report keyed by position, or by an
         # int64 array of the ids, fails here
         ids = [7, 2**70, 0]
-        doc = storage.ensemble_to_dict(build_ensemble("uniform", 4, 3, {"t_size": 3}, seed=2))
+        doc = ensemble_doc(build_ensemble("uniform", 4, 3, {"t_size": 3}, seed=2))
         for inst, instance_id in zip(doc["instances"], ids):
             inst["id"] = instance_id
         ens, prefix = tmp_path / "e.json", tmp_path / "run"
