@@ -204,13 +204,17 @@ def _nested(value, depth: int) -> str:
     return json.dumps(value, indent=1).replace("\n", "\n" + " " * depth)
 
 
+_TARGET_BLOCK = 1 << 16  # targets per chunk of an ensemble file: O(block) Python ints and strs
+
+
 def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
     """The ensemble as indent=1 JSON, streamed one instance at a time.
 
     Keys family, n, seed, params, instances; an instance's are id, targets
     (ascending) and meta.  Every value but the targets goes through json.dumps,
-    and each instance's targets are one chunk of text, so the bytes are those
-    of json.dumps(document, indent=1) + "\n" without the document held whole.
+    and the targets are joined _TARGET_BLOCK at a time, so the bytes are those
+    of json.dumps(document, indent=1) + "\n" without the document, or one
+    instance's target text, held whole.
     """
     head = "".join(f' "{key}": {_nested(getattr(ensemble, key), 1)},\n'
                    for key in ("family", "n", "seed", "params"))
@@ -219,7 +223,10 @@ def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
         for i, inst in enumerate(ensemble.instances):
             opening = f'\n  {{\n   "id": {_nested(inst.id, 3)},\n   "targets": [\n    '
             yield ("," if i else "") + opening
-            yield ",\n    ".join(map(str, inst.target.states.tolist()))
+            states = inst.target.states
+            for start in range(0, len(states), _TARGET_BLOCK):
+                text = ",\n    ".join(map(str, states[start : start + _TARGET_BLOCK].tolist()))
+                yield (",\n    " if start else "") + text
             yield f'\n   ],\n   "meta": {_nested(inst.meta, 3)}\n  }}'
         yield "\n ]\n}\n" if ensemble.instances else "]\n}\n"
 

@@ -14,7 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 
 from qaoa_landscape import cli, experiments, problems, storage
 from qaoa_landscape.analytic import MODES
-from qaoa_landscape.core import AngleGrid, Angles, UsageError, default_grid
+from qaoa_landscape.core import AngleGrid, Angles, TargetSpace, UsageError, default_grid
 from qaoa_landscape.experiments import (
     NONITERATIVE_ARM,
     STANDARD_ARM,
@@ -78,6 +78,30 @@ class TestEnsembleJson:
         storage.save_ensemble(ensemble, tmp_path / "e.json")
         want = json.dumps(ensemble_doc(ensemble), indent=1) + "\n"
         assert (tmp_path / "e.json").read_text() == want
+
+    @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+    def test_target_slices_keep_the_stdlib_bytes(self, family, n, params, tmp_path, monkeypatch):
+        # slices of 3 targets: lists shorter than, equal to and spanning several slices
+        monkeypatch.setattr(storage, "_TARGET_BLOCK", 3)
+        ensemble = build_ensemble(family, n, 4, params, seed=0)
+        storage.save_ensemble(ensemble, tmp_path / "e.json")
+        want = json.dumps(ensemble_doc(ensemble), indent=1) + "\n"
+        assert (tmp_path / "e.json").read_text() == want
+
+    def test_memory_holds_one_slice_of_targets(self, tmp_path):
+        def peak(size):
+            states = np.arange(size, dtype=np.int64) * 3
+            instance = problems.Instance(id=0, target=TargetSpace(20, states))
+            ensemble = problems.Ensemble("uniform", 20, 0, {"t_size": size}, (instance,))
+            tracemalloc.start()
+            try:
+                storage.save_ensemble(ensemble, tmp_path / "e.json")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the text of 2^17 more targets alone would take several MiB
+        assert peak(1 << 18) - peak(1 << 17) < 2 * 2**20
 
     @pytest.mark.parametrize("instances", [
         [{"id": 2**70, "targets": [0, 3, 5], "meta": {
