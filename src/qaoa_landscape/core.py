@@ -24,7 +24,7 @@ MAX_WIDTH = 32
 MAX_STATEVECTOR_WIDTH = 24  # 2^n complex amplitudes must stay in memory
 MAX_BINOMIAL_N = 64  # C(64, 32) still fits a signed 64-bit integer
 MAX_GRID_POINTS = 10**6  # a landscape grid holds a few float64 arrays of this many points
-_PAIR_BLOCK = 4096  # rows per float64 gemm in exact_pair_sums: 20-bit limbs
+_PAIR_BLOCK = 4096  # most rows per gemm in exact_pair_sums: caps a block's float64 copy
 
 
 class UsageError(ValueError):
@@ -45,7 +45,7 @@ def binomial(n: int, d: int) -> int:
 
 
 def binomial_row(n: int) -> np.ndarray:
-    """All C(n, d) for d = 0..n as float64 (exact for n <= 64)."""
+    """All C(n, d) for d = 0..n as float64 (exact for n <= 56; C(57, 25) rounds)."""
     return np.array([binomial(n, d) for d in range(n + 1)], dtype=np.float64)
 
 
@@ -136,15 +136,11 @@ def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
     that bound must stay below 2^63.
 
     numpy's integer matmul does not use BLAS, so the sums run as float64
-    gemms on an error-free split of P into b-bit limbs (Ozaki, Ogita, Oishi
-    and Rump, Numer. Algorithms 59, 2012).  A block of r rows gets limbs of
-    b = (53 - bitlen(r)) // 2 bits, so each partial sum of a gemm is an
-    integer below r * 2^(2b) <= 2^53 and exact in any summation order.  One
-    limb (every profile up to the full space at n = 22) is the block itself
-    converted to float64; several are shifted and masked out of the block.
-    The limb blocks of each gemm are shifted back and summed in int64, one
-    row block at a time, so no float64 or int64 copy of the whole matrix is
-    held.
+    gemms over blocks of r <= _PAIR_BLOCK rows with r * max(P)^2 <= 2^53:
+    each partial sum is an integer of at most 2^53, exact in any order.  A
+    profile count never exceeds m, so the bound keeps it below 2^21 and a
+    profile block has 2048 rows or more.  Entries of 2^26.5 or more
+    leave r = 0; their blocks take numpy's int64 matmul, exact below the bound.
     """
     m, width = profiles.shape
     peak = int(profiles.max(initial=0))
@@ -152,23 +148,12 @@ def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
         raise UsageError(
             f"P^T P of {m} profiles with counts up to {peak} would overflow int64"
         )
-    bits = (53 - min(m, _PAIR_BLOCK).bit_length()) // 2
-    limbs = max(1, -(-peak.bit_length() // bits))
-    mask = (1 << bits) - 1
+    rows = min(_PAIR_BLOCK, (1 << 53) // (peak * peak or 1))
+    step, kind = (rows, np.float64) if rows else (_PAIR_BLOCK, np.int64)
     out = np.zeros((width, width), dtype=np.int64)
-    for start in range(0, m, _PAIR_BLOCK):
-        block = profiles[start : start + _PAIR_BLOCK]
-        if limbs == 1:  # the counts are their own limb (a 20-bit mask overflows int8, int16)
-            split = block.astype(np.float64)
-        else:  # counts of 2^20 or more come in 32 bits or more, which every mask fits
-            split = np.empty((block.shape[0], limbs * width))
-            for i in range(limbs):
-                split[:, i * width : (i + 1) * width] = (block >> (i * bits)) & mask
-        gram = (split.T @ split).astype(np.int64)
-        for i in range(limbs):
-            for j in range(limbs):
-                part = gram[i * width : (i + 1) * width, j * width : (j + 1) * width]
-                out += part << ((i + j) * bits)
+    for start in range(0, m, step):
+        block = profiles[start : start + step].astype(kind)
+        out += (block.T @ block).astype(np.int64)
     return out
 
 

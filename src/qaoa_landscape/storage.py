@@ -29,7 +29,7 @@ def _texts(values) -> list[str]:
 
 
 _CELL_BLOCK = 2048  # floats per block of a grid CSV: O(block) memory, numpy's call cost spread
-_EXPONENTS = range(-284, 285)  # the tables' decimal exponents: those of [1e-280, 1e280), and more
+_EXPONENTS = range(-284, 2)  # the tables' decimal exponents: those of [1e-280, 10), and more
 
 
 def _split(a):  # Dekker's split into halves of 26 bits: a = high + low
@@ -46,9 +46,9 @@ def _format_tables():
     ratios = map(float.as_integer_ratio, high)
     rest = [(n * q - p * d) / (d * q) for (n, d), (p, q) in zip(tens, ratios)]
     heads = [sign + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "").rjust(5, "\0") + "\0"
-             + ("\0" if one or -4 <= e < 17 else ".")  # d.ddde+XX: the point after the first
+             + ("\0" if one or -4 <= e < 0 else ".")  # d.ddd, d.ddde+XX: the point after the first
              for one in (False, True) for sign in "\0-" for e in _EXPONENTS]
-    exps = [("\0" + ("" if -4 <= e < 17 else f"e{e:+03d}")).ljust(8, "\0") for e in _EXPONENTS]
+    exps = [("\0" + ("" if -4 <= e else f"e{e:+03d}")).ljust(8, "\0") for e in _EXPONENTS]
     digits = np.frombuffer(b"".join(b"%04d" % g for g in range(10**4)), np.uint8).reshape(-1, 4)
     last = np.logical_or.accumulate(digits[:, ::-1] > 48, axis=1)[:, ::-1]  # to the last nonzero
     return ((*_split(np.array(high)), np.array(rest)),
@@ -59,17 +59,17 @@ def _format_tables():
 def _format17g(x: np.ndarray) -> np.ndarray:
     """1-D float64 x as (len(x), 32) uint8: row i holds '%.17g' % x[i]'s bytes, zeros between.
 
-    Where 1e-280 <= |x| < 1e280, y = |x| 10^(16-e), e = floor(log10 |x|), is a
-    double-double with an error below 1e-14: where 1e16 <= y and y's nearest integer
+    Where 1e-280 <= |x| < 10, y = |x| 10^(16-e), e = floor(log10 |x|),
+    is a double-double with an error below 1e-14: where 1e16 <= y and y's nearest integer
     is below 1e17 and 1e-9 or more from a tie, it is the 17 digits (Grisu's idea:
     Loitsch, PLDI 2010).  Zero has digits 0; other rows are '%.17g' % x[i] itself.
     Bytes: 0 the sign, 1-5 the "0.000" below 1, 6 the first digit, 7 its point in
-    d.ddde+XX, 8-24 the others less trailing zeros (with the point at or above 1),
-    25-29 the exponent; 31 stays zero.
+    d.ddd and d.ddde+XX, 8-24 the others less trailing zeros, 25-29 the exponent;
+    31 stays zero.
     """
     powers, heads, exps, groups = _format_tables()
     a = np.abs(x)
-    fast, zero = (a >= 1e-280) & (a < 1e280), a == 0.0
+    fast, zero = (a >= 1e-280) & (a < 10.0), a == 0.0
     a[~fast] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
     row = e - _EXPONENTS.start
@@ -94,12 +94,6 @@ def _format17g(x: np.ndarray) -> np.ndarray:
     head = row + len(_EXPONENTS) * (np.signbit(x) + 2 * one)
     cells.view(np.uint64)[:, 0] = heads[head] | (lead.astype(np.uint64) + 48) << 48
     cells.view(np.uint64)[:, 3] = exps[row]
-    if (dotted := np.flatnonzero((e > 0) & (e < 17) | (e == 0) & ~one)).size:  # point after e of 16
-        k, at, tail = e[dotted, None], np.arange(17), cells[dotted, 8:25]
-        tail[:, :16] |= (at[:16] < k) * np.uint8(48)  # digits before the point keep their zeros
-        tail[:, 16:] = ord(".") * ((np.take_along_axis(tail, np.minimum(k, 15), 1) != 0) & (k < 16))
-        moves = np.where(at < k, at, np.where(at > k, at - 1, 16))
-        cells[dotted, 8:25] = np.take_along_axis(tail, moves, 1)
     for i in np.flatnonzero(~fast):
         cells[i] = np.frombuffer((b"%.17g" % x[i]).ljust(32, b"\0"), np.uint8)
     return cells

@@ -84,6 +84,11 @@ class TestBinomial:
         for n in range(0, 20):
             assert binomial_row(n).sum() == 2**n
 
+    def test_row_is_exact_to_n56(self):
+        for n in range(0, 57):
+            assert [int(c) for c in binomial_row(n)] == [math.comb(n, d) for d in range(n + 1)]
+        assert int(binomial_row(57)[25]) != math.comb(57, 25)  # the first entry that rounds
+
 
 class TestTargetSpace:
     def test_from_iterable_sorts_and_dedupes(self):
@@ -224,8 +229,10 @@ def int64_pair_sums(profiles):
 def profile_matrices(draw):
     """Non-negative (m, width) int64 matrices with m * max^2 < 2^63.
 
-    m runs past one gemm block; the peak is small (one limb), anywhere up to
-    the wrap bound, or the largest count the bound allows (several limbs).
+    m runs past one gemm block; the peak is small (full float64 blocks),
+    anywhere up to the wrap bound, or the largest count the bound allows
+    (blocks of a few rows, or the int64 matmul where r * peak^2 <= 2^53
+    leaves no row).
     """
     m = draw(st.one_of(st.integers(1, 50), st.integers(_PAIR_BLOCK - 1, 2 * _PAIR_BLOCK + 1)))
     width = draw(st.integers(1, 24))
@@ -245,9 +252,9 @@ def narrow_profile_matrices(draw):
     """Non-negative (m, width) int8, int16 or int32 matrices with m * max^2 < 2^63.
 
     The peak is small, anywhere up to the type's or the wrap bound's limit,
-    or at that limit: int32 reaches two limbs (2^20 and more) and, for m >= 3,
-    the wrap bound.  Half are Fortran-ordered, as the shell route's
-    transposed gather is.
+    or at that limit: int32 reaches blocks of fewer rows than _PAIR_BLOCK
+    (2^20.5 and more) and, for m >= 3, the wrap bound.  Half are
+    Fortran-ordered, as the shell route's transposed gather is.
     """
     dtype = draw(st.sampled_from(NARROW_TYPES))
     m = draw(st.one_of(st.integers(1, 50), st.integers(_PAIR_BLOCK - 1, 2 * _PAIR_BLOCK + 1)))
@@ -280,11 +287,11 @@ class TestLimbRoute:
     @pytest.mark.parametrize(
         "dtype,m,peak",
         [
-            (np.int8, 3, 127),  # one limb
-            (np.int16, 3 * _PAIR_BLOCK + 5, (1 << 15) - 1),  # one limb, four blocks
-            (np.int32, _PAIR_BLOCK - 1, 1 << 20),  # two 20-bit limbs
+            (np.int8, 3, 127),  # one float64 block
+            (np.int16, 3 * _PAIR_BLOCK + 5, (1 << 15) - 1),  # four float64 blocks
+            (np.int32, _PAIR_BLOCK - 1, 1 << 20),  # one block: 4095 rows of 2^40 stay below 2^53
             (np.int32, _PAIR_BLOCK - 1, math.isqrt(((1 << 63) - 1) // (_PAIR_BLOCK - 1))),
-            (np.int32, 3, math.isqrt(((1 << 63) - 1) // 3)),  # two 25-bit limbs, at the bound
+            (np.int32, 3, math.isqrt(((1 << 63) - 1) // 3)),  # no float64 row fits, at the bound
         ],
     )
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -303,9 +310,9 @@ class TestLimbRoute:
     @pytest.mark.parametrize(
         "m,peak",
         [
-            (3, (1 << 20) - 1),  # one limb
-            (3, math.isqrt(((1 << 63) - 1) // 3)),  # two limbs, at the wrap bound
-            (3 * _PAIR_BLOCK + 5, (1 << 20) - 1),  # one limb, four blocks
+            (3, (1 << 20) - 1),  # one float64 block
+            (3, math.isqrt(((1 << 63) - 1) // 3)),  # no float64 row fits, at the wrap bound
+            (3 * _PAIR_BLOCK + 5, (1 << 20) - 1),  # four float64 blocks
             (3 * _PAIR_BLOCK + 5, math.isqrt(((1 << 63) - 1) // (3 * _PAIR_BLOCK + 5))),
         ],
     )
@@ -313,6 +320,14 @@ class TestLimbRoute:
         # every entry of P^T P is m * peak^2, the largest sum the counts allow
         profiles = np.full((m, 3), peak, dtype=np.int64)
         assert np.all(exact_pair_sums(profiles) == m * peak * peak)
+
+    @pytest.mark.parametrize("m", [4096, 8192])
+    def test_counts_just_below_2_to_the_21(self, m):
+        # peak^2 is just below 2^42, so blocks hold 2048 rows; one 4096-row
+        # float64 gemm would sum past 2^53 and round most entries
+        rng = np.random.default_rng(m)
+        profiles = rng.integers((1 << 21) - 4096, 1 << 21, size=(m, 3), dtype=np.int64)
+        assert np.array_equal(exact_pair_sums(profiles), int64_pair_sums(profiles))
 
     @pytest.mark.parametrize("n,size", [(14, 4096), (14, 9000), (16, 1 << 16)])
     def test_dense_target_sets(self, rng, n, size):

@@ -178,8 +178,8 @@ class TestKernelMemory:
         assert profile_route(n, m) == SHELL_ROUTE
         table = (n + 1) * (1 << n) * 2
         gathered = (n + 1) * m * 2
-        split = _PAIR_BLOCK * (n + 1) * 8
-        assert traced_peak(lambda: space.mean_pair) <= 1.1 * (table + gathered + split)
+        block = _PAIR_BLOCK * (n + 1) * 8
+        assert traced_peak(lambda: space.mean_pair) <= 1.1 * (table + gathered + block)
 
     def test_pairwise_block_sized_by_m(self, rng):
         # all 4000^2 distances take 128 MB as int64; a block of 2^19 takes 4 MB

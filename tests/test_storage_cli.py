@@ -321,9 +321,12 @@ class TestFormat17g:
         assert_17g(neighbours(2.0 ** np.arange(40, 70)[:, None] + np.arange(-40, 40)))
 
     def test_notation_switches(self):
-        # fixed below 1e17 and from 1e-4, an exponent beyond; rounding near the switches
+        # fixed below 1e17 and from 1e-4, an exponent beyond; rounding near the switches;
+        # below 10 the fast path's point at byte 7, from 10 the fallback
         switches = [1e16, 1e17, 1e-4, 1e-5, 9.999999999999999e-5, 99999.99999999999,
-                    9.9999999999999998e16, 1.0000000000000002e16, 99999999999999984.0]
+                    9.9999999999999998e16, 1.0000000000000002e16, 99999999999999984.0,
+                    1.0000000000000002, 9.999999999999998, 9.5, 10.0, 10.000000000000002, 12.5,
+                    1e16 - 2, -9.75]
         below = [10.0**k * (1 - m * 2.0**-53) for k in range(-6, 19) for m in range(1, 9)]
         assert_17g(neighbours(switches + below))
 
