@@ -36,8 +36,6 @@ def _parse_grid(text: str) -> AngleGrid:
         beta_steps, gamma_steps = (int(part) for part in text.lower().split("x"))
     except ValueError:
         raise UsageError(f"grid must look like '100x100', got {text!r}") from None
-    if beta_steps < 1 or gamma_steps < 1:
-        raise UsageError("grid must have at least one point per axis")
     return default_grid(beta_steps, gamma_steps)
 
 

@@ -113,11 +113,6 @@ class TargetSpace:
         profiles = _kernels.distance_profiles(self.states, self.n)
         return np.ascontiguousarray(profiles, dtype=np.int64)
 
-    @property
-    def mean_profile(self) -> np.ndarray:
-        """(n+1,) float64 mean distance profile: row 0 of mean_pair, since every P[i, 0] is 1."""
-        return self.mean_pair[0]
-
     @cached_property
     def mean_pair(self) -> np.ndarray:
         """(n+1, n+1) float64 mean profile outer product: exact P^T P / |T|.
@@ -213,12 +208,9 @@ class AngleGrid:
 
 
 def default_grid(beta_steps: int = 100, gamma_steps: int = 100) -> AngleGrid:
-    """Standard plotting window: beta in [0, pi], gamma covering [0, 2*pi)."""
-    return AngleGrid(
-        0.0,
-        math.pi,
-        0.0,
-        2.0 * math.pi * (gamma_steps - 1) / gamma_steps,
-        beta_steps,
-        gamma_steps,
-    )
+    """Standard plotting window: beta in [0, pi], gamma covering [0, 2*pi).
+
+    A step count below 1 reaches AngleGrid's check undivided, as gamma_max 0.
+    """
+    gamma_max = 2.0 * math.pi * (gamma_steps - 1) / gamma_steps if gamma_steps > 0 else 0.0
+    return AngleGrid(0.0, math.pi, 0.0, gamma_max, beta_steps, gamma_steps)

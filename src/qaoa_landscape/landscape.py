@@ -106,7 +106,7 @@ class LandscapeForm:
         if isinstance(source, StructuralSummary):
             size, profile, pair = source.e_tsize, source.e_profile, source.e_pair
         else:
-            size, profile, pair = len(source), source.mean_profile, source.mean_pair
+            size, profile, pair = len(source), source.mean_pair[0], source.mean_pair
         even = _even_signs(source.n) @ pair.ravel()
         return cls(source.n, size / (1 << source.n), profile, even)
 

@@ -63,11 +63,6 @@ _SEARCH_BLOCK = 256
 X_TOL = 1e-8
 
 
-def reduce_angles(beta: float, gamma: float) -> tuple[float, float]:
-    """Map angles into the canonical domain [0, pi) x [0, 2*pi)."""
-    return beta % BETA_PERIOD, gamma % GAMMA_PERIOD
-
-
 @dataclass(frozen=True)
 class OptConfig:
     """Search parameters; the defaults suit every family in this package."""
@@ -115,7 +110,7 @@ def maximize(objective, config: OptConfig = OptConfig()) -> OptResult:
 
     def evaluate(beta: float, gamma: float) -> float:
         nonlocal evaluations, best_value, best_angles
-        beta, gamma = reduce_angles(beta, gamma)
+        beta, gamma = beta % BETA_PERIOD, gamma % GAMMA_PERIOD  # into the canonical domain
         value = float(objective(beta, gamma))
         if not math.isfinite(value):
             raise ComputationError(f"objective returned {value} at beta={beta:g}, gamma={gamma:g}")

@@ -33,7 +33,7 @@ def statistics(source) -> tuple[np.ndarray, np.ndarray]:
     """The mean profile p and mean pair matrix Q of a target space or summary."""
     if isinstance(source, StructuralSummary):
         return source.e_profile, source.e_pair
-    return source.mean_profile, source.mean_pair
+    return source.mean_pair[0], source.mean_pair
 
 
 def lone_z(form, betas) -> np.ndarray:

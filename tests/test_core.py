@@ -195,7 +195,7 @@ class TestTargetSpace:
         for n, m, route in ((6, 9, PAIRWISE_ROUTE), (10, 600, SHELL_ROUTE)):
             assert profile_route(n, m) == route
             space = random_space(rng, n, m)
-            assert np.array_equal(space.mean_profile, space.profiles.sum(0) / m)
+            assert np.array_equal(space.mean_pair[0], space.profiles.sum(0) / m)
             assert np.array_equal(space.mean_pair, exact_pair_sums(space.profiles) / m)
             assert space.mean_pair is space.mean_pair  # cached, not rebuilt per read
 
@@ -404,6 +404,12 @@ class TestAngleGrid:
         for steps in ((1000, 1001), (MAX_GRID_POINTS + 1, 1), (20000, 20000)):
             with pytest.raises(UsageError, match=f"more than {MAX_GRID_POINTS}"):
                 AngleGrid(0.0, 1.0, 0.0, 1.0, *steps)
+
+    @pytest.mark.parametrize("steps", [(3, 0), (3, -1), (0, 3)])
+    def test_default_grid_refuses_an_empty_axis(self, steps):
+        # the gamma window is not divided by a step count below 1 first
+        with pytest.raises(UsageError, match="^grid must have at least one point per axis$"):
+            default_grid(*steps)
 
     def test_default_grid_excludes_full_turn(self):
         grid = default_grid(10, 8)

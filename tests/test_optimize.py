@@ -19,7 +19,6 @@ from qaoa_landscape.optimize import (
     best_angles_all,
     maximize,
     optimize_instance,
-    reduce_angles,
 )
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
@@ -35,13 +34,27 @@ def n1_objective(beta, gamma):
 
 
 class TestReduce:
+    """maximize evaluates and reports angles in [0, pi) x [0, 2*pi)."""
+
     def test_wraparound(self):
-        beta, gamma = reduce_angles(3 * math.pi / 2, -1.0)
-        assert abs(beta - math.pi / 2) < 1e-12
-        assert abs(gamma - (2 * math.pi - 1.0)) < 1e-12
+        # a peak placed at (3*pi/2, -1), repeating with periods pi and 2*pi
+        result = maximize(lambda b, g: math.cos(2 * (b - 3 * math.pi / 2)) + math.cos(g + 1.0))
+        assert abs(result.angles.beta - math.pi / 2) < 1e-6
+        assert abs(result.angles.gamma - (2 * math.pi - 1.0)) < 1e-6
 
     def test_canonical_fixed(self):
-        assert reduce_angles(0.5, 4.0) == (0.5, 4.0)
+        # peaked at the corner (0, 0): every compass step down crosses an edge
+        calls = []
+
+        def objective(beta, gamma):
+            calls.append((beta, gamma))
+            return math.cos(2 * beta) + math.cos(gamma)
+
+        result = maximize(objective)
+        assert len(calls) == result.evaluations
+        assert (result.angles.beta, result.angles.gamma) == (0.0, 0.0)
+        for beta, gamma in calls + [(result.angles.beta, result.angles.gamma)]:
+            assert 0.0 <= beta < math.pi and 0.0 <= gamma < 2 * math.pi, (beta, gamma)
 
 
 class TestConfig:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from qaoa_landscape import cli, experiments, problems, storage
+from qaoa_landscape import _kernels, cli, experiments, problems, storage
 from qaoa_landscape.analytic import MODES
 from qaoa_landscape.core import AngleGrid, Angles, TargetSpace, UsageError, default_grid
 from qaoa_landscape.experiments import (
@@ -45,6 +45,24 @@ def ensemble_doc(ensemble) -> dict:
     }
 
 
+def assert_ensemble_approx_is_the_summary_landscape(tmp_path, gen: list[str], grid: str) -> None:
+    """gen, then landscape --ensemble writes the bits of landscape --summary of its summary.
+
+    That holds for the approximation grid and for the cross-section's approx column.
+    """
+    ens, summ = tmp_path / "e.json", tmp_path / "s.json"
+    assert cli.main(["gen", *gen, "--out", str(ens)]) == 0
+    assert cli.main(["summarize", "--ensemble", str(ens), "--out", str(summ)]) == 0
+    for source, path in (("--ensemble", ens), ("--summary", summ)):
+        assert cli.main(["landscape", source, str(path), "--grid", grid, "--gamma-c", "1.2",
+                         "--out-prefix", str(tmp_path / source[2:])]) == 0
+    approx = (tmp_path / "ensemble_approx.csv").read_bytes()
+    assert approx == (tmp_path / "summary_approx.csv").read_bytes()
+    rows = [line.split(",") for line in (tmp_path / "ensemble_cross.csv").read_text().split()]
+    want = [line.split(",") for line in (tmp_path / "summary_cross.csv").read_text().split()]
+    assert [row[3] for row in rows[1:]] == [row[1] for row in want[1:]]
+
+
 @pytest.fixture(scope="module")
 def sat_ensemble():
     return build_ensemble("sat", 5, 6, {"num_clauses": 10}, seed=9)
@@ -67,9 +85,12 @@ class TestEnsembleJson:
     def test_second_save_is_byte_identical(self, sat_ensemble, tmp_path):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
-        storage.save_ensemble(sat_ensemble, first)
-        storage.save_ensemble(storage.load_ensemble(first), second)
-        assert first.read_bytes() == second.read_bytes()
+        ensembles = [build_ensemble(family, n, 4, params, seed=5)
+                     for family, n, params in FAMILY_CASES]
+        for ensemble in [sat_ensemble, *ensembles]:
+            storage.save_ensemble(ensemble, first)
+            storage.save_ensemble(storage.load_ensemble(first), second)
+            assert first.read_bytes() == second.read_bytes(), ensemble.family
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
@@ -548,20 +569,20 @@ class TestCli:
         [("uniform", ["--t-size", "40"]), ("sat", ["--clauses", "30"]), ("clustered", [])],
     )
     def test_ensemble_approx_is_the_summary_landscape(self, tmp_path, family, flags):
-        # the approximation of landscape --ensemble has the bits that
-        # landscape --summary gives summarize's output of the same ensemble
-        ens, summ = tmp_path / "e.json", tmp_path / "s.json"
-        assert cli.main(["gen", "--family", family, "--n", "10", "--count", "5", "--seed", "3",
-                         *flags, "--out", str(ens)]) == 0
-        assert cli.main(["summarize", "--ensemble", str(ens), "--out", str(summ)]) == 0
-        for source, path in (("--ensemble", ens), ("--summary", summ)):
-            assert cli.main(["landscape", source, str(path), "--grid", "30x20", "--gamma-c", "1.2",
-                             "--out-prefix", str(tmp_path / source[2:])]) == 0
-        approx = (tmp_path / "ensemble_approx.csv").read_bytes()
-        assert approx == (tmp_path / "summary_approx.csv").read_bytes()
-        rows = [line.split(",") for line in (tmp_path / "ensemble_cross.csv").read_text().split()]
-        want = [line.split(",") for line in (tmp_path / "summary_cross.csv").read_text().split()]
-        assert [row[3] for row in rows[1:]] == [row[1] for row in want[1:]]
+        gen = ["--family", family, "--n", "10", "--count", "5", "--seed", "3", *flags]
+        assert_ensemble_approx_is_the_summary_landscape(tmp_path, gen, "30x20")
+
+    @pytest.mark.parametrize(
+        "n, t_size, route",
+        [(7, 100, _kernels.SHELL_ROUTE),  # int8 shell table
+         (12, 2048, _kernels.SHELL_ROUTE),  # int16 shell table
+         (20, 3000, _kernels.PAIRWISE_ROUTE)],  # 18 pairwise row blocks
+    )
+    def test_ensemble_approx_is_the_summary_landscape_on_each_route(self, tmp_path, n, t_size,
+                                                                    route):
+        assert _kernels.profile_route(n, t_size) == route
+        gen = ["--family", "uniform", "--n", str(n), "--count", "2", "--t-size", str(t_size)]
+        assert_ensemble_approx_is_the_summary_landscape(tmp_path, gen, "20x20")
 
     def test_optimize_summary_and_instance(self, tmp_path):
         summ = tmp_path / "s.json"
@@ -860,6 +881,15 @@ class TestCli:
         beta_steps, gamma_steps = map(int, grid.split("x"))
         assert code == 1
         assert err == f"error: grid has {beta_steps * gamma_steps} points, more than 1000000\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
+
+    @pytest.mark.parametrize("grid", ["5x0", "0x5"])
+    def test_empty_grid_axis_exits_1(self, tmp_path, capsys, grid):
+        storage.write_json(GOOD_SUMMARY, tmp_path / "in.json")
+        code = cli.main(["landscape", "--summary", str(tmp_path / "in.json"), "--grid", grid,
+                         "--out-prefix", str(tmp_path / "p")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: grid must have at least one point per axis\n"
         assert [path.name for path in tmp_path.iterdir()] == ["in.json"]
 
     @pytest.mark.parametrize(

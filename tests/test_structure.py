@@ -13,20 +13,20 @@ from conftest import random_space
 
 
 class TestInstanceStats:
-    """The statistics of one instance: TargetSpace.mean_profile and mean_pair."""
+    """The statistic of one instance: TargetSpace.mean_pair, whose row 0 is the mean profile."""
 
     def test_hand_values(self):
         # profiles of 10, 13, 14: (1,1,0,1,0,0), (1,0,1,1,0,0), (1,1,1,0,0,0)
         space = TargetSpace.from_iterable(5, [10, 13, 14])
         assert len(space) == 3
         expected = [1.0, 2 / 3, 2 / 3, 2 / 3, 0.0, 0.0]
-        assert np.allclose(space.mean_profile, expected, atol=1e-15)
+        assert np.allclose(space.mean_pair[0], expected, atol=1e-15)
 
     def test_row_zero_of_pair_matrix_is_profile(self, rng):
         # counts at distance 0 are identically 1 for member references
         space = random_space(rng, 6, 17)
-        assert np.allclose(space.mean_pair[0], space.mean_profile, atol=1e-15)
-        assert np.allclose(space.mean_pair[:, 0], space.mean_profile, atol=1e-15)
+        assert np.allclose(space.mean_pair[0], space.profiles.mean(axis=0), atol=1e-15)
+        assert np.allclose(space.mean_pair[:, 0], space.mean_pair[0], atol=1e-15)
 
     def test_pair_matrix_symmetric(self, rng):
         space = random_space(rng, 7, 40)
@@ -35,13 +35,13 @@ class TestInstanceStats:
     def test_diagonal_dominates_squared_profile(self, rng):
         for _ in range(10):
             space = random_space(rng, 6)
-            assert np.all(space.mean_pair.diagonal() >= space.mean_profile**2 - 1e-12)
+            assert np.all(space.mean_pair.diagonal() >= space.mean_pair[0]**2 - 1e-12)
 
     def test_full_space(self):
         # every profile equals the binomial row exactly
         space = TargetSpace.from_iterable(3, range(8))
         row = binomial_row(3)
-        assert np.array_equal(space.mean_profile, row)
+        assert np.array_equal(space.mean_pair[0], row)
         assert np.array_equal(space.mean_pair, np.outer(row, row))
 
     def test_against_slow_recount(self, rng):
@@ -49,7 +49,7 @@ class TestInstanceStats:
         profiles = np.array(
             [distance_profile(space, s) for s in space.states], dtype=np.int64
         )
-        assert np.allclose(space.mean_profile, profiles.mean(axis=0), atol=1e-15)
+        assert np.allclose(space.mean_pair[0], profiles.mean(axis=0), atol=1e-15)
         pair = np.zeros((6, 6))
         for row in profiles:
             pair += np.outer(row, row)
@@ -70,7 +70,7 @@ class TestAggregate:
         spaces = [random_space(rng, 5) for _ in range(6)]
         summary = aggregate(spaces)
         assert np.allclose(
-            summary.e_profile, np.mean([s.mean_profile for s in spaces], axis=0), atol=1e-15
+            summary.e_profile, np.mean([s.mean_pair[0] for s in spaces], axis=0), atol=1e-15
         )
         assert np.allclose(
             summary.e_pair, np.mean([s.mean_pair for s in spaces], axis=0), atol=1e-15
@@ -107,7 +107,7 @@ class TestAggregate:
             params = {"t_size": 40}
         spaces = [inst.target for inst in build_ensemble(family, n, 30, params, 6).instances]
         summary = aggregate(spaces)
-        for got, stack in ((summary.e_profile, [s.mean_profile for s in spaces]),
+        for got, stack in ((summary.e_profile, [s.mean_pair[0] for s in spaces]),
                            (summary.e_pair, [s.mean_pair for s in spaces])):
             want = np.mean(stack, axis=0)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
