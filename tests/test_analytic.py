@@ -98,6 +98,10 @@ class TestPmfJoint:
             marginal = sum(pmf_joint(model, 1, x1, 3, x2) for x2 in range(6))
             assert abs(marginal - pmf_single(model, 1, x1)) < 1e-9
 
+    def test_d_range_checked(self):
+        with pytest.raises(UsageError, match="^need 0 <= d <= n, got d1=4, d2=1$"):
+            pmf_joint(UniformModel(3, 2), 4, 0, 1, 0)
+
 
 class TestMoments:
     def test_full_space_profile(self):

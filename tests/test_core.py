@@ -116,6 +116,9 @@ class TestTargetSpace:
     def test_rejects_out_of_range(self):
         with pytest.raises(UsageError):
             TargetSpace(3, (8,))
+        for n in (0, 33):
+            with pytest.raises(UsageError, match=rf"^n must be in \[1, 32\], got {n}$"):
+                TargetSpace(n, [0])
 
     def test_rejects_unsorted(self):
         with pytest.raises(UsageError, match="states must ascend"):

@@ -684,5 +684,7 @@ class TestEvalGrid:
         grid = AngleGrid(0.0, 1.0, 0.0, 1.0, 2, 2)
         with pytest.raises(UsageError):
             LandscapeGrid(grid=grid, values=np.zeros(3))
+        with pytest.raises(UsageError, match=r"^stddev must have shape \(4,\)$"):
+            LandscapeGrid(grid=grid, values=np.zeros(4), stddev=np.zeros(3))
         with pytest.raises(ComputationError, match="finite"):  # grids are computed, never read
             LandscapeGrid(grid=grid, values=np.array([0.0, 1.0, np.nan, 0.0]))

@@ -414,10 +414,14 @@ class TestBisectionOracle:
         for source, result in zip(criterion_9_sources, best_angles_all(criterion_9_sources)):
             assert_bisection_bits(source, result)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n, t", ANALYTIC_CASES)
     def test_analytic_summaries(self, n, t):
         for summary in analytic_summaries(n, t):
-            assert_bisection_bits(summary, best_angles(summary))
+            result = best_angles(summary)
+            assert_bisection_bits(summary, result)
+            if t < 1 << n:  # a full space takes the tie unsearched
+                assert 1 <= refine_steps(summary, result) <= 8
 
     def test_plateau_does_not_creep(self):
         # the slope is exactly 0 across ~1e-12 of beta near 0.7854: Newton points on an end

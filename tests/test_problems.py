@@ -48,6 +48,8 @@ class TestUniform:
             sample_uniform(3, 0, rng)
         with pytest.raises(UsageError):
             sample_uniform(3, 9, rng)
+        with pytest.raises(UsageError, match=r"^n must be in \[1, 32\], got 0$"):
+            sample_uniform(0, 1, rng)
 
     def test_subsets_uniform(self):
         # every 2-subset of 16 states equally likely, 4 sigma per subset
@@ -75,6 +77,8 @@ class TestClustered:
     def test_capacity_checked(self, rng):
         with pytest.raises(UsageError):
             sample_clustered(3, 3, 3, rng)  # 12 states > 2^3
+        with pytest.raises(UsageError, match="^need num_seeds >= 1 and per_seed >= 0$"):
+            sample_clustered(4, 0, 1, rng)
 
     def test_dedupe_validated(self, rng):
         with pytest.raises(UsageError):
@@ -120,6 +124,8 @@ class TestSat:
         assert len(gen_sat(5, 50, rng)) == 50
         with pytest.raises(UsageError, match=re.escape("51 clauses exceed 10 * n = 50")):
             gen_sat(5, 51, rng)
+        with pytest.raises(UsageError, match="^need at least one clause$"):
+            gen_sat(5, 0, rng)
 
     def test_single_clause_excludes_one_state(self):
         space = enumerate_sat(3, (((0, False), (1, False), (2, False)),))
@@ -225,6 +231,8 @@ class TestKClique:
         assert gen_graph(6, 1.0, rng) == tuple(combinations(range(6), 2))
         with pytest.raises(UsageError):
             gen_graph(6, 1.5, rng)
+        with pytest.raises(UsageError, match="^graph generation needs n >= 2, got 1$"):
+            gen_graph(1, 0.5, rng)
 
 
 class TestQrFactor:

@@ -551,6 +551,25 @@ class TestCli:
             cross = np.loadtxt(cross_path, delimiter=",", skiprows=1)
             assert cross[:, 1].tolist() == f1(summary, grid.betas(), float(gamma_c)).tolist()
 
+    @pytest.mark.filterwarnings("error")
+    def test_summary_at_the_width_limit(self, tmp_path):
+        # |T| = 2^31 of 2^32 states: pair-matrix entries near 1e17 cancel to F1 in [0, 1]
+        summ = tmp_path / "w.json"
+        assert cli.main(["analytic-uniform", "--n", "32", "--t-size", str(1 << 31),
+                         "--out", str(summ)]) == 0
+        assert cli.main(["landscape", "--summary", str(summ), "--grid", "100x100",
+                         "--gamma-c", "1.2", "--out-prefix", str(tmp_path / "w")]) == 0
+        summary = storage.load_summary(summ)
+        grid = default_grid(100, 100)
+        approx = np.loadtxt(tmp_path / "w_approx.csv", delimiter=",", skiprows=1)
+        assert approx[:, 2].tolist() == f1(summary, grid.betas(), grid.gammas()).ravel().tolist()
+        assert 0.0 <= approx[:, 2].min() and approx[:, 2].max() <= 1.0
+        out = tmp_path / "w_opt.json"
+        assert cli.main(["optimize", "--summary", str(summ), "--out", str(out)]) == 0
+        # the refinement ends in a few Newton steps, not in bisection's 52
+        steps = json.loads(out.read_text())["evaluations"] - (64 * 32 + 1) - 1
+        assert 1 <= steps <= 8
+
     def test_landscape_from_ensemble(self, tmp_path):
         ens = tmp_path / "e.json"
         cli.main(["gen", "--family", "uniform", "--n", "4", "--count", "3",
@@ -1106,6 +1125,9 @@ GOOD_SUMMARY = {
         ("mode", ["x"], r"summary mode must be one of .*, got \['x'\]"),
         ("mode", "bogus", "summary mode must be one of .*, got 'bogus'"),
         ("mode", "Paper", "summary mode must be one of .*, got 'Paper'"),
+        # json reads the NaN and Infinity tokens as floats
+        ("e_profile", [1.0, math.nan], "^summary e_profile must be finite$"),
+        ("e_pair", [[1.0, 0.0], [0.0, math.inf]], "^summary e_pair must be finite$"),
     ],
 )
 def test_malformed_summary_refused_at_load(tmp_path, capsys, key, value, message):
@@ -1309,13 +1331,15 @@ GOOD_ENSEMBLE = {
 def test_malformed_ensemble_refused_at_load(tmp_path, capsys, change, message):
     path = tmp_path / "e.json"
     path.write_text(json.dumps(GOOD_ENSEMBLE | change))
-    with pytest.raises(UsageError, match=message):
+    with pytest.raises(UsageError, match=message) as refused:
         storage.load_ensemble(path)
-    code = cli.main(["summarize", "--ensemble", str(path), "--out", str(tmp_path / "s.json")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (tmp_path / "s.json").exists()
+    for argv in (
+        ["summarize", "--ensemble", str(path), "--out", str(tmp_path / "s.json")],
+        ["compare", "--ensemble", str(path), "--shots", "5", "--out-prefix", str(tmp_path / "c")],
+    ):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["e.json"]
 
 
 _INSTANCE_FIELDS = {

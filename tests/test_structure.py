@@ -37,12 +37,18 @@ class TestInstanceStats:
             space = random_space(rng, 6)
             assert np.all(space.mean_pair.diagonal() >= space.mean_pair[0]**2 - 1e-12)
 
+    @pytest.mark.filterwarnings("error")
     def test_full_space(self):
-        # every profile equals the binomial row exactly
-        space = TargetSpace.from_iterable(3, range(8))
-        row = binomial_row(3)
-        assert np.array_equal(space.mean_pair[0], row)
-        assert np.array_equal(space.mean_pair, np.outer(row, row))
+        # every profile equals the binomial row exactly: n = 3 on the pairwise route, n = 16 on
+        # the shell route's int32 table with pair sums over 16 float64 blocks of 4096 rows
+        for n in (3, 16):
+            space = TargetSpace.from_iterable(n, range(1 << n))
+            row = binomial_row(n)
+            assert np.array_equal(space.mean_pair[0], row)
+            assert np.array_equal(space.mean_pair, np.outer(row, row))
+            doc = storage.summary_to_dict(aggregate([space]))
+            assert doc["e_profile"] == row.tolist()
+            assert doc["e_pair"] == np.outer(row, row).tolist()
 
     def test_against_slow_recount(self, rng):
         space = random_space(rng, 5, 11)
