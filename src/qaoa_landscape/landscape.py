@@ -18,9 +18,9 @@ y^(2t) coefficient of mean_k |sum_d profile_k[d] (iy)^d|^2.  A ``TargetSpace``
 builds (p, Q) once, in O(|T| n^2), a ``StructuralSummary`` holds their
 ensemble means (the bracket is linear in them), and a ``LandscapeForm`` keeps
 its source's |T|/2^n, p and A: 2n+2 real numbers, from which every beta costs
-O(n), whatever |T| is.  ``c_k``, ``mean_ck_squared`` and ``w_matrix`` (per
-target, binomial basis) and ``f1_statevector`` (the full 2^n state) are
-independent oracles for it.  Along beta a landscape is fixed by 2n+1 Fourier
+O(n), whatever |T| is.  ``mean_ck_squared`` and ``w_matrix`` (per target,
+binomial basis) and ``f1_statevector`` (the full 2^n state) are independent
+oracles for it.  Along beta a landscape is fixed by 2n+1 Fourier
 coefficients (``form_coefficients``), from which ``coefficient_z`` and
 ``coefficient_scan`` give z at O(n) per beta or by one inverse FFT;
 ``form_z`` is their oracle.  What z reads of the mixer at given betas
@@ -65,15 +65,6 @@ def _exponents(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n - d, d and (-i)^d for d = 0..n."""
     d = np.arange(n + 1)
     return n - d, d, np.array([1.0, -1j, -1.0, 1j])[d % 4]
-
-
-def c_k(beta: float, gamma: float, profile: np.ndarray, n: int) -> complex:
-    """Unnormalised target amplitude of a state with the given profile."""
-    if profile.shape != (n + 1,):
-        raise UsageError(f"profile must have length n+1 = {n + 1}")
-    fn = fn_matrix(beta, n)
-    phase = cmath.exp(-1j * gamma) - 1.0
-    return complex(phase * (profile @ fn) + binomial_row(n) @ fn)
 
 
 def mean_ck_squared(space: TargetSpace, beta: float, gamma: float) -> float:

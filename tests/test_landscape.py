@@ -19,7 +19,6 @@ from qaoa_landscape.landscape import (
     LandscapeForm,
     LandscapeGrid,
     approx_expected_f1,
-    c_k,
     coefficient_scan,
     coefficient_z,
     f1,
@@ -85,31 +84,6 @@ class TestAmplitudeFactor:
             vec = fn_matrix(beta, 6)
             for d in range(7):
                 assert cmath.isclose(vec[d], f_n(beta, d, 6), abs_tol=1e-15)
-
-
-class TestAmplitudes:
-    def test_member_at_beta_zero(self):
-        space = TargetSpace.from_iterable(4, [3, 9])
-        profile = space.profiles[0]
-        for gamma in (0.0, 0.7, 2.0, 5.5):
-            value = c_k(0.0, gamma, profile, 4)
-            assert cmath.isclose(value, cmath.exp(-1j * gamma), abs_tol=1e-14)
-            assert abs(abs(value) - 1.0) < 1e-14
-
-    def test_profile_length_checked(self):
-        with pytest.raises(UsageError):
-            c_k(0.1, 0.2, np.zeros(4), 4)
-
-    def test_n1_family(self):
-        # |c_1|^2 = 1 + sin(2*beta)*sin(gamma) for T = {1}
-        space = TargetSpace(1, (1,))
-        profile = space.profiles[0]
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            beta, gamma = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
-            got = abs(c_k(beta, gamma, profile, 1)) ** 2
-            want = 1 + math.sin(2 * beta) * math.sin(gamma)
-            assert abs(got - want) < 1e-12
 
 
 class TestF1:

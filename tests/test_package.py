@@ -1,10 +1,14 @@
-"""The package is flat modules: its root imports nothing, and each module imports alone."""
+"""The package is flat modules: its root imports nothing, and each module imports alone.
+
+Wherever the suite runs, any warning fails it.
+"""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qaoa_landscape
@@ -38,3 +42,10 @@ def test_each_module_imports_alone(module):
     # no import order fixed by the root can hide a cycle
     done = run_python(f"import qaoa_landscape.{module}")
     assert done.returncode == 0, done.stderr
+
+
+def test_a_numpy_warning_is_an_error():
+    # pyproject.toml's pytest warning filter, "error", holds wherever the suite runs, so
+    # an overflow or invalid value fails tier-1 in place of passing with a warning
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        np.float64(1e308) * 10

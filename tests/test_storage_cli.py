@@ -551,7 +551,6 @@ class TestCli:
             cross = np.loadtxt(cross_path, delimiter=",", skiprows=1)
             assert cross[:, 1].tolist() == f1(summary, grid.betas(), float(gamma_c)).tolist()
 
-    @pytest.mark.filterwarnings("error")
     def test_summary_at_the_width_limit(self, tmp_path):
         # |T| = 2^31 of 2^32 states: pair-matrix entries near 1e17 cancel to F1 in [0, 1]
         summ = tmp_path / "w.json"
@@ -625,10 +624,12 @@ class TestCli:
             abs=1e-12,
         )
 
-    def test_optimize_instance_needs_ensemble(self, tmp_path):
+    def test_optimize_instance_needs_ensemble(self, tmp_path, capsys):
         code = cli.main(["optimize", "--summary", "x.json", "--instance", "0",
                          "--out", str(tmp_path / "o.json")])
         assert code == 1
+        assert capsys.readouterr().err == "error: --instance requires --ensemble\n"
+        assert not list(tmp_path.iterdir())
 
     def test_compare(self, tmp_path):
         ens = tmp_path / "e.json"
@@ -703,16 +704,27 @@ class TestCli:
         assert sorted(outputs["plain"]) == ["sa_a2.csv", "sa_a2.json", "sa_summary.json"]
         assert outputs["threads"] == outputs["plain"]
 
-    def test_usage_errors_exit_1(self, tmp_path):
-        assert cli.main(["gen", "--family", "bogus", "--n", "4", "--count", "1",
-                         "--out", str(tmp_path / "x.json")]) == 1
-        assert cli.main(["landscape", "--out-prefix", str(tmp_path / "x")]) == 1
-        assert cli.main(["summarize", "--ensemble", str(tmp_path / "absent.json"),
-                         "--out", str(tmp_path / "s.json")]) == 1
-        bad = tmp_path / "bad.json"
+    def test_usage_errors_exit_1(self, tmp_path, capsys):
+        absent, bad = tmp_path / "absent.json", tmp_path / "bad.json"
         bad.write_text("{ nope")
-        assert cli.main(["summarize", "--ensemble", str(bad),
-                         "--out", str(tmp_path / "s.json")]) == 1
+        cases = [
+            # a prefix only: argparse words the list of choices differently across versions
+            (["gen", "--family", "bogus", "--n", "4", "--count", "1",
+              "--out", str(tmp_path / "x.json")],
+             "error: argument --family: invalid choice: 'bogus'"),
+            (["landscape", "--out-prefix", str(tmp_path / "x")],
+             "error: one of the arguments --summary --ensemble is required\n"),
+            (["summarize", "--ensemble", str(absent), "--out", str(tmp_path / "s.json")],
+             f"error: cannot read {absent}: [Errno 2] No such file or directory: '{absent}'\n"),
+            (["summarize", "--ensemble", str(bad), "--out", str(tmp_path / "s.json")],
+             f"error: {bad}: invalid JSON at line 1: "
+             "Expecting property name enclosed in double quotes\n"),
+        ]
+        for argv, message in cases:
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(message) and err.count("\n") == 1
+            assert [path.name for path in tmp_path.iterdir()] == ["bad.json"]
 
     def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
         # the parser is built once per process, so no parsed value may leak

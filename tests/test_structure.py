@@ -37,7 +37,6 @@ class TestInstanceStats:
             space = random_space(rng, 6)
             assert np.all(space.mean_pair.diagonal() >= space.mean_pair[0]**2 - 1e-12)
 
-    @pytest.mark.filterwarnings("error")
     def test_full_space(self):
         # every profile equals the binomial row exactly: n = 3 on the pairwise route, n = 16 on
         # the shell route's int32 table with pair sums over 16 float64 blocks of 4096 rows
