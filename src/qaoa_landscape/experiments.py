@@ -6,9 +6,9 @@ pipeline optimises every instance on its own landscape.  Every measured shot
 hits the target set with probability F1, so an arm's hit count is one
 binomial draw at the exact closed-form F1, from an independent RNG stream per
 (instance, arm); results do not depend on evaluation order.  Each driver
-reads z for all its sources at one beta set, the grid's betas or the shared
-beta, from one ``landscape.form_z`` call.  A two-arm report holds the study
-as columns: the instance ids, and one row per arm of angles, F1 and hits.
+makes one ``landscape.form_z`` call: on every instance at the shared beta, or
+on a lift's unit forms and the summary.  A two-arm report holds the study as
+columns: the instance ids, and one row per arm of angles, F1 and hits.
 """
 
 from __future__ import annotations
@@ -85,26 +85,29 @@ def run_landscape_comparison(
 
     With z a form's z at beta, s = form.scale and phi = exp(-i*gamma) - 1,
     an instance's bracket is c(gamma) . x(beta) with x = (1, Re z, Im z) and
-    c = (1, -2 Re phi, 2 Im phi), and its F1 is c . (s*x).  So the mean, the
-    spread and the bound over the instances follow from the per-beta mean
-    and covariance of s*x and of x; no per-instance grid is formed.  One
-    form_z call at the grid betas serves every instance and the summary, so
-    the approximation has the bits that f1 gives the summary.  The last
-    gamma column is the cross-section at gamma_c.
+    c = (1, -2 Re phi, 2 Im phi), and its F1 is c . (s*x).  x = L(beta) @ w
+    is linear in w = (1, p, A), L's rows being e_0 and Re z, Im z of the 2n+2
+    unit forms, so mean, spread and bound are lifts of the mean and covariance
+    of s*w and w over the instances: no instance's z is formed.  One form_z
+    call serves the unit forms and the summary, so the approximation has the
+    bits f1 gives it.  The last gamma column is the cross-section at gamma_c.
     """
     spaces = [inst.target for inst in ensemble.instances]
-    summary = aggregate(spaces)
+    summary, n = aggregate(spaces), ensemble.n
     betas, gammas = grid.betas(), np.append(grid.gammas(), gamma_c)
-    forms = [LandscapeForm.of(source) for source in [*spaces, summary]]
-    every_z = form_z(forms, betas)  # (count + 1, beta): the instances, then the summary
-    z, scales = every_z[:-1], np.array([form.scale for form in forms[:-1]])
-    x = np.stack([np.ones_like(z.real), z.real, z.imag], axis=-1)
+    rows = np.array([np.concatenate(([form.scale, 1.0], form.profile, form.even))  # s, then w
+                     for form in map(LandscapeForm.of, spaces)])  # only the rows outlive the forms
+    units = np.eye(2 * n + 2).reshape(-1, 2, n + 1)  # (p, A) = (e_d, 0) or (0, e_t)
+    forms = [*(LandscapeForm(n, 1.0, *unit) for unit in units), LandscapeForm.of(summary)]
+    every_z = form_z(forms, betas)  # (2n + 3, beta): the unit forms, then the summary
+    lift = np.zeros((len(betas), 3, 2 * n + 3))  # x = lift @ w at each beta
+    lift[:, 0, 0], lift[:, 1, 1:], lift[:, 2, 1:] = 1.0, every_z[:-1].real.T, every_z[:-1].imag.T
     phi = np.exp(-1j * gammas) - 1.0
     c = np.stack([np.ones_like(gammas), -2.0 * phi.real, 2.0 * phi.imag], axis=-1)
-    scaled = scales[:, None, None] * x
-    mean = scaled.mean(axis=0) @ c.T
-    stddev = np.sqrt(_spread(scaled, c))
-    bound = np.sqrt(scales.var() * _spread(x, c))
+    scaled = rows[:, :1] * rows[:, 1:]
+    mean = lift @ scaled.mean(axis=0) @ c.T
+    stddev = np.sqrt(_spread(lift, scaled, c))
+    bound = np.sqrt(rows[:, 0].var() * _spread(lift, rows[:, 1:], c))
     approx = z_f1(forms[-1].scale, every_z[-1], gammas)
     mean_values = mean[:, :-1].ravel()
     approx_values = approx[:, :-1].ravel()
@@ -126,14 +129,14 @@ def run_landscape_comparison(
     )
 
 
-def _spread(vectors: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Population variance of c[g] . vectors[i, b] over i, at each (b, g).
+def _spread(lift: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Population variance of c[g] . lift[b] @ rows[i] over i, at each (b, g).
 
-    The covariance over the leading axis is centred first (two passes),
-    and a variance that rounding takes below 0 reads 0.
+    The covariance of the rows is centred first (two passes) and lifted to
+    each beta, and a variance that rounding takes below 0 reads 0.
     """
-    centred = vectors - vectors.mean(axis=0)
-    cov = np.einsum("ibj,ibk->bjk", centred, centred) / len(vectors)
+    centred = rows - rows.mean(axis=0)
+    cov = lift @ (centred.T @ centred / len(rows)) @ lift.transpose(0, 2, 1)
     return np.maximum(np.einsum("gj,bjk,gk->bg", c, cov, c), 0.0)
 
 

@@ -26,9 +26,9 @@ coefficients (``form_coefficients``), from which ``coefficient_z`` and
 ``form_z`` is their oracle.  What z reads of the mixer at given betas
 (|fn|^2, fn and exp(i*beta*n)) does not depend on the landscape, so
 ``form_z`` takes a stack of forms of one width and builds it once for all of
-them; the drivers pass every source of a beta set in one call.  Each form
-still takes its own gemv, so its z has the same bits alone or in any stack,
-and ``z_f1`` turns a form's z into F1 at any gammas.
+them; ``compare`` passes its instances, and the ensemble lift its unit forms.
+Each form still takes its own gemv, so its z has the same bits alone or in
+any stack, and ``z_f1`` turns a form's z into F1 at any gammas.
 """
 
 from __future__ import annotations

@@ -11,12 +11,14 @@ alone, then the same operations in the same order.  Every row of a stacked
 
 ``compare`` checks the ensemble comparison.
 ``experiments.run_landscape_comparison`` reads the mean, spread and error
-bound of an ensemble off per-beta moments, without forming any per-instance
-grid.  ``compare`` forms them: every instance's F1 on the whole lattice
-through ``landscape.f1``, then ``np.mean`` and ``np.std`` over the
-instances, and the Cauchy-Schwarz bound sqrt(Var(s) * Var(bracket)) with
-s = |T|/2^n and bracket = F1 / s.  Its memory grows with
-count * beta_steps * gamma_steps, so it is for small ensembles only.
+bound of an ensemble off the mean and covariance over its instances of
+w = (1, p, A) and s*w, lifted to each beta through the z of unit forms: it
+forms no instance's z and no per-instance grid.  ``compare`` forms them:
+every instance's F1 on the whole lattice through ``landscape.f1``, then
+``np.mean`` and ``np.std`` over the instances, and the Cauchy-Schwarz bound
+sqrt(Var(s) * Var(bracket)) with s = |T|/2^n and bracket = F1 / s.  Its
+memory grows with count * beta_steps * gamma_steps, so it is for small
+ensembles only.
 """
 
 from __future__ import annotations

@@ -147,6 +147,8 @@ class TestLandscapeComparison:
             ("clustered", 10, {"num_seeds": 3, "per_seed": 6}),
             ("kclique", 10, {}),
             ("qrfactor", 14, {}),
+            ("sat", 16, {"num_clauses": 40}),
+            ("clustered", 22, {"num_seeds": 4, "per_seed": 400, "dedupe": "drop"}),
         ],
     )
     def test_matches_the_per_instance_oracle(self, family, n, params):
@@ -175,17 +177,22 @@ class TestLandscapeComparison:
         seen = []
 
         def recorded(forms, betas):
-            seen.append(form_z(forms, betas))
-            return seen[-1]
+            seen.append((list(forms), form_z(forms, betas)))
+            return seen[-1][1]
 
         monkeypatch.setattr(experiments, "form_z", recorded)
         comparison = run_landscape_comparison(ensemble, grid, gamma_c=1.2)
-        (every_z,) = seen  # the instances, then the summary
-        sources = [*(inst.target for inst in ensemble.instances), comparison.summary]
-        assert len(every_z) == len(sources)
-        for z, source in zip(every_z, sources):
-            want = landscape_oracle.lone_z(LandscapeForm.of(source), grid.betas())
-            assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
+        ((forms, every_z),) = seen  # one call: the 2n+2 unit forms, then the summary
+        *units, shared = forms
+        assert [np.concatenate((unit.profile, unit.even)).tolist() for unit in units] == (
+            np.eye(2 * n + 2).tolist()
+        )
+        assert all(unit.n == n and unit.scale == 1.0 for unit in units)
+        want = LandscapeForm.of(comparison.summary)
+        assert shared.scale == want.scale
+        assert np.array_equal(shared.profile, want.profile) and np.array_equal(shared.even, want.even)
+        lone = landscape_oracle.lone_z(want, grid.betas())
+        assert np.array_equal(every_z[-1].view(np.uint64), lone.view(np.uint64))
 
     @pytest.mark.parametrize("count", [3, 30])
     def test_one_mixer_build_whatever_the_count(self, monkeypatch, count):
@@ -206,6 +213,21 @@ class TestLandscapeComparison:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("beta_steps", [30, 300])
+    def test_peak_grows_by_less_than_4096_bytes_per_instance(self, beta_steps):
+        # per instance only its form's row may add to the peak, whatever the beta count
+        grid = AngleGrid(0.0, np.pi, 0.0, 2 * np.pi, beta_steps, 50)
+        peaks = []
+        for count in (200, 2000):
+            ensemble = build_ensemble("uniform", 8, count, {"t_size": 20}, seed=0)
+            tracemalloc.start()
+            try:
+                run_landscape_comparison(ensemble, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (2000 - 200) < 4096
 
     def test_default_cross_section_gamma(self, sat_run):
         ensemble, grid, comparison = sat_run
