@@ -40,7 +40,7 @@ def _parse_grid(text: str) -> AngleGrid:
 
 
 def _seed(text: str) -> int:
-    """A --seed value; numpy seeds its streams from non-negative integers only."""
+    """A --seed value: core.streams seeds from non-negative integers only."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)

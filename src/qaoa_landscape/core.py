@@ -1,4 +1,4 @@
-"""Target spaces, Hamming distances, distance profiles and angle grids.
+"""Target spaces, Hamming distances, distance profiles, angle grids and random streams.
 
 Conventions used throughout the package:
 
@@ -214,3 +214,15 @@ def default_grid(beta_steps: int = 100, gamma_steps: int = 100) -> AngleGrid:
     """
     gamma_max = 2.0 * math.pi * (gamma_steps - 1) / gamma_steps if gamma_steps > 0 else 0.0
     return AngleGrid(0.0, math.pi, 0.0, gamma_max, beta_steps, gamma_steps)
+
+
+def streams(seed: int, keys):
+    """One np.random.Generator per key (a tuple of ints) of keys, built lazily, in order.
+
+    The package's one stream rule: an instance draws its targets from the
+    stream keyed (id,) and an arm's shots from the one keyed (id, arm), each
+    a SeedSequence spawn key under the run's seed, so no result depends on
+    evaluation order.  The seed and every id are non-negative ints of any size.
+    """
+    for key in keys:
+        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))

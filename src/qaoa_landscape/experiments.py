@@ -4,8 +4,8 @@ The non-iterative pipeline optimises angles once per problem on the
 structural approximation and reuses them for every instance; the standard
 pipeline optimises every instance on its own landscape.  Every measured shot
 hits the target set with probability F1, so an arm's hit count is one
-binomial draw at the exact closed-form F1, from an independent RNG stream per
-(instance, arm); results do not depend on evaluation order.  Each driver
+binomial draw at the exact closed-form F1, from the stream ``core.streams``
+keys (id, arm); results do not depend on evaluation order.  Each driver
 makes one ``landscape.form_z`` call: on every instance at the shared beta, or
 on a lift's unit forms and the summary.  A two-arm report holds the study as
 columns: the instance ids, and one row per arm of angles, F1 and hits.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_STATEVECTOR_WIDTH, Angles, AngleGrid, ComputationError, UsageError
+from .core import MAX_STATEVECTOR_WIDTH, Angles, AngleGrid, ComputationError, UsageError, streams
 from .landscape import LandscapeForm, LandscapeGrid, form_z, z_f1
 # unused here, but perfbench/test_harness.py checks that this module binds it
 from .landscape import f1_closed  # noqa: F401
@@ -36,23 +36,9 @@ _PROB_TOL = 1e-9
 MAX_SHOTS = (1 << 63) - 1
 
 
-def shot_rng(seed: int, instance_id: int, arm: int) -> np.random.Generator:
-    """The sampling stream owned by one instance under one pipeline arm."""
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(instance_id, arm))
-    )
-
-
 def _check_shots(shots: int) -> None:
     if not 1 <= shots <= MAX_SHOTS:
         raise UsageError(f"shots must be in [1, 2**63 - 1], got {shots}")
-
-
-def _draw_hits(prob: float, shots: int, rng: np.random.Generator) -> int:
-    """One Binomial(shots, prob) draw at an F1 already in hand; shots >= 1."""
-    if not -_PROB_TOL <= prob <= 1.0 + _PROB_TOL:
-        raise ComputationError(f"success probability {prob!r} is not in [0, 1]")
-    return int(rng.binomial(shots, min(max(prob, 0.0), 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +175,11 @@ def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> Compari
     ids = tuple(inst.id for inst in ensemble.instances)
     probs = np.array([[own.value for own in owns],  # each F1 at its own angles
                       z_f1(scales, shared_z, shared.angles.gamma)])
+    bad = ~((probs >= -_PROB_TOL) & (probs <= 1.0 + _PROB_TOL))  # nan too; before any stream
+    if bad.any():
+        raise ComputationError(f"success probability {probs[bad][0].item()!r} is not in [0, 1]")
+    keys = [(i, arm) for arm in (STANDARD_ARM, NONITERATIVE_ARM) for i in ids]
+    draws = zip(streams(seed, keys), np.clip(probs, 0.0, 1.0).ravel().tolist())
     return ComparisonReport(
         family=ensemble.family,
         n=ensemble.n,
@@ -200,8 +191,7 @@ def run_success_comparison(ensemble: Ensemble, shots: int, seed: int) -> Compari
         betas=np.array([[own.angles.beta for own in owns], [shared.angles.beta] * len(owns)]),
         gammas=np.array([[own.angles.gamma for own in owns], [shared.angles.gamma] * len(owns)]),
         probs=probs,
-        hits=np.array([[_draw_hits(p, shots, shot_rng(seed, i, arm)) for i, p in zip(ids, row)]
-                       for arm, row in enumerate(probs.tolist())], dtype=np.int64),
+        hits=np.array([rng.binomial(shots, p) for rng, p in draws], np.int64).reshape(2, -1),
     )
 
 
@@ -210,7 +200,10 @@ def run_sat_alpha(n: int, alphas: tuple[float, ...], count: int, shots: int, see
 
     Returns one (alpha, ensemble, report) triple per density, with
     floor(alpha * n) clauses per instance; n must lie in
-    [3, MAX_STATEVECTOR_WIDTH] and each alpha in (0, MAX_ALPHA].
+    [3, MAX_STATEVECTOR_WIDTH] and each alpha in (0, MAX_ALPHA].  Every
+    density reuses the seed's streams: instance i draws its formula from
+    (i,) and its shots from (i, arm).  Where both are first draws, a denser
+    formula begins with a sparser one's, and the hits share random numbers.
     """
     _check_shots(shots)
     if not 3 <= n <= MAX_STATEVECTOR_WIDTH:  # 3-SAT clauses, and an exhaustive scan of 2^n

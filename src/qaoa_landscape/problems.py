@@ -1,8 +1,8 @@
 """Problem ensembles: target-space generators for five families.
 
-Every instance of an ensemble owns an independent RNG stream derived from
-(ensemble seed, instance id), so instances are reproducible in isolation and
-rejection resampling inside one instance never shifts its neighbours.
+Every instance draws from its own stream, the one ``core.streams`` keys
+(id,) under the ensemble seed, so instances are reproducible in isolation
+and rejection resampling inside one instance never shifts its neighbours.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import MAX_STATEVECTOR_WIDTH, MAX_WIDTH, TargetSpace, UsageError
+from .core import MAX_STATEVECTOR_WIDTH, MAX_WIDTH, TargetSpace, UsageError, streams
 
 # each family's generator settings and their defaults (None: required); the
 # key order is the order in which an ensemble file records its params
@@ -38,11 +38,6 @@ MAX_DRAWS = 10_000
 MAX_COUNT = 1_000_000
 
 _WALK_RETRY_CAP = 1_000_000
-
-
-def instance_rng(seed: int, instance_id: int) -> np.random.Generator:
-    """The RNG stream owned by one instance of one ensemble."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(instance_id,)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +301,7 @@ def build_ensemble(family: str, n: int, count: int, params: dict, seed: int) -> 
         raise UsageError(f"count must be in [1, {MAX_COUNT}], got {count}")
     resolved = _resolve_params(family, params)
     instances = []
-    for instance_id in range(count):
-        rng = instance_rng(seed, instance_id)
+    for instance_id, rng in enumerate(streams(seed, ((i,) for i in range(count)))):
         for _ in range(MAX_DRAWS):
             drawn = _build_instance(family, n, resolved, rng)
             if drawn is not None:

@@ -170,7 +170,7 @@ def ensemble_from_dict(data: dict) -> Ensemble:
         instance_id, targets = raw["id"], raw["targets"]
         if type(instance_id) is not int:
             raise UsageError(f"{where}: id must be an integer, got {instance_id!r}")
-        if instance_id < 0:  # an id is a SeedSequence spawn key of compare's draws
+        if instance_id < 0:  # compare's streams are keyed by id: see core.streams
             raise UsageError(f"{where}: id must be a non-negative integer, got {instance_id}")
         if instance_id in seen_ids:
             raise UsageError(f"{where}: duplicate instance id {instance_id}")

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from qaoa_landscape import experiments
 from qaoa_landscape.analytic import MODES, UniformModel, summary_analytic
 from qaoa_landscape.core import TargetSpace
+from qaoa_landscape.landscape import z_f1
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import aggregate
 
@@ -18,6 +20,27 @@ FAMILY_CASES = [
 ]
 # analytic summaries (n, |T|), down to the smallest widths and up to the width limit
 ANALYTIC_CASES = [(1, 1), (1, 2), (2, 1), (2, 3), (32, 1 << 31)]
+
+
+# instance ids at the 32-bit word boundaries, past int64 and past 64 bits, and a
+# seed of three words: the keys that any faster seeding must keep stream for stream
+BOUNDARY_IDS = [2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70]
+BOUNDARY_SEED = 2**70 + 3
+
+
+def numpy_stream(seed: int, key: tuple) -> np.random.Generator:
+    """numpy's own stream of one spawn key: the oracle of core.streams."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def patch_last_shared_f1(monkeypatch, last: float) -> None:
+    """run_success_comparison's shared F1 row as z_f1 gives it, but for its last entry."""
+    def patched(scale, z, gamma):
+        probs = z_f1(scale, z, gamma)
+        probs[-1] = last
+        return probs
+
+    monkeypatch.setattr(experiments, "z_f1", patched)
 
 
 def random_space(rng: np.random.Generator, n: int, size: int | None = None) -> TargetSpace:

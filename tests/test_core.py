@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -18,9 +19,10 @@ from qaoa_landscape.core import (
     default_grid,
     distance_profile,
     exact_pair_sums,
+    streams,
 )
 
-from conftest import random_space
+from conftest import BOUNDARY_IDS, BOUNDARY_SEED, numpy_stream, random_space
 
 
 def hamming(width: int, a: int, b: int) -> int:
@@ -418,3 +420,25 @@ class TestAngleGrid:
         grid = default_grid(10, 8)
         assert grid.betas()[-1] == math.pi
         assert grid.gammas()[-1] < 2 * math.pi
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 7, BOUNDARY_SEED])
+    def test_each_stream_is_numpys_stream_of_its_key(self, seed):
+        ids = [0, 1, *BOUNDARY_IDS]
+        keys = [(i,) for i in ids] + [(i, arm) for i in ids for arm in (0, 1)]
+        got = [rng.random(4).tolist() for rng in streams(seed, keys)]
+        assert got == [numpy_stream(seed, key).random(4).tolist() for key in keys]
+
+    def test_seeds_keys_and_arms_give_distinct_streams(self):
+        keys = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+        firsts = [int(rng.integers(2**63)) for rng in streams(1, keys)]
+        firsts += [int(rng.integers(2**63)) for rng in streams(2, keys)]
+        assert len(set(firsts)) == 2 * len(keys)
+
+    def test_streams_are_built_lazily_in_key_order(self):
+        keys = iter([(i,) for i in range(10)])  # each key is read when its stream is taken
+        taken = list(itertools.islice(streams(3, keys), 3))
+        assert next(keys, None) == (3,)
+        want = [numpy_stream(3, (i,)).random() for i in range(3)]
+        assert [rng.random() for rng in taken] == want

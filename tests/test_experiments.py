@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qaoa_landscape import experiments, landscape
-from qaoa_landscape.core import Angles, AngleGrid, ComputationError, TargetSpace, UsageError
+from qaoa_landscape import experiments, landscape, problems
+from qaoa_landscape.core import AngleGrid, ComputationError, TargetSpace, UsageError, streams
 from qaoa_landscape.experiments import (
     DEFAULT_GAMMA_C,
     MAX_ALPHA,
@@ -14,18 +14,16 @@ from qaoa_landscape.experiments import (
     run_landscape_comparison,
     run_sat_alpha,
     run_success_comparison,
-    shot_rng,
 )
 from qaoa_landscape.landscape import (
     LandscapeForm, approx_expected_f1, f1, f1_closed, form_z, mean_ck_squared, z_f1,
 )
 from qaoa_landscape.optimize import best_angles_all
-from qaoa_landscape.problems import build_ensemble
+from qaoa_landscape.problems import Ensemble, Instance, build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
 
 import landscape_oracle
-
-draw_hits = experiments._draw_hits
+from conftest import numpy_stream, patch_last_shared_f1
 
 # one small ensemble per family: (family, n, params)
 FAMILY_CASES = [
@@ -49,45 +47,52 @@ def count_mixer_builds(monkeypatch) -> list:
     return builds
 
 
-def hits_at(space, angles, shots, rng):
-    """Target hits among shots measurements at angles, drawn as the commands draw them."""
-    return draw_hits(f1_closed(space, angles.beta, angles.gamma), shots, rng)
+def spaces_report(*spaces, shots, seed):
+    """The two-arm report of an ensemble of the given spaces, with ids 0, 1, ..."""
+    instances = tuple(Instance(i, space) for i, space in enumerate(spaces))
+    return run_success_comparison(Ensemble("uniform", spaces[0].n, seed, {}, instances),
+                                  shots, seed)
+
+
+def numpy_hits(report) -> list:
+    """Each arm's hits drawn by numpy itself: Binomial(shots, clamped F1) from (id, arm)."""
+    def draw(instance_id, arm, p):
+        rng = numpy_stream(report.seed, (instance_id, arm))
+        return int(rng.binomial(report.shots, min(max(p, 0.0), 1.0)))
+
+    return [[draw(i, arm, p) for i, p in zip(report.ids, row)]
+            for arm, row in enumerate(report.probs.tolist())]
 
 
 class TestSampleShots:
     def test_deterministic_per_stream(self):
         space = TargetSpace(4, (3, 9, 12))
-        angles = Angles(0.4, 1.1)
-        a = hits_at(space, angles, 200, shot_rng(7, 0, STANDARD_ARM))
-        b = hits_at(space, angles, 200, shot_rng(7, 0, STANDARD_ARM))
-        assert a == b
+        a = spaces_report(space, shots=200, seed=7)
+        b = spaces_report(space, shots=200, seed=7)
+        assert a.hits.tolist() == b.hits.tolist() == numpy_hits(a)
 
     def test_streams_differ_by_arm(self):
-        space = TargetSpace(4, (3, 9, 12))
-        angles = Angles(0.4, 1.1)
-        a = hits_at(space, angles, 500, shot_rng(7, 0, STANDARD_ARM))
-        b = hits_at(space, angles, 500, shot_rng(7, 0, NONITERATIVE_ARM))
-        assert a != b  # astronomically unlikely to collide at 500 shots
+        # one instance: its own angles are its summary's, so both arms draw at one F1
+        report = spaces_report(TargetSpace(4, (3, 9, 12)), shots=500, seed=7)
+        assert report.probs[STANDARD_ARM, 0] == report.probs[NONITERATIVE_ARM, 0]
+        assert report.hits[STANDARD_ARM, 0] != report.hits[NONITERATIVE_ARM, 0]
+        assert report.hits.tolist() == numpy_hits(report)
 
     def test_bounds(self):
-        space = TargetSpace(3, (1, 6))
-        hits = hits_at(space, Angles(0.3, 0.9), 64, shot_rng(0, 0, 0))
-        assert 0 <= hits <= 64
+        report = spaces_report(TargetSpace(3, (1, 6)), TargetSpace(3, (2,)), shots=64, seed=0)
+        assert ((0 <= report.hits) & (report.hits <= 64)).all()
 
     def test_full_space_always_hits(self):
-        space = TargetSpace(2, (0, 1, 2, 3))
-        hits = hits_at(space, Angles(0.7, 2.0), 50, shot_rng(1, 2, 3))
-        assert hits == 50
+        report = spaces_report(TargetSpace(2, (0, 1, 2, 3)), shots=50, seed=1)
+        assert report.hits.tolist() == [[50], [50]]
 
     def test_matches_success_probability(self):
         # binomial check: observed rate within 5 standard errors of exact F1
-        space = TargetSpace(5, tuple(range(7)))
-        angles = Angles(0.5, 1.3)
-        p = f1_closed(space, angles.beta, angles.gamma)
         shots = 20000
-        hits = hits_at(space, angles, shots, shot_rng(42, 0, 0))
-        se = np.sqrt(p * (1 - p) / shots)
-        assert abs(hits / shots - p) < 5 * se
+        report = spaces_report(TargetSpace(5, tuple(range(7))), TargetSpace(5, (1, 30)),
+                               shots=shots, seed=42)
+        se = np.sqrt(report.probs * (1 - report.probs) / shots)
+        assert (abs(report.hits / shots - report.probs) < 5 * se).all()
 
     def test_zero_shots_rejected(self):
         ensemble = build_ensemble("uniform", 2, 2, {"t_size": 1}, seed=0)
@@ -95,18 +100,24 @@ class TestSampleShots:
             run_success_comparison(ensemble, shots=0, seed=0)
 
     def test_beyond_statevector_width(self):
-        space = TargetSpace(26, (1, 5))
-        hits = hits_at(space, Angles(0.4, 1.1), 1000, shot_rng(0, 0, 0))
-        assert 0 <= hits <= 1000
+        report = spaces_report(TargetSpace(26, (1, 5)), shots=1000, seed=0)
+        assert ((0 <= report.hits) & (report.hits <= 1000)).all()
+        assert report.hits.tolist() == numpy_hits(report)
 
     @pytest.mark.parametrize("prob, hits", [(1.0 + 1e-12, 30), (-1e-12, 0)])
-    def test_rounding_outside_unit_interval_is_clamped(self, prob, hits):
-        assert draw_hits(prob, 30, shot_rng(0, 0, 0)) == hits
+    def test_rounding_outside_unit_interval_is_clamped(self, monkeypatch, prob, hits):
+        patch_last_shared_f1(monkeypatch, prob)
+        ensemble = build_ensemble("uniform", 4, 3, {"t_size": 2}, seed=0)
+        report = run_success_comparison(ensemble, shots=30, seed=0)
+        assert report.probs[NONITERATIVE_ARM, -1] == prob  # reported as computed
+        assert report.hits[NONITERATIVE_ARM, -1] == hits
 
     @pytest.mark.parametrize("prob", [1.5, -0.5, math.nan])
-    def test_probability_outside_unit_interval_is_computation_error(self, prob):
-        with pytest.raises(ComputationError, match="not in \\[0, 1\\]"):
-            draw_hits(prob, 10, shot_rng(0, 0, 0))
+    def test_probability_outside_unit_interval_is_computation_error(self, monkeypatch, prob):
+        patch_last_shared_f1(monkeypatch, prob)
+        ensemble = build_ensemble("uniform", 4, 3, {"t_size": 2}, seed=0)
+        with pytest.raises(ComputationError, match=f"^success probability {prob!r} is not in"):
+            run_success_comparison(ensemble, shots=10, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -305,9 +316,8 @@ class TestSuccessComparison:
         for arm in (STANDARD_ARM, NONITERATIVE_ARM):
             angles = zip(rep.betas[arm].tolist(), rep.gammas[arm].tolist())
             for inst, (beta, gamma), hit in zip(ensemble.instances, angles, rep.hits[arm].tolist()):
-                hits = hits_at(inst.target, Angles(beta, gamma), rep.shots,
-                               shot_rng(rep.seed, inst.id, arm))
-                assert hit == hits
+                rng = numpy_stream(rep.seed, (inst.id, arm))
+                assert hit == rng.binomial(rep.shots, f1_closed(inst.target, beta, gamma))
 
     def test_no_f1_evaluated_twice_after_search(self, monkeypatch):
         ensemble = build_ensemble("uniform", 5, 3, {"t_size": 6}, seed=2)
@@ -364,6 +374,25 @@ class TestSuccessComparison:
 
 
 class TestSatAlpha:
+    def test_every_density_reuses_the_seeds_streams(self, monkeypatch):
+        # instance i draws its formula from (i,) and its shots from (i, arm) at every
+        # alpha, so a denser formula may begin with a sparser one's clauses
+        requested = []
+
+        def recording(module):
+            def recorded(seed, keys):
+                keys = list(keys)
+                requested.append((module, seed, keys))
+                return streams(seed, keys)
+            return recorded
+
+        monkeypatch.setattr(problems, "streams", recording("problems"))
+        monkeypatch.setattr(experiments, "streams", recording("experiments"))
+        run_sat_alpha(6, (2.0, 4.0), count=3, shots=10, seed=3)
+        formula_keys = [(0,), (1,), (2,)]
+        shot_keys = [(i, arm) for arm in (STANDARD_ARM, NONITERATIVE_ARM) for i in range(3)]
+        assert requested == [("problems", 3, formula_keys), ("experiments", 3, shot_keys)] * 2
+
     def test_clause_counts(self):
         results = run_sat_alpha(5, (2.0,), count=3, shots=10, seed=3)
         assert len(results) == 1

@@ -14,7 +14,6 @@ from qaoa_landscape.problems import (
     enumerate_sat,
     gen_graph,
     gen_sat,
-    instance_rng,
     primes_below,
     random_walk,
     sample_clustered,
@@ -23,7 +22,7 @@ from qaoa_landscape.problems import (
     to_dimacs,
 )
 
-from conftest import FAMILY_CASES
+from conftest import BOUNDARY_SEED, FAMILY_CASES, numpy_stream
 
 
 @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
@@ -325,10 +324,13 @@ class TestEnsembles:
         with pytest.raises(UsageError, match="count must be in"):
             build_ensemble("uniform", 5, MAX_COUNT + 1, {"t_size": 4}, seed=0)
 
-    def test_instance_rng_streams_differ(self):
-        a = instance_rng(1, 0).random(4)
-        b = instance_rng(1, 1).random(4)
-        assert not np.allclose(a, b)
+    def test_each_instance_draws_from_numpys_stream_of_its_id(self):
+        for seed in (1, BOUNDARY_SEED):
+            instances = build_ensemble("uniform", 10, 3, {"t_size": 5}, seed=seed).instances
+            for inst in instances:
+                want = sample_uniform(10, 5, numpy_stream(seed, (inst.id,)))
+                assert inst.target.states.tolist() == want.states.tolist()
+            assert len({inst.target.states.tobytes() for inst in instances}) == 3
 
 
 class TestDrawCap:
@@ -358,7 +360,7 @@ class TestDrawCap:
         assert not list(tmp_path.iterdir())
 
     def test_unsatisfiable_first_draw_stops_at_a_cap_of_one(self, monkeypatch):
-        assert enumerate_sat(5, gen_sat(5, 50, instance_rng(0, 0))) is None
+        assert enumerate_sat(5, gen_sat(5, 50, numpy_stream(0, (0,)))) is None
         monkeypatch.setattr(problems, "MAX_DRAWS", 1)
         message = "sat n=5 {'num_clauses': 50}: no target in 1 draws of instance 0"
         with pytest.raises(UsageError, match=re.escape(message)):
@@ -368,7 +370,7 @@ class TestDrawCap:
         # the first draw above is unsatisfiable; the accepted one comes later
         # from the same stream, so it is what a loop of bare draws finds
         (inst,) = build_ensemble("sat", 5, 1, {"num_clauses": 50}, seed=0).instances
-        rng = instance_rng(0, 0)
+        rng = numpy_stream(0, (0,))
         while True:
             clauses = gen_sat(5, 50, rng)
             space = enumerate_sat(5, clauses)

@@ -3,6 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -21,14 +25,15 @@ from qaoa_landscape.experiments import (
     ComparisonReport,
     CrossSection,
     run_success_comparison,
-    shot_rng,
 )
 from qaoa_landscape.landscape import LandscapeForm, LandscapeGrid, f1, f1_closed
 from qaoa_landscape.optimize import best_angles
 from qaoa_landscape.problems import build_ensemble
 from qaoa_landscape.structure import aggregate
 
-from conftest import FAMILY_CASES
+from conftest import (
+    BOUNDARY_IDS, BOUNDARY_SEED, FAMILY_CASES, numpy_stream, patch_last_shared_f1,
+)
 
 
 def ensemble_doc(ensemble) -> dict:
@@ -658,26 +663,42 @@ class TestCli:
         }
 
     def test_compare_keys_each_row_by_its_own_id(self, tmp_path):
-        # ids neither 0..count-1 nor int64: a report keyed by position, or by an
-        # int64 array of the ids, fails here
-        ids = [7, 2**70, 0]
-        doc = ensemble_doc(build_ensemble("uniform", 4, 3, {"t_size": 3}, seed=2))
+        # ids neither 0..count-1 nor int64, at the word boundaries of a spawn key: a
+        # report keyed by position, or by an int64 array of the ids, fails here
+        ids = [7, *BOUNDARY_IDS, 0]
+        doc = ensemble_doc(build_ensemble("uniform", 4, len(ids), {"t_size": 3}, seed=2))
         for inst, instance_id in zip(doc["instances"], ids):
             inst["id"] = instance_id
-        ens, prefix = tmp_path / "e.json", tmp_path / "run"
+        ens = tmp_path / "e.json"
         storage.write_json(doc, ens)
-        code = cli.main(["compare", "--ensemble", str(ens), "--shots", "1000",
-                         "--seed", "5", "--out-prefix", str(prefix)])
-        assert code == 0
-        with open(tmp_path / "run.csv", newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert [int(row["id"]) for row in rows] == [i for i in ids for _ in range(2)]
         arms = {"standard": STANDARD_ARM, "noniterative": NONITERATIVE_ARM}
-        for row in rows:
-            rng = shot_rng(5, int(row["id"]), arms[row["arm"]])
-            want = experiments._draw_hits(float(row["success_prob"]), 1000, rng)
-            assert int(row["shots_hit"]) == want
-        assert json.loads((tmp_path / "run.json").read_text())["instances"] == 3
+        for seed in (5, BOUNDARY_SEED):
+            prefix = tmp_path / f"run{seed}"
+            code = cli.main(["compare", "--ensemble", str(ens), "--shots", "1000",
+                             "--seed", str(seed), "--out-prefix", str(prefix)])
+            assert code == 0
+            with open(f"{prefix}.csv", newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            assert [int(row["id"]) for row in rows] == [i for i in ids for _ in range(2)]
+            for row in rows:
+                rng = numpy_stream(seed, (int(row["id"]), arms[row["arm"]]))
+                assert int(row["shots_hit"]) == rng.binomial(1000, float(row["success_prob"]))
+            assert json.loads(Path(f"{prefix}.json").read_text())["instances"] == len(ids)
+
+    def test_compare_refuses_a_bad_f1_before_any_stream(self, tmp_path, capsys, monkeypatch):
+        def refuse(seed, keys):
+            raise AssertionError("a stream was built for a refused F1")
+
+        ens = tmp_path / "e.json"
+        storage.save_ensemble(build_ensemble("uniform", 4, 3, {"t_size": 3}, seed=2), ens)
+        monkeypatch.setattr(experiments, "streams", refuse)
+        patch_last_shared_f1(monkeypatch, 1.5)  # the last F1 of the last row
+        code = cli.main(["compare", "--ensemble", str(ens), "--shots", "10",
+                         "--out-prefix", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "computation error: success probability 1.5 is not in [0, 1]\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["e.json"]
 
     def test_sat_alpha(self, tmp_path):
         prefix = tmp_path / "sa"
@@ -964,6 +985,28 @@ class TestCli:
         assert capsys.readouterr().err == line + "\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux only")
+    def test_a_real_allocation_past_the_memory_limit_exits_1(self, tmp_path):
+        # drawing 2e8 of 2^30 states shuffles 8 GiB: a real MemoryError, raised in a child
+        # whose address space is capped at 2 GB; the installed script runs where there is one
+        import resource
+
+        script = shutil.which("qaoa-landscape")
+        command = [script] if script else [sys.executable, "-m", "qaoa_landscape.cli"]
+        limit, out = 2 * 10**9, tmp_path / "oom.json"
+        done = subprocess.run(
+            [*command, "gen", "--family", "uniform", "--n", "30", "--count", "1",
+             "--t-size", "200000000", "--out", str(out)],
+            capture_output=True, text=True, check=False,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                     PYTHONPATH=str(Path(cli.__file__).parents[1])),  # the package under test
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == 1, done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: out of memory")
+        assert not out.exists()
+
     def test_sat_density_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
         class NoDraws:
             def __getattr__(self, name):
@@ -971,7 +1014,7 @@ class TestCli:
 
         argv = ["gen", "--family", "sat", "--n", "5", "--count", "1"]
         with monkeypatch.context() as patch:
-            patch.setattr(problems, "instance_rng", lambda seed, instance_id: NoDraws())
+            patch.setattr(problems, "streams", lambda seed, keys: (NoDraws() for _ in keys))
             code = cli.main(argv + ["--clauses", "51", "--out", str(tmp_path / "e.json")])
         err = capsys.readouterr().err
         assert code == 1
@@ -983,10 +1026,10 @@ class TestCli:
     @pytest.mark.parametrize("n", ["0", "33", "34", str(10**30)])
     @pytest.mark.parametrize("family", problems.FAMILIES)
     def test_width_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, family, n):
-        def refuse(seed, instance_id):
-            raise AssertionError("an instance was drawn for a refused width")
+        def refuse(seed, keys):
+            raise AssertionError("a stream was built for a refused width")
 
-        monkeypatch.setattr(problems, "instance_rng", refuse)
+        monkeypatch.setattr(problems, "streams", refuse)
         params = {"uniform": ["--t-size", "1"], "sat": ["--clauses", "3"]}.get(family, [])
         code = cli.main(["gen", "--family", family, "--n", n, "--count", "1", *params,
                          "--out", str(tmp_path / "e.json")])
@@ -998,10 +1041,10 @@ class TestCli:
     @pytest.mark.parametrize("count", [str(problems.MAX_COUNT + 1), str(10**30)])
     @pytest.mark.parametrize("command", ["gen", "sat-alpha"])
     def test_count_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, command, count):
-        def refuse(seed, instance_id):
-            raise AssertionError("an instance was drawn for a refused count")
+        def refuse(seed, keys):
+            raise AssertionError("a stream was built for a refused count")
 
-        monkeypatch.setattr(problems, "instance_rng", refuse)
+        monkeypatch.setattr(problems, "streams", refuse)
         argv = {
             "gen": ["gen", "--family", "uniform", "--n", "3", "--t-size", "2",
                     "--out", str(tmp_path / "e.json")],
