@@ -129,18 +129,17 @@ def gen_sat(n: int, num_clauses: int, rng: np.random.Generator) -> tuple:
 def enumerate_sat(n: int, clauses) -> TargetSpace | None:
     """All n-bit assignments satisfying every clause, by exhaustive scan; None if none.
 
-    Assignment bit i is variable i.  Bounded to n <= 24.
+    Assignment bit i is variable i; n <= 24.  A clause is false only where each of its variables
+    takes its falsifying value (1 if negated, else 0), and one holding x and not-x never is.
     """
     if n > MAX_STATEVECTOR_WIDTH:
         raise UsageError(f"exhaustive SAT scan needs n <= {MAX_STATEVECTOR_WIDTH}")
     states = np.arange(1 << n, dtype=np.uint32)
     ok = np.ones(states.shape, dtype=bool)
-    for clause in clauses:
-        sat = np.zeros(states.shape, dtype=bool)
-        for var, negated in clause:
-            bit = (states >> np.uint32(var)) & np.uint32(1)
-            sat |= (bit == 0) if negated else (bit == 1)
-        ok &= sat
+    for clause in clauses:  # bit masks of its un-negated and its negated variables
+        pos, neg = (sum({1 << var for var, negated in clause if negated == side}) for side in (0, 1))
+        if not pos & neg:
+            ok &= (states & (pos | neg)) != neg
     hits = np.flatnonzero(ok)  # ascending, as a space holds them
     return TargetSpace(n, hits) if hits.size else None
 

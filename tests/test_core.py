@@ -274,7 +274,7 @@ def narrow_profile_matrices(draw):
     return profiles
 
 
-class TestLimbRoute:
+class TestPairSumBlocks:
     @settings(max_examples=60, deadline=None)
     @given(profile_matrices())
     def test_equals_the_int64_oracle(self, profiles):

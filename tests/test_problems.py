@@ -1,9 +1,11 @@
 import math
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qaoa_landscape import cli, problems
 from qaoa_landscape.core import UsageError
@@ -106,6 +108,15 @@ class TestClustered:
             assert 0 <= state < 16
 
 
+@st.composite
+def formulas(draw) -> tuple[int, tuple]:
+    """(n, clauses): n in 1..10, 0 to 8 clauses of 1 to 3 literals, variables drawn with repetition."""
+    n = draw(st.integers(1, 10))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clause = st.lists(literal, min_size=1, max_size=3).map(tuple)
+    return n, draw(st.lists(clause, max_size=8).map(tuple))
+
+
 class TestSat:
     def test_clause_shape(self, rng):
         clauses = gen_sat(8, 10, rng)
@@ -134,8 +145,12 @@ class TestSat:
     def test_contradiction_is_none(self):
         assert enumerate_sat(3, (((0, False),), ((0, True),))) is None
 
-    def test_against_slow_evaluation(self, rng):
-        clauses = gen_sat(6, 9, rng)
+    @settings(max_examples=300, deadline=None)
+    @given(formulas())
+    # x and not-x, a repeated literal, and both in one clause
+    @example((3, (((0, False), (0, True)), ((1, True), (1, True)), ((2, False), (2, True), (2, False)))))
+    def test_against_slow_evaluation(self, formula):
+        n, clauses = formula
 
         def satisfied(assignment: int) -> bool:
             for clause in clauses:
@@ -145,10 +160,21 @@ class TestSat:
                     return False
             return True
 
-        want = [z for z in range(64) if satisfied(z)]
-        space = enumerate_sat(6, clauses)
-        got = [] if space is None else space.states.tolist()
-        assert got == want
+        want = [z for z in range(1 << n) if satisfied(z)]
+        space = enumerate_sat(n, clauses)
+        assert (None if space is None else space.states.tolist()) == (want or None)
+
+    def test_scan_peaks_below_12_bytes_per_assignment(self, rng):
+        # the uint32 states, the bool result and one clause's two temporaries: 10 bytes
+        n = 16
+        clauses = gen_sat(n, 64, rng)
+        tracemalloc.start()
+        try:
+            assert enumerate_sat(n, clauses) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * (1 << n)
 
     def test_width_capped(self):
         with pytest.raises(UsageError):
