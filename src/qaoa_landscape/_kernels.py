@@ -11,8 +11,8 @@ and give the same values:
   integer type, never widened.
 
 `distance_profiles` runs the one that `profile_route` picks from n and |T|
-alone; a caller that needs int64 widens what it reads.  `apply_mixer` serves
-only the statevector oracle.
+alone.  The package reads its result as it is; only tests widen it to int64
+for an int64 oracle.  `apply_mixer` serves only the statevector oracle.
 """
 
 import math

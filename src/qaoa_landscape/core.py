@@ -22,7 +22,6 @@ from . import _kernels
 
 MAX_WIDTH = 32
 MAX_STATEVECTOR_WIDTH = 24  # 2^n complex amplitudes must stay in memory
-MAX_BINOMIAL_N = 64  # C(64, 32) still fits a signed 64-bit integer
 MAX_GRID_POINTS = 10**6  # a landscape grid holds a few float64 arrays of this many points
 _PAIR_BLOCK = 4096  # most rows per gemm in exact_pair_sums: caps a block's float64 copy
 
@@ -36,12 +35,8 @@ class ComputationError(RuntimeError):
 
 
 def binomial(n: int, d: int) -> int:
-    """C(n, d), exactly; zero outside 0 <= d <= n."""
-    if not 0 <= n <= MAX_BINOMIAL_N:
-        raise UsageError(f"n must be in [0, {MAX_BINOMIAL_N}], got {n}")
-    if d < 0 or d > n:
-        return 0
-    return math.comb(n, d)
+    """C(n, d) as an exact Python int; zero outside 0 <= d <= n."""
+    return math.comb(n, d) if 0 <= d <= n else 0
 
 
 def binomial_row(n: int) -> np.ndarray:
@@ -101,18 +96,6 @@ class TargetSpace:
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
-    def profiles(self) -> np.ndarray:
-        """(|T|, n+1) int64 matrix; row i is the distance profile of states[i].
-
-        Built on each access, never kept, by the exact kernel that costs less
-        at this n and |T|: pairwise distances, O(|T|^2 n), or Hamming shells
-        over all 2^n states, O(n^2 2^n).  Both give the same integers; the
-        shells' narrow table is widened to int64 here, on read.
-        """
-        profiles = _kernels.distance_profiles(self.states, self.n)
-        return np.ascontiguousarray(profiles, dtype=np.int64)
-
     @cached_property
     def mean_pair(self) -> np.ndarray:
         """(n+1, n+1) float64 mean profile outer product: exact P^T P / |T|.
@@ -124,30 +107,29 @@ class TargetSpace:
 
 
 def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
-    """int64 P^T P of a non-negative integer matrix, refused where int64 would wrap.
+    """int64 P^T P of a non-negative integer (m, width) matrix P, exactly.
 
-    P may have any integer type and either memory order.  Every entry is a
-    sum of m products of two entries of P, so it stays below m * max(P)^2;
-    that bound must stay below 2^63.
+    P may have any integer type and either memory order.  Its domain is
+    max(m, max(P)) * max(P)^2 < 2^63, and P outside it is refused.  Every
+    entry is a sum of m products of two entries of P, so within the domain
+    it stays below 2^63; a profile count never exceeds m, so for a profile
+    matrix the domain is exactly the int64 wrap bound m * max(P)^2 < 2^63.
 
     numpy's integer matmul does not use BLAS, so the sums run as float64
     gemms over blocks of r <= _PAIR_BLOCK rows with r * max(P)^2 <= 2^53:
-    each partial sum is an integer of at most 2^53, exact in any order.  A
-    profile count never exceeds m, so the bound keeps it below 2^21 and a
-    profile block has 2048 rows or more.  Entries of 2^26.5 or more
-    leave r = 0; their blocks take numpy's int64 matmul, exact below the bound.
+    each partial sum is an integer of at most 2^53, exact in any order.
+    The domain keeps max(P) below 2^21, so a block has 2048 rows or more.
     """
     m, width = profiles.shape
     peak = int(profiles.max(initial=0))
-    if m * peak * peak >= 1 << 63:
+    if max(m, peak) * peak * peak >= 1 << 63:
         raise UsageError(
             f"P^T P of {m} profiles with counts up to {peak} would overflow int64"
         )
-    rows = min(_PAIR_BLOCK, (1 << 53) // (peak * peak or 1))
-    step, kind = (rows, np.float64) if rows else (_PAIR_BLOCK, np.int64)
+    step = min(_PAIR_BLOCK, (1 << 53) // (peak * peak or 1))
     out = np.zeros((width, width), dtype=np.int64)
     for start in range(0, m, step):
-        block = profiles[start : start + step].astype(kind)
+        block = profiles[start : start + step].astype(np.float64)
         out += (block.T @ block).astype(np.int64)
     return out
 
@@ -156,7 +138,7 @@ def distance_profile(space: TargetSpace, k: int) -> np.ndarray:
     """Counts of targets at each Hamming distance 0..n from reference state k.
 
     k need not belong to the space (then counts[0] == 0), but it must fit
-    n bits.  The per-reference oracle of ``TargetSpace.profiles``.
+    n bits.  The per-reference oracle of ``_kernels.distance_profiles``.
     """
     k = int(k) if isinstance(k, np.integer) else k  # a member of space.states; XOR needs the int
     if type(k) is not int or not 0 <= k < 1 << space.n:

@@ -70,11 +70,12 @@ def _exponents(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def mean_ck_squared(space: TargetSpace, beta: float, gamma: float) -> float:
     """mean_k |c_k|^2 over the targets, one target at a time (oracle route).
 
-    Reads `space.profiles`, which is rebuilt on every call, not kept.
+    Rebuilds the space's profile matrix on every call; nothing is kept.
     """
     fn = fn_matrix(beta, space.n)
     phase = cmath.exp(-1j * gamma) - 1.0
-    ck = phase * (space.profiles @ fn) + binomial_row(space.n) @ fn
+    profiles = _kernels.distance_profiles(space.states, space.n)
+    ck = phase * (profiles @ fn) + binomial_row(space.n) @ fn
     return float(np.abs(ck) @ np.abs(ck)) / len(space)
 
 

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from qaoa_landscape._kernels import distance_profiles
 from qaoa_landscape.analytic import (
     EXACT_MODE,
     PAPER_MODE,
@@ -175,7 +176,7 @@ class TestMoments:
         profiles = []
         for subset in combinations(range(8), t):
             space = TargetSpace.from_iterable(n, subset)
-            profiles.extend(space.profiles.tolist())
+            profiles.extend(distance_profiles(space.states, n).tolist())
         profiles = np.array(profiles, dtype=np.float64)
         model = UniformModel(n, t, EXACT_MODE)
         assert np.allclose(profiles.mean(axis=0), expected_profile(model), atol=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qaoa_landscape._kernels import PAIRWISE_ROUTE, SHELL_ROUTE, profile_route
+from qaoa_landscape._kernels import PAIRWISE_ROUTE, SHELL_ROUTE, distance_profiles, profile_route
 from qaoa_landscape.core import (
     _PAIR_BLOCK,
     MAX_GRID_POINTS,
@@ -72,11 +72,10 @@ class TestBinomial:
         assert binomial(5, 6) == 0
 
     def test_n_bounds(self):
-        with pytest.raises(UsageError):
-            binomial(-1, 0)
-        with pytest.raises(UsageError):
-            binomial(65, 1)
-        assert binomial(64, 32) == math.comb(64, 32)  # largest supported case
+        # an exact Python int at any n: zero below n = 0, no cap above
+        assert binomial(-1, 0) == 0
+        assert binomial(65, 1) == 65
+        assert binomial(64, 32) == math.comb(64, 32)
 
     @given(st.integers(0, 64), st.integers(0, 64))
     def test_symmetry(self, n, d):
@@ -200,22 +199,26 @@ class TestTargetSpace:
         for n, m, route in ((6, 9, PAIRWISE_ROUTE), (10, 600, SHELL_ROUTE)):
             assert profile_route(n, m) == route
             space = random_space(rng, n, m)
-            assert np.array_equal(space.mean_pair[0], space.profiles.sum(0) / m)
-            assert np.array_equal(space.mean_pair, exact_pair_sums(space.profiles) / m)
+            profiles = distance_profiles(space.states, n).astype(np.int64)
+            assert np.array_equal(space.mean_pair[0], profiles.sum(0) / m)
+            assert np.array_equal(space.mean_pair, exact_pair_sums(profiles) / m)
             assert space.mean_pair is space.mean_pair  # cached, not rebuilt per read
 
 
 class TestExactPairSums:
     def test_largest_exact_products_pass(self):
-        # one row of 2^31: its square, 2^62, still fits int64
-        profiles = np.array([[1 << 31, 3]], dtype=np.int64)
-        assert exact_pair_sums(profiles).tolist() == [[1 << 62, 3 << 31], [3 << 31, 9]]
+        # one row of 2^21 - 1: its cube is the largest below 2^63
+        profiles = np.array([[(1 << 21) - 1, 0]], dtype=np.int64)
+        assert exact_pair_sums(profiles).tolist() == [[((1 << 21) - 1) ** 2, 0], [0, 0]]
 
     def test_products_that_would_wrap_are_refused(self):
-        # two rows of 2^31: the diagonal sum, 2^63, wraps int64
-        profiles = np.array([[1 << 31, 0], [1 << 31, 0]], dtype=np.int64)
-        with pytest.raises(UsageError, match="overflow int64"):
-            exact_pair_sums(profiles)
+        for profiles in (
+            [[1 << 31, 0], [1 << 31, 0]],  # two rows of 2^31: the diagonal sum, 2^63, wraps int64
+            [[1 << 31, 3]],  # one row of 2^31: 2^62 fits int64, but 2^31 * 2^62 does not
+            [[1 << 21, 0]],  # one row of 2^21: the cube is 2^63, the edge of the domain
+        ):
+            with pytest.raises(UsageError, match="overflow int64"):
+                exact_pair_sums(np.array(profiles, dtype=np.int64))
 
     def test_full_space_at_n23_is_refused(self):
         # every row of the full space at n=23 is C(23, d); sum_x C(23, 11)^2 ~ 1.5e19
@@ -230,18 +233,21 @@ def int64_pair_sums(profiles):
     return profiles.T @ profiles
 
 
+def largest_peak(m: int) -> int:
+    """The largest count `exact_pair_sums` takes over m rows: max(m, peak) * peak^2 < 2^63."""
+    return min(math.isqrt(((1 << 63) - 1) // m), (1 << 21) - 1)
+
+
 @st.composite
 def profile_matrices(draw):
-    """Non-negative (m, width) int64 matrices with m * max^2 < 2^63.
+    """Non-negative (m, width) int64 matrices with max(m, max) * max^2 < 2^63.
 
     m runs past one gemm block; the peak is small (full float64 blocks),
-    anywhere up to the wrap bound, or the largest count the bound allows
-    (blocks of a few rows, or the int64 matmul where r * peak^2 <= 2^53
-    leaves no row).
+    anywhere up to `largest_peak(m)`, or at it (blocks of 2048 rows).
     """
     m = draw(st.one_of(st.integers(1, 50), st.integers(_PAIR_BLOCK - 1, 2 * _PAIR_BLOCK + 1)))
     width = draw(st.integers(1, 24))
-    top = math.isqrt(((1 << 63) - 1) // m)  # m * top^2 < 2^63
+    top = largest_peak(m)
     peak = draw(st.one_of(st.integers(0, 1 << 20), st.integers(0, top), st.just(top)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     profiles = rng.integers(0, peak, size=(m, width), endpoint=True, dtype=np.int64)
@@ -254,17 +260,17 @@ NARROW_TYPES = (np.int8, np.int16, np.int32)
 
 @st.composite
 def narrow_profile_matrices(draw):
-    """Non-negative (m, width) int8, int16 or int32 matrices with m * max^2 < 2^63.
+    """Non-negative (m, width) int8, int16 or int32 matrices with max(m, max) * max^2 < 2^63.
 
-    The peak is small, anywhere up to the type's or the wrap bound's limit,
+    The peak is small, anywhere up to the type's limit or `largest_peak(m)`,
     or at that limit: int32 reaches blocks of fewer rows than _PAIR_BLOCK
-    (2^20.5 and more) and, for m >= 3, the wrap bound.  Half are
-    Fortran-ordered, as the shell route's transposed gather is.
+    (2^20.5 and more).  Half are Fortran-ordered, as the shell route's
+    transposed gather is.
     """
     dtype = draw(st.sampled_from(NARROW_TYPES))
     m = draw(st.one_of(st.integers(1, 50), st.integers(_PAIR_BLOCK - 1, 2 * _PAIR_BLOCK + 1)))
     width = draw(st.integers(1, 24))
-    top = min(int(np.iinfo(dtype).max), math.isqrt(((1 << 63) - 1) // m))
+    top = min(int(np.iinfo(dtype).max), largest_peak(m))
     peak = draw(st.one_of(st.integers(0, min(top, 100)), st.integers(0, top), st.just(top)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     profiles = rng.integers(0, peak, size=(m, width), endpoint=True, dtype=dtype)
@@ -295,8 +301,8 @@ class TestPairSumBlocks:
             (np.int8, 3, 127),  # one float64 block
             (np.int16, 3 * _PAIR_BLOCK + 5, (1 << 15) - 1),  # four float64 blocks
             (np.int32, _PAIR_BLOCK - 1, 1 << 20),  # one block: 4095 rows of 2^40 stay below 2^53
-            (np.int32, _PAIR_BLOCK - 1, math.isqrt(((1 << 63) - 1) // (_PAIR_BLOCK - 1))),
-            (np.int32, 3, math.isqrt(((1 << 63) - 1) // 3)),  # no float64 row fits, at the bound
+            (np.int32, _PAIR_BLOCK - 1, largest_peak(_PAIR_BLOCK - 1)),  # blocks of 2048 rows
+            (np.int32, 3, largest_peak(3)),  # one block, at the edge of the domain
         ],
     )
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -316,9 +322,9 @@ class TestPairSumBlocks:
         "m,peak",
         [
             (3, (1 << 20) - 1),  # one float64 block
-            (3, math.isqrt(((1 << 63) - 1) // 3)),  # no float64 row fits, at the wrap bound
+            (3, largest_peak(3)),  # one float64 block, at the edge of the domain
             (3 * _PAIR_BLOCK + 5, (1 << 20) - 1),  # four float64 blocks
-            (3 * _PAIR_BLOCK + 5, math.isqrt(((1 << 63) - 1) // (3 * _PAIR_BLOCK + 5))),
+            (3 * _PAIR_BLOCK + 5, largest_peak(3 * _PAIR_BLOCK + 5)),  # seven blocks of 2048 rows
         ],
     )
     def test_constant_rows(self, m, peak):
@@ -336,8 +342,8 @@ class TestPairSumBlocks:
 
     @pytest.mark.parametrize("n,size", [(14, 4096), (14, 9000), (16, 1 << 16)])
     def test_dense_target_sets(self, rng, n, size):
-        space = random_space(rng, n, size)
-        assert np.array_equal(exact_pair_sums(space.profiles), int64_pair_sums(space.profiles))
+        profiles = distance_profiles(random_space(rng, n, size).states, n)
+        assert np.array_equal(exact_pair_sums(profiles), int64_pair_sums(profiles.astype(np.int64)))
 
 
 class TestDistanceProfile:
@@ -372,9 +378,10 @@ class TestDistanceProfile:
 
     def test_matches_profile_matrix_rows(self, rng):
         space = random_space(rng, 6, 20)
+        profiles = distance_profiles(space.states, space.n)
         for i, state in enumerate(space.states):  # np.int64 members, as the array holds them
             expected = distance_profile(space, state)
-            assert np.array_equal(space.profiles[i], expected)
+            assert np.array_equal(profiles[i], expected)
 
 
 class TestAngles:

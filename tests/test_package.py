@@ -1,6 +1,6 @@
 """The package is flat modules: its root imports nothing, and each module imports alone.
 
-Wherever the suite runs, any warning fails it.
+Wherever the suite runs, any warning fails it, and a failing test is reported, not an abort.
 """
 
 import os
@@ -49,3 +49,26 @@ def test_a_numpy_warning_is_an_error():
     # an overflow or invalid value fails tier-1 in place of passing with a warning
     with pytest.raises(RuntimeWarning, match="overflow"):
         np.float64(1e308) * 10
+
+
+FAILING_AND_PASSING = """
+from hypothesis import given, strategies as st
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_is_reported(tmp_path):
+    # under the suite's own warning filters a failing @given test is one failure, and the
+    # run goes on; run in tmp_path, so hypothesis writes its database and patches there
+    (tmp_path / "test_probe.py").write_text(FAILING_AND_PASSING)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+                           "test_probe.py"], cwd=tmp_path, capture_output=True, text=True, check=False)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout, done.stdout

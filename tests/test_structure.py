@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qaoa_landscape import storage, structure
+from qaoa_landscape._kernels import distance_profiles
 from qaoa_landscape.analytic import MODES, UniformModel, summary_analytic
 from qaoa_landscape.core import TargetSpace, UsageError, binomial_row, distance_profile
 from qaoa_landscape.problems import FAMILIES, build_ensemble
@@ -25,7 +26,8 @@ class TestInstanceStats:
     def test_row_zero_of_pair_matrix_is_profile(self, rng):
         # counts at distance 0 are identically 1 for member references
         space = random_space(rng, 6, 17)
-        assert np.allclose(space.mean_pair[0], space.profiles.mean(axis=0), atol=1e-15)
+        profiles = distance_profiles(space.states, space.n)
+        assert np.allclose(space.mean_pair[0], profiles.mean(axis=0), atol=1e-15)
         assert np.allclose(space.mean_pair[:, 0], space.mean_pair[0], atol=1e-15)
 
     def test_pair_matrix_symmetric(self, rng):
