@@ -5,10 +5,13 @@ and give the same values:
 
 * `pairwise_profiles` histograms all |T|^2 pairwise distances, O(|T|^2 n),
   into an int64 matrix;
-* `shell_profiles` grows Hamming shells around the targets over all 2^n
-  states, one pass per qubit, O(n^2 2^n) integer adds made in place, and
-  returns the shell table read at the targets in the table's own narrow
-  integer type, never widened.
+* `shell_batch` grows Hamming shells around the targets over all 2^n
+  states, one pass per qubit, O(n^2 2^n) integer adds made in place, for a
+  batch of same-width target sets in one table with the set axis innermost,
+  and yields each set's columns of the table in the table's own narrow
+  integer type, never widened.  A batch's table holds at most
+  `SHELL_BATCH_BYTES` unless one set's table alone is larger;
+  `shell_profiles` is the batch of one.
 
 `distance_profiles` runs the one that `profile_route` picks from n and |T|
 alone.  The package reads its result as it is; only tests widen it to int64
@@ -25,6 +28,10 @@ _BLOCK_DISTANCES = 512 * 1024  # per pairwise row block: ~4 MB of int64 XORs
 
 PAIRWISE_ROUTE = "pairwise"
 SHELL_ROUTE = "shells"
+
+# most bytes of a batch's shell table: four int16 tables at n = 14.  On dense-u14 a 4 MiB
+# cap raised peak RSS by about 3 MiB over unbatched tables (2 MiB: 1.4 MiB), for no speed.
+SHELL_BATCH_BYTES = 2 << 20
 
 
 def profile_route(n: int, m: int) -> str:
@@ -65,29 +72,54 @@ def pairwise_profiles(states: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def shell_table_bytes(n: int, count: int, largest: int) -> int:
+    """Bytes of the shell table of count target sets of width n, the largest of size largest."""
+    return count * (n + 1) * np.dtype(_table_type(largest)).itemsize << n
+
+
+def _table_type(m: int):
+    """The narrowest signed integer type that holds m: no shell count exceeds its set's size."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
+
+
 def shell_profiles(states: np.ndarray, n: int) -> np.ndarray:
-    """(m, n+1) matrix equal in value to `pairwise_profiles(states, n)`.
+    """(m, n+1) matrix equal in value to `pairwise_profiles(states, n)`: a batch of one."""
+    return next(shell_batch([states], n))
 
-    shells[d, x] counts the states at distance d from x over the qubits
-    passed so far.  It starts as the indicator of the set at d = 0; the pass
-    over qubit q adds shells[d-1, x ^ 2^q] into shells[d, x] in place, for d
-    from q+1 down to 1: row d-1 is read before its own update, so no copy.
-    After q passes no count sits beyond d = q.
 
-    No count exceeds m, so the table takes the narrowest signed integer type
-    that holds m: the passes are memory-bound, and int16 halves int32's bytes.
-    The result is the table's columns at the targets in that type, a
-    transposed (Fortran-ordered) view of the gather `shells[:, states]`.
+def shell_batch(batch: list[np.ndarray], n: int):
+    """Each set's (m_i, n+1) profile matrix, in order, from one shell table of the batch.
+
+    shells[d, x, i] counts the states of batch[i] at distance d from x over
+    the qubits passed so far.  It starts as each set's indicator at d = 0;
+    the pass over qubit q adds shells[d-1, x ^ 2^q] into shells[d, x] in
+    place, for d from q+1 down to 1: row d-1 is read before its own update,
+    so no copy.  After q passes no count sits beyond d = q.  With the b
+    sets innermost, each add runs over b * 2^q contiguous counts, not 2^q:
+    one table serves the batch in the same n(n+1)/2 adds as one set.
+
+    The passes are memory-bound, so the table takes the narrowest signed
+    integer type that holds the largest set (int16 halves int32's bytes).
+    Each result is that set's columns of the table in that type, a
+    transposed (Fortran-ordered) view of the gather `shells[:, states, i]`.
+    The table is freed before the last set's result is yielded, so a batch
+    of one holds the table and its gather, never the table and the
+    consumer's work on the gather.
     """
-    m = states.shape[0]
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
-    shells = np.zeros((n + 1, 1 << n), dtype=dtype)
-    shells[0, states] = 1
+    b = len(batch)
+    shells = np.zeros((n + 1, 1 << n, b), dtype=_table_type(max(map(len, batch))))
+    for i, states in enumerate(batch):
+        shells[0, states, i] = 1
     for q in range(n):
-        rows = shells.reshape(n + 1, -1, 2, 1 << q)
+        rows = shells.reshape(n + 1, -1, 2, b << q)
         for d in range(q + 1, 0, -1):
             rows[d] += rows[d - 1, :, ::-1]
-    return shells[:, states].T
+    del rows  # a view that would keep the table alive
+    for i, states in enumerate(batch[:-1]):
+        yield shells[:, states, i].T
+    last = shells[:, batch[-1], b - 1].T
+    del shells
+    yield last
 
 
 def apply_mixer(amps: np.ndarray, beta: float, n: int) -> None:

@@ -101,9 +101,46 @@ class TargetSpace:
         """(n+1, n+1) float64 mean profile outer product: exact P^T P / |T|.
 
         Summed straight from the profile kernel's own integer type: on the
-        shell route no int64 copy of P is made.
+        shell route no int64 copy of P is made.  `cache_mean_pairs` fills
+        this cache for many spaces at once.
         """
-        return exact_pair_sums(_kernels.distance_profiles(self.states, self.n)) / len(self)
+        return _mean_pair(_kernels.distance_profiles(self.states, self.n))
+
+
+def _mean_pair(profiles: np.ndarray) -> np.ndarray:
+    return exact_pair_sums(profiles) / len(profiles)
+
+
+def cache_mean_pairs(spaces: list[TargetSpace]) -> None:
+    """Fill the mean_pair cache of every space that takes the shell route and lacks it.
+
+    Consecutive such spaces of one width share a shell table
+    (`_kernels.shell_batch`) of at most `_kernels.SHELL_BATCH_BYTES`; a space
+    whose table alone is larger runs alone.  Each matrix keeps the bits its
+    space computes alone, since the counts are exact integers.  Every other
+    space is left to compute its own on first use.
+    """
+    batch: list[TargetSpace] = []
+    largest = 0
+    for space in spaces:
+        n, m = space.n, len(space)
+        if "mean_pair" in vars(space) or _kernels.profile_route(n, m) != _kernels.SHELL_ROUTE:
+            continue
+        if batch and (batch[0].n != n or _kernels.shell_table_bytes(
+                n, len(batch) + 1, max(largest, m)) > _kernels.SHELL_BATCH_BYTES):
+            _cache_batch(batch)
+            batch, largest = [], 0
+        batch.append(space)
+        largest = max(largest, m)
+    if batch:
+        _cache_batch(batch)
+
+
+def _cache_batch(batch: list[TargetSpace]) -> None:
+    """One shell table for the batch; each gather is summed and dropped before the next."""
+    profiles = _kernels.shell_batch([space.states for space in batch], batch[0].n)
+    for space in batch:
+        vars(space)["mean_pair"] = _mean_pair(next(profiles))  # the cached_property's own slot
 
 
 def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
@@ -132,18 +169,6 @@ def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:
         block = profiles[start : start + step].astype(np.float64)
         out += (block.T @ block).astype(np.int64)
     return out
-
-
-def distance_profile(space: TargetSpace, k: int) -> np.ndarray:
-    """Counts of targets at each Hamming distance 0..n from reference state k.
-
-    k need not belong to the space (then counts[0] == 0), but it must fit
-    n bits.  The per-reference oracle of ``_kernels.distance_profiles``.
-    """
-    k = int(k) if isinstance(k, np.integer) else k  # a member of space.states; XOR needs the int
-    if type(k) is not int or not 0 <= k < 1 << space.n:
-        raise UsageError(f"reference {k!r} does not fit {space.n} bits")
-    return np.bincount(np.bitwise_count(space.states ^ k), minlength=space.n + 1)
 
 
 @dataclass(frozen=True)

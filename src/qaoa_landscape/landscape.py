@@ -47,15 +47,11 @@ from .core import (
 from .structure import StructuralSummary
 
 
-def f_n(beta: float, d: int, n: int) -> complex:
-    """cos(beta)^(n-d) * (-i*sin(beta))^d for one d, in scalar arithmetic."""
-    if not 0 <= d <= n:
-        raise UsageError(f"need 0 <= d <= n, got d={d}, n={n}")
-    return math.cos(beta) ** (n - d) * (-1j * math.sin(beta)) ** d
-
-
 def fn_matrix(betas, n: int) -> np.ndarray:
-    """f_n(beta, d, n) for every beta (leading axes) and d = 0..n (last axis)."""
+    """fn_d = cos(beta)^(n-d) * (-i*sin(beta))^d for every beta and d.
+
+    betas fill the leading axes and d = 0..n the last one.
+    """
     down, up, phase = _exponents(n)
     return np.power.outer(np.cos(betas), down) * np.power.outer(np.sin(betas), up) * phase
 
@@ -209,7 +205,7 @@ def approx_expected_f1(summary: StructuralSummary, beta: float, gamma: float) ->
 def w_matrix(gamma: float, summary: StructuralSummary) -> np.ndarray:
     """The approximation's form in the binomial basis, at one gamma.
 
-    mean |c_k|^2 = sum_{d1,d2} w[d1,d2] * f_n(d1) * conj(f_n(d2)).
+    mean |c_k|^2 = sum_{d1,d2} w[d1,d2] * fn_d1 * conj(fn_d2).
     """
     phase = cmath.exp(-1j * gamma) - 1.0
     brow = binomial_row(summary.n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_WIDTH, TargetSpace, UsageError, binomial_row
+from .core import MAX_WIDTH, TargetSpace, UsageError, binomial_row, cache_mean_pairs
 
 EMPIRICAL_MODE = "empirical"
 PAPER_MODE = "paper"
@@ -102,12 +102,17 @@ def _check_counts(array: np.ndarray, top: np.ndarray, name: str) -> None:
 def aggregate(spaces: list[TargetSpace]) -> StructuralSummary:
     """Average the statistics of target spaces into an ensemble summary.
 
-    The spaces' mean_pair matrices are summed in order and divided by the
-    count once: the bits of np.mean over the stacked matrices (numpy sums a
-    leading axis row by row), and e_profile is row 0 of the result.  No
-    stack is built, but each space keeps its cached mean_pair, (n+1)^2
-    floats, after the sum: 223 MiB over 2*10^5 spaces at n = 10 (ROADMAP
-    item 3 would drop that cache).
+    The shell-route spaces that lack a mean_pair get it first, a batch of
+    same-width spaces per shell table (`cache_mean_pairs`), so the peak is
+    one batch's table, at most `_kernels.SHELL_BATCH_BYTES` (a larger single
+    table runs alone), plus one space's gather and pair sums, whatever the
+    count.  The spaces' mean_pair matrices are then summed in order and
+    divided by the count once: the bits of np.mean over the stacked
+    matrices (numpy sums a leading axis row by row), and e_profile is row 0
+    of the result.  No stack is built, but each space keeps its cached
+    mean_pair, (n+1)^2 floats, after the sum, for `LandscapeForm.of` to
+    read: 223 MiB over 2*10^5 spaces at n = 10 (ROADMAP item 3 would drop
+    that cache).
     """
     if not spaces:
         raise UsageError("cannot aggregate an empty list of target spaces")
@@ -115,6 +120,7 @@ def aggregate(spaces: list[TargetSpace]) -> StructuralSummary:
     if any(s.n != n for s in spaces):
         raise UsageError("target spaces mix different widths n")
     sizes = np.fromiter((len(s) for s in spaces), dtype=np.float64, count=len(spaces))
+    cache_mean_pairs(spaces)
     pair = sum(space.mean_pair for space in spaces)  # 0 + the first matrix is that matrix
     return StructuralSummary(
         n=n,

@@ -1,5 +1,8 @@
 """Slower oracles for landscape evaluation.
 
+``f_n`` is one mixer factor fn_d in scalar arithmetic: the oracle of
+``landscape.fn_matrix``.
+
 ``quadratic_z`` is the (n+1)x(n+1) contraction that ``landscape.form_z``
 replaces: q = Re(fn^T Q conj(fn)) at O(n^2) per beta, read straight from a
 source's mean pair matrix Q, so it shares nothing with the form's
@@ -23,12 +26,21 @@ ensembles only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from qaoa_landscape.core import UsageError
 from qaoa_landscape.landscape import f1, fn_matrix
 from qaoa_landscape.structure import StructuralSummary, aggregate
+
+
+def f_n(beta: float, d: int, n: int) -> complex:
+    """cos(beta)^(n-d) * (-i*sin(beta))^d for one d, in scalar arithmetic."""
+    if not 0 <= d <= n:
+        raise UsageError(f"need 0 <= d <= n, got d={d}, n={n}")
+    return math.cos(beta) ** (n - d) * (-1j * math.sin(beta)) ** d
 
 
 def statistics(source) -> tuple[np.ndarray, np.ndarray]:

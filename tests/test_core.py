@@ -17,12 +17,12 @@ from qaoa_landscape.core import (
     binomial,
     binomial_row,
     default_grid,
-    distance_profile,
     exact_pair_sums,
     streams,
 )
 
 from conftest import BOUNDARY_IDS, BOUNDARY_SEED, numpy_stream, random_space
+from profile_oracle import distance_profile
 
 
 def hamming(width: int, a: int, b: int) -> int:

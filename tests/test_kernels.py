@@ -7,17 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qaoa_landscape.core import _PAIR_BLOCK, TargetSpace, distance_profile
+from qaoa_landscape import _kernels
+from qaoa_landscape.core import _PAIR_BLOCK, TargetSpace, cache_mean_pairs, exact_pair_sums
 from qaoa_landscape._kernels import (
     PAIRWISE_ROUTE,
+    SHELL_BATCH_BYTES,
     SHELL_ROUTE,
     apply_mixer,
     pairwise_profiles,
     profile_route,
+    shell_batch,
     shell_profiles,
+    shell_table_bytes,
 )
 
 from conftest import random_space
+from profile_oracle import distance_profile
 
 PROFILE_KERNELS = [pairwise_profiles, shell_profiles]
 
@@ -128,6 +133,70 @@ class TestShellTableWidths:
         space = TargetSpace.from_iterable(n, states.tolist())
         for row in [0, m - 1, *rng.choice(m, size=200, replace=False).tolist()]:
             assert np.array_equal(shells[row], distance_profile(space, int(states[row])))
+
+
+def mean_pair_bits(profiles) -> np.ndarray:
+    return (exact_pair_sums(profiles) / len(profiles)).view(np.uint64)
+
+
+class TestShellBatch:
+    """One table for a batch of sets gives each set the profiles, and mean_pair bits, of its own."""
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_each_set_as_alone(self, rng, n):
+        # one target, the full space and three random sizes, in one table
+        sizes = [1, 1 << n, *rng.integers(1, (1 << n) + 1, size=3).tolist()]
+        batch = [random_states(rng, n, m) for m in sizes]
+        for states, profiles in zip(batch, shell_batch(batch, n), strict=True):
+            alone = shell_profiles(states, n)
+            assert profiles.dtype == table_type(max(sizes)) and alone.dtype == table_type(len(states))
+            assert np.array_equal(profiles, alone)
+            assert np.array_equal(mean_pair_bits(profiles), mean_pair_bits(alone))
+            if n <= 10:
+                assert np.array_equal(profiles, pairwise_profiles(states, n))
+
+    def test_mixed_sizes_across_the_int8_boundary(self, rng):
+        # m = 127 alone fits int8; beside m = 128 its counts share an int16 table
+        batch = [star(10, 4, 127), star(10, 5, 128), random_states(rng, 10, 127)]
+        for states, profiles in zip(batch, shell_batch(batch, 10), strict=True):
+            assert profiles.dtype == np.int16
+            assert np.array_equal(profiles, pairwise_profiles(states, 10))
+            assert np.array_equal(mean_pair_bits(profiles), mean_pair_bits(shell_profiles(states, 10)))
+
+    def test_table_bytes(self):
+        # four u14 int16 tables fill the cap; a fifth, or one int32 table at n = 16, does not fit
+        assert shell_table_bytes(14, 4, 4096) == 4 * 15 * 2 * (1 << 14) <= SHELL_BATCH_BYTES
+        assert shell_table_bytes(14, 5, 4096) > SHELL_BATCH_BYTES
+        assert shell_table_bytes(14, 4, 127) == 4 * 15 * (1 << 14)
+        assert shell_table_bytes(16, 1, 1 << 15) > SHELL_BATCH_BYTES
+
+    def test_batches_cut_by_the_cap(self, rng, monkeypatch):
+        # 19 int16 tables of n = 12 fit the cap; shell-route spaces of another width, a
+        # pairwise space and a cached one split or skip batches, and n = 16 runs alone
+        batches = []
+        batch_kernel = _kernels.shell_batch
+
+        def recorded(states, n):
+            batches.append((n, [len(s) for s in states]))
+            return batch_kernel(states, n)
+
+        dense = [random_space(rng, 12, int(m)) for m in rng.integers(900, 4096, size=25)]
+        cached = random_space(rng, 12, 2048)
+        cached.mean_pair
+        spaces = [*dense[:20], random_space(rng, 12, 3), cached, random_space(rng, 11, 2000),
+                  *dense[20:], random_space(rng, 16, 1 << 15)]
+        monkeypatch.setattr(_kernels, "shell_batch", recorded)
+        cache_mean_pairs(spaces)
+        assert [(n, len(sizes)) for n, sizes in batches] == [(12, 19), (12, 1), (11, 1), (12, 5),
+                                                             (16, 1)]
+        assert all(shell_table_bytes(n, len(sizes), max(sizes)) <= SHELL_BATCH_BYTES
+                   for n, sizes in batches[:-1])
+        monkeypatch.setattr(_kernels, "shell_batch", batch_kernel)
+        for space in spaces:
+            alone = TargetSpace(space.n, space.states).mean_pair
+            if space is not spaces[20]:  # the pairwise space computes its own on first use
+                assert "mean_pair" in vars(space)
+            assert np.array_equal(space.mean_pair.view(np.uint64), alone.view(np.uint64))
 
 
 class TestProfileRoute:

@@ -24,7 +24,6 @@ from qaoa_landscape.landscape import (
     f1,
     f1_closed,
     f1_statevector,
-    f_n,
     fn_matrix,
     form_coefficients,
     form_z,
@@ -40,6 +39,7 @@ from qaoa_landscape.structure import StructuralSummary, aggregate
 
 import landscape_oracle
 from angle_oracle import laurent_z
+from landscape_oracle import f_n
 from conftest import (
     ANALYTIC_CASES, FAMILY_CASES, analytic_summaries, family_sources, oracle_spaces, random_space,
 )

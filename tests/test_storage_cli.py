@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1349,40 +1350,40 @@ GOOD_ENSEMBLE = {
 }
 
 
-@pytest.mark.parametrize(
-    "change, message",
-    [
-        ({"seed": "abc"}, "seed must be an integer"),
-        ({"seed": None}, "seed must be an integer"),
-        ({"instances": 3}, "instances must be a JSON list"),
-        ({"params": 3}, "params must be a JSON object"),
-        ({"instances": [{"id": 0, "targets": 3}]}, "targets must be a JSON list"),
-        ({"instances": [{"id": "x", "targets": [1]}]}, "id must be an integer"),
-        ({"instances": [{"id": 0, "targets": [1, 6, 1]}]}, "duplicate target states"),
-        ({"instances": [{"id": 0, "targets": [True]}]}, "state True does not fit"),
-        ({"n": True}, "n must be an integer"),
-        ({"instances": [{"id": False, "targets": [1]}]}, "id must be an integer"),
-        (
-            {"instances": [{"id": 4, "targets": [1]}, {"id": 4, "targets": [2]}]},
-            "duplicate instance id 4",
-        ),
-        ({"instances": [{"id": 0, "targets": [1, "a"]}]}, "targets must all be integers"),
-        ({"instances": [{"id": 0, "targets": [1, None]}]}, "targets must all be integers"),
-        ({"instances": [{"id": 0, "targets": [1, 8]}]}, r"instances\[0\]: state 8 does not fit"),
-        # each of these reaches the int64 conversion of the targets
-        ({"instances": [{"id": 0, "targets": [2**70]}]}, f"state {2**70} does not fit"),
-        ({"instances": [{"id": 0, "targets": [-1]}]}, "state -1 does not fit"),
-        ({"instances": [{"id": 0, "targets": [1.5]}]}, "state 1.5 does not fit"),
-        ({"instances": [{"id": 0, "targets": ["a"]}]}, "state 'a' does not fit"),
-        ({"instances": [{"id": 0, "targets": [2, True]}]}, "state True does not fit"),
-        ({"instances": [{"id": 0, "targets": [[1]]}]}, r"state \[1\] does not fit"),
-        # a negative id cannot be a SeedSequence spawn key for compare's draws
-        (
-            {"instances": [{"id": -1, "targets": [1]}]},
-            r"^instances\[0\]: id must be a non-negative integer, got -1$",
-        ),
-    ],
-)
+MALFORMED_ENSEMBLES = [
+    ({"seed": "abc"}, "seed must be an integer"),
+    ({"seed": None}, "seed must be an integer"),
+    ({"instances": 3}, "instances must be a JSON list"),
+    ({"params": 3}, "params must be a JSON object"),
+    ({"instances": [{"id": 0, "targets": 3}]}, "targets must be a JSON list"),
+    ({"instances": [{"id": "x", "targets": [1]}]}, "id must be an integer"),
+    ({"instances": [{"id": 0, "targets": [1, 6, 1]}]}, "duplicate target states"),
+    ({"instances": [{"id": 0, "targets": [True]}]}, "state True does not fit"),
+    ({"n": True}, "n must be an integer"),
+    ({"instances": [{"id": False, "targets": [1]}]}, "id must be an integer"),
+    (
+        {"instances": [{"id": 4, "targets": [1]}, {"id": 4, "targets": [2]}]},
+        "duplicate instance id 4",
+    ),
+    ({"instances": [{"id": 0, "targets": [1, "a"]}]}, "targets must all be integers"),
+    ({"instances": [{"id": 0, "targets": [1, None]}]}, "targets must all be integers"),
+    ({"instances": [{"id": 0, "targets": [1, 8]}]}, r"instances\[0\]: state 8 does not fit"),
+    # each of these reaches the int64 conversion of the targets
+    ({"instances": [{"id": 0, "targets": [2**70]}]}, f"state {2**70} does not fit"),
+    ({"instances": [{"id": 0, "targets": [-1]}]}, "state -1 does not fit"),
+    ({"instances": [{"id": 0, "targets": [1.5]}]}, "state 1.5 does not fit"),
+    ({"instances": [{"id": 0, "targets": ["a"]}]}, "state 'a' does not fit"),
+    ({"instances": [{"id": 0, "targets": [2, True]}]}, "state True does not fit"),
+    ({"instances": [{"id": 0, "targets": [[1]]}]}, r"state \[1\] does not fit"),
+    # a negative id cannot be a SeedSequence spawn key for compare's draws
+    (
+        {"instances": [{"id": -1, "targets": [1]}]},
+        r"^instances\[0\]: id must be a non-negative integer, got -1$",
+    ),
+]
+
+
+@pytest.mark.parametrize("change, message", MALFORMED_ENSEMBLES)
 def test_malformed_ensemble_refused_at_load(tmp_path, capsys, change, message):
     path = tmp_path / "e.json"
     path.write_text(json.dumps(GOOD_ENSEMBLE | change))
@@ -1395,6 +1396,190 @@ def test_malformed_ensemble_refused_at_load(tmp_path, capsys, change, message):
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {refused.value}\n"
     assert [entry.name for entry in tmp_path.iterdir()] == ["e.json"]
+
+
+def both_routes(path):
+    """What load_ensemble, and json.loads with ensemble_from_dict, each make of the file at path.
+
+    An ensemble as comparable values, or ("refused", message).
+    """
+    def outcome(load):
+        try:
+            ensemble = load()
+        except UsageError as exc:
+            return "refused", str(exc)
+        instances = []
+        for inst in ensemble.instances:
+            states = inst.target.states
+            assert states.dtype == np.int64 and not states.flags.writeable
+            instances.append((inst.id, states.tolist(), inst.meta))
+        return ensemble.family, ensemble.n, ensemble.seed, ensemble.params, instances
+
+    typed = outcome(lambda: storage.load_ensemble(path))
+    assert typed == outcome(lambda: storage.ensemble_from_dict(storage._read_json(path)))
+    return typed
+
+
+def typed_route_taken(path) -> bool:
+    return storage._typed_document(path.read_text()) is not None
+
+
+_METAS = st.none() | st.integers(-(2**70), 2**70) | st.text(max_size=6) | st.lists(
+    st.floats(allow_nan=False) | st.booleans() | st.text(max_size=3), max_size=3
+) | st.dictionaries(st.text(max_size=4), st.integers() | st.none(), max_size=2)
+
+
+@st.composite
+def written_ensembles(draw):
+    """Ensembles as the package holds them: any ids, boundary ids included, and metas."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.sampled_from(BOUNDARY_IDS) | st.integers(0, 50), unique=True,
+                        max_size=5))
+    instances = []
+    for instance_id in ids:
+        states = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+        instances.append(problems.Instance(instance_id, TargetSpace(n, sorted(states)),
+                                           draw(_METAS)))
+    params = draw(st.dictionaries(st.text(max_size=4), st.integers() | st.text(max_size=3),
+                                  max_size=2))
+    return problems.Ensemble("uniform", n, draw(st.integers(-5, 2**70)), params, tuple(instances))
+
+
+def test_short_lists_go_to_json(tmp_path):
+    """The typed route takes a file of 512 characters or more per target list."""
+    path = tmp_path / "e.json"
+    # ten pairs of targets, as sparse-qr20 reads, and ten lists of 4096, as dense-u14 does
+    for family, n, params, typed in (("qrfactor", 20, {}, False),
+                                     ("uniform", 14, {"t_size": 4096}, True)):
+        storage.save_ensemble(build_ensemble(family, n, 10, params, seed=0), path)
+        assert typed_route_taken(path) == typed
+        both_routes(path)
+    # one list: 33 targets of 5 digits and 34 make a file of 502 and 513 characters
+    for size, typed in ((33, False), (34, True)):
+        instance = problems.Instance(0, TargetSpace(16, np.arange(size) + 10**4), None)
+        storage.save_ensemble(problems.Ensemble("uniform", 16, 0, {}, (instance,)), path)
+        assert typed_route_taken(path) == typed
+
+
+class TestTypedReader:
+    """load_ensemble's typed route gives what json.loads and ensemble_from_dict give.
+
+    The typed route reads files of any length here; `test_short_lists_go_to_json`
+    checks the lengths it takes outside this class.
+    """
+
+    @pytest.fixture(autouse=True)
+    def lists_of_any_length(self, monkeypatch):
+        monkeypatch.setattr(storage, "_TYPED_MIN_CHARS", 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(written_ensembles())
+    def test_both_routes_give_equal_ensembles(self, ensemble):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "e.json"
+            storage.save_ensemble(ensemble, path)
+            # a "NaN" anywhere, even in a string, leaves the file to json.loads
+            typed = bool(ensemble.instances) and "NaN" not in path.read_text()
+            assert typed_route_taken(path) == typed
+            got = both_routes(path)
+        assert got[4] == [(i.id, i.target.states.tolist(), i.meta) for i in ensemble.instances]
+
+    @pytest.mark.parametrize("family, n, params", FAMILY_CASES)
+    def test_every_family_takes_the_typed_route(self, family, n, params, tmp_path):
+        ensemble = build_ensemble(family, n, 4, params, seed=3)
+        storage.save_ensemble(ensemble, tmp_path / "e.json")
+        assert typed_route_taken(tmp_path / "e.json")
+        loaded = both_routes(tmp_path / "e.json")
+        assert loaded[4] == [(i.id, i.target.states.tolist(), i.meta) for i in ensemble.instances]
+
+    # (block text, whether the typed route may read it): a block np.fromstring would misread
+    # goes to json.loads; one it reads right takes the typed route and the same checks
+    @pytest.mark.parametrize("block, typed", [
+        ("01,\n    6", False),
+        ("+1,\n    6", False),
+        ("1 ,\n    6", False),
+        ("1,\n    6,", False),
+        ("1,,\n    6", False),
+        (",\n    1", False),
+        ("1,\n     6", False),
+        ("1, \n   6", False),
+        ("1\n    ,6", False),
+        ("12345678901", False),
+        (str(2**63), False),
+        ("-1", False),
+        ("1.0", False),
+        ("true", False),
+        ("1,\n    \\u0036", False),
+        ("6,\n    1", True),
+        ("1,\n    1", True),
+        ("1,\n    8", True),
+        ("4294967295", True),
+        ("0", True),
+    ])
+    def test_pitfalls_refused_alike_or_sent_to_json(self, block, typed, tmp_path):
+        path = tmp_path / "e.json"
+        good = json.dumps(GOOD_ENSEMBLE, indent=1)
+        assert '"targets": [\n    1,\n    6\n   ]' in good
+        path.write_text(good.replace("1,\n    6", block))
+        assert typed_route_taken(path) == typed
+        both_routes(path)
+
+    def test_unsorted_blocks_sorted_each_alone(self, tmp_path):
+        # the second block descends, and each block starts below where the one before ends
+        instances = [{"id": i, "targets": t, "meta": None}
+                     for i, t in enumerate(([5, 2], [7, 1, 3], [0], [6, 4]))]
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(GOOD_ENSEMBLE | {"instances": instances}, indent=1))
+        assert typed_route_taken(path)
+        got = both_routes(path)
+        assert [states for _, states, _ in got[4]] == [[2, 5], [1, 3, 7], [0], [4, 6]]
+
+    @pytest.mark.parametrize("change, message", MALFORMED_ENSEMBLES)
+    def test_malformed_documents_in_the_layout(self, tmp_path, change, message):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(GOOD_ENSEMBLE | change, indent=1))
+        outcome = both_routes(path)
+        assert outcome[0] == "refused" and re.search(message, outcome[1])
+
+    @pytest.mark.parametrize("text", [
+        # a targets list in the layout that is not an instance's own
+        '{"family": "uniform", "n": 3, "seed": 0, "params": {"x": {\n   "targets": [\n    5\n   ]}},'
+        ' "instances": [{"id": 0, "targets": [1], "meta": null}]}',
+        # two lists in the layout, the first not an instance's
+        '{"family": "uniform", "n": 3, "seed": 0, "params": {"x": {\n   "targets": [\n    5\n   ]}},'
+        ' "instances": [{"id": 0,\n   "targets": [\n    1\n   ]}]}',
+        # a NaN in place of an instance's list
+        '{"family": "uniform", "n": 3, "seed": 0, "params": {"x": {\n   "targets": [\n    5\n   ]}},'
+        ' "instances": [{"id": 0, "targets": NaN}]}',
+        # an instance's list in the layout, another's not, and a NaN elsewhere
+        '{"family": "uniform", "n": 3, "seed": 0, "params": {}, "instances": [{"id": 0,'
+        '\n   "targets": [\n    5\n   ], "meta": NaN}]}',
+        '{"family": "uniform", "n": 3, "seed": 0, "params": {}, "instances": [{"id": 0,'
+        '\n   "targets": [\n    5\n   ]}, {"id": 1, "targets": [2]}]}',
+        # the same key twice: json keeps the last value
+        '{"family": "uniform", "n": 3, "seed": 0, "params": {}, "instances": [{"id": 0,'
+        '\n   "targets": [\n    5\n   ], "targets": [3]}]}',
+        '{"family": "uniform", "n": 3, "seed": 0, "params": {}, "instances": [{"id": 0,'
+        ' "targets": [3],\n   "targets": [\n    5\n   ]}]}',
+        # a list left open, and a document that is not JSON
+        '{"family": "uniform", "n": 3, "seed": 0, "params": {}, "instances": [{"id": 0,'
+        '\n   "targets": [\n    5',
+        '{"family": "uniform", "n": 3,, "seed": 0, "params": {}, "instances": [{"id": 0,'
+        '\n   "targets": [\n    5\n   ]}]}',
+    ], ids=["foreign-list", "foreign-list-first", "nan-targets", "nan-meta", "mixed-layout", "key-twice-typed-first",
+            "key-twice-typed-last", "open-list", "not-json"])
+    def test_documents_outside_the_layout(self, text, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text(text)
+        both_routes(path)
+
+    def test_one_fromstring_per_file(self, tmp_path, monkeypatch):
+        calls = []
+        fromstring = np.fromstring
+        monkeypatch.setattr(np, "fromstring", lambda *a, **k: calls.append(1) or fromstring(*a, **k))
+        storage.save_ensemble(build_ensemble("uniform", 8, 50, {"t_size": 9}, 0), tmp_path / "e.json")
+        assert len(storage.load_ensemble(tmp_path / "e.json").instances) == 50
+        assert len(calls) == 1
 
 
 _INSTANCE_FIELDS = {

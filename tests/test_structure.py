@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from qaoa_landscape import storage, structure
-from qaoa_landscape._kernels import distance_profiles
+from qaoa_landscape._kernels import SHELL_BATCH_BYTES, distance_profiles
 from qaoa_landscape.analytic import MODES, UniformModel, summary_analytic
-from qaoa_landscape.core import TargetSpace, UsageError, binomial_row, distance_profile
+from qaoa_landscape.core import TargetSpace, UsageError, binomial_row
 from qaoa_landscape.problems import FAMILIES, build_ensemble
 from qaoa_landscape.structure import StructuralSummary, aggregate
 
 from conftest import random_space
+from profile_oracle import distance_profile
 
 
 class TestInstanceStats:
@@ -130,6 +131,23 @@ class TestAggregate:
         _, few = traced(lambda: aggregate(spaces[:10]))
         _, many = traced(lambda: aggregate(spaces))
         assert many - few <= 16 * len(spaces)
+
+
+    @pytest.mark.parametrize("count", [19, 20, 100])
+    def test_batched_peak_is_the_cap_and_one_space(self, rng, count):
+        """Cold dense spaces share shell tables of at most the cap, one batch at a time.
+
+        At n = 12, |T| = 2048 a batch holds 19 int16 tables.  Past the cached
+        matrices that aggregate leaves behind, its peak is one batch's table
+        and one space's own peak (its table, gather and pair sums) at most,
+        whatever the count; a second batch's table beside the first, or a
+        batch's gathers held together, would not fit.
+        """
+        space = random_space(rng, 12, 2048)
+        _, one_peak = traced(lambda: space.mean_pair)
+        spaces = [random_space(rng, 12, 2048) for _ in range(count)]
+        kept, peak = traced(lambda: aggregate(spaces))
+        assert peak <= SHELL_BATCH_BYTES + one_peak + kept
 
 
 def traced(call) -> tuple[int, int]:
