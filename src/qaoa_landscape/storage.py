@@ -1,6 +1,9 @@
 """On-disk formats: ensemble and summary JSON, grid and report CSV.
 
-Every file the package writes goes through `_write`.
+Every file the package writes goes through `_write`, which rewrites an
+existing file in place and cuts it to its new length rather than truncating
+it on open.  Nothing is fsynced, so a run killed mid-write leaves a partial
+file; where the old file was longer, its bytes past the new ones remain.
 All floats in CSV are written with 17 significant digits, enough to
 round-trip a double exactly; JSON uses Python's shortest-exact float
 representation.  Writers emit keys in a fixed order so identical inputs
@@ -19,6 +22,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -108,12 +113,22 @@ def _format17g(x: np.ndarray) -> np.ndarray:
 
 
 def _write(path: str | Path, head: str, chunks=()) -> None:
-    """Write head, then each chunk (str lines or bytes of lines), streamed: no whole text held."""
+    """Write head, then each chunk (str lines or bytes of lines), streamed: no whole text held.
+
+    An existing file is rewritten in place, not truncated on open: O_TRUNC would
+    drop every page of it for the kernel to allocate again.  A regular file is
+    then cut to the bytes written, also when a chunk raises; a device such as
+    /dev/null is written as it is.
+    """
     try:
-        with open(path, "wb") as out:
-            out.write(head.encode())
-            for chunk in chunks:
-                out.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+            try:
+                out.write(head.encode())
+                for chunk in chunks:
+                    out.write(chunk.encode() if isinstance(chunk, str) else chunk)
+            finally:
+                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                    out.truncate()
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -425,29 +440,39 @@ def load_summary(path: str | Path) -> StructuralSummary:
 def grid_to_csv(grid: LandscapeGrid, path: str | Path) -> None:
     """One row per lattice point, row-major (beta outer, gamma inner).
 
-    Each axis value is formatted once, the cells by _format17g _CELL_BLOCK floats
-    at a time; a block's lines are laid out in one byte matrix whose zero bytes
-    are dropped, so the text held at any time is one block's.
+    Each axis value is formatted once.  The lines are laid out a tile at a
+    time: as many whole beta rows as hold at most _CELL_BLOCK floats, or runs
+    of one row where a row holds more.  A tile is one (rows, cells, bytes)
+    matrix: each row's beta text broadcast along it, the gamma texts broadcast
+    down the rows, then the cells as _format17g writes them; its zero bytes are
+    dropped, so the text held at any time is one tile's.
     """
-    lattice, width = grid.grid, grid.grid.gamma_steps
-    columns = [np.asarray(c, dtype=np.float64) for c in (grid.values, grid.stddev) if c is not None]
+    lattice = grid.grid
+    columns = [np.asarray(c, dtype=np.float64).reshape(lattice.beta_steps, -1)
+               for c in (grid.values, grid.stddev) if c is not None]
     betas, gammas = (np.array([f"{t}," for t in _texts(axis)], "S")[:, None].view(np.uint8)
                      for axis in (lattice.betas(), lattice.gammas()))
     step = max(_CELL_BLOCK // len(columns), 1)
+    rows, run = max(step // lattice.gamma_steps, 1), min(step, lattice.gamma_steps)
+    axes = betas.shape[1] + gammas.shape[1]  # the bytes before a line's cells
 
-    def blocks():
-        for start in range(0, columns[0].size, step):
-            at = np.arange(start, min(start + step, columns[0].size))
-            cells = _format17g(np.stack([c[at[0] : at[-1] + 1] for c in columns], axis=-1).ravel())
-            cells[:, 31] = ord(",")  # the last byte of a cell, which its text leaves zero
-            cells = cells.reshape(len(at), -1)
-            cells[:, -1] = ord("\n")
-            fields = [betas[at // width], gammas[at % width], cells]
-            text = bytearray(sum(field.nbytes for field in fields))
-            np.concatenate(fields, axis=1, out=np.frombuffer(text, np.uint8).reshape(len(at), -1))
-            yield text.translate(None, b"\0")
+    def tiles():
+        for i in range(0, lattice.beta_steps, rows):
+            for j in range(0, lattice.gamma_steps, run):
+                floats = np.stack([c[i : i + rows, j : j + run] for c in columns], axis=-1)
+                lines = floats.shape[:2]
+                cells = _format17g(floats.ravel())
+                cells[:, 31] = ord(",")  # the last byte of a cell, which its text leaves zero
+                cells = cells.reshape(*lines, -1)
+                cells[..., -1] = ord("\n")
+                text = bytearray(math.prod(lines) * (axes + cells.shape[-1]))
+                tile = np.frombuffer(text, np.uint8).reshape(*lines, -1)
+                tile[..., : betas.shape[1]] = betas[i : i + rows, None]
+                tile[..., betas.shape[1] : axes] = gammas[j : j + run]
+                tile[..., axes:] = cells
+                yield text.translate(None, b"\0")
 
-    _write(path, "beta,gamma,value" + ",stddev" * (len(columns) - 1) + "\n", blocks())
+    _write(path, "beta,gamma,value" + ",stddev" * (len(columns) - 1) + "\n", tiles())
 
 
 def cross_section_to_csv(section: CrossSection, path: str | Path) -> None:

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -265,10 +266,18 @@ class TestGridCsv:
         assert peak < 4 * 2**20
         assert len(path.read_text().splitlines()) == 1 + 90000
 
-    @pytest.mark.parametrize("beta_steps, gamma_steps", [(1, 1), (1, 5000), (5000, 1), (300, 300)])
+    @pytest.mark.parametrize("beta_steps, gamma_steps", [
+        (1, 1), (1, 5000), (5000, 1), (300, 300),
+        # a row of a whole block of cells, and one cell past it, with a value column
+        # (_CELL_BLOCK cells a block) and with stddev too (half as many)
+        (2, storage._CELL_BLOCK), (2, storage._CELL_BLOCK + 1),
+        (3, storage._CELL_BLOCK // 2), (3, storage._CELL_BLOCK // 2 + 1),
+        (7, 300),  # six rows a tile with a value column, three with stddev: 7 leaves one over
+    ])
     @pytest.mark.parametrize("with_stddev", [False, True])
     def test_bytes_of_the_template_writer(self, tmp_path, beta_steps, gamma_steps, with_stddev):
-        # shapes that fill less than a block, cut a beta row, or cut many rows
+        # shapes that fill less than a tile, fill tiles of whole rows with rows to spare,
+        # or split each row into runs with a shorter last run
         rng = np.random.default_rng(beta_steps * 7 + gamma_steps)
         size = beta_steps * gamma_steps
         values = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
@@ -489,6 +498,136 @@ class TestGoldenBytes:
             '{\n "values": [\n  0.0,\n  -0.0,\n  1.0,\n  0.1,\n  0.3333333333333333,\n'
             '  5e-324,\n  1e+300,\n  -2.5\n ],\n "nested": {\n  "n": 3,\n  "none": null\n }\n}\n'
         )
+
+
+class TestInPlaceWrite:
+    """Every writer rewrites an existing file in place, then cuts it to the bytes written."""
+
+    def test_shorter_document_leaves_only_the_new_bytes(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_bytes(b"x" * 100_000)
+        storage.write_json({"n": 3}, path)
+        assert path.read_bytes() == b'{\n "n": 3\n}\n'
+
+    @pytest.mark.parametrize("existing", [None, b"x" * 100_000], ids=["new", "longer"])
+    def test_raising_chunks_leave_the_bytes_written(self, tmp_path, existing):
+        def chunks():
+            yield "a,1\n"
+            yield b"b,2\n" * 10_000  # past the write buffer: part of it is on disk already
+            raise ValueError("no more rows")
+
+        path = tmp_path / "t.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(ValueError, match="no more rows"):
+            storage._write(path, "k,v\n", chunks())
+        assert path.read_bytes() == b"k,v\na,1\n" + b"b,2\n" * 10_000
+
+    def test_opens_without_truncating(self, tmp_path, monkeypatch):
+        flags, real_open = [], os.open
+
+        def spy(path, flag, *mode):
+            flags.append(flag)
+            return real_open(path, flag, *mode)
+
+        monkeypatch.setattr(os, "open", spy)
+        storage.write_json([1], tmp_path / "d.json")
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC and flags[0] & os.O_CREAT
+
+    def test_a_hard_link_sees_the_new_bytes(self, tmp_path):
+        path, link = tmp_path / "d.json", tmp_path / "link.json"
+        path.write_bytes(b"x" * 5000)
+        os.link(path, link)
+        storage.write_json([1, 2], path)
+        assert link.read_bytes() == path.read_bytes() == b"[\n 1,\n 2\n]\n"
+        assert path.stat().st_ino == link.stat().st_ino and path.stat().st_nlink == 2
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "d.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * 5000)
+        link.symlink_to(target)
+        storage.write_json([1], link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"[\n 1\n]\n"
+
+    def test_gen_to_dev_null_exits_0(self, capsys):
+        argv = ["gen", "--family", "uniform", "--n", "5", "--count", "3", "--t-size", "4"]
+        assert cli.main(argv + ["--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_a_new_file_has_the_mode_of_open_wb(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "ref", "wb"):
+                pass
+            storage.write_json([], tmp_path / "new.json")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "ref").stat().st_mode
+
+    @pytest.mark.parametrize("mode", [0o600, 0o755])
+    def test_an_existing_file_keeps_its_mode(self, tmp_path, mode):
+        path = tmp_path / "d.json"
+        path.write_bytes(b"x" * 5000)
+        path.chmod(mode)
+        storage.write_json([], path)
+        assert stat.S_IMODE(path.stat().st_mode) == mode and path.read_bytes() == b"[]\n"
+
+
+@pytest.fixture(scope="module")
+def rewrite_inputs(tmp_path_factory):
+    """A ten-instance and a two-instance ensemble, and each one's summary, for the rewrite runs."""
+    root = tmp_path_factory.mktemp("inputs")
+    for name, flags in (("ten", ["--n", "8", "--count", "10", "--t-size", "20"]),
+                        ("two", ["--n", "4", "--count", "2", "--t-size", "5"])):
+        assert cli.main(["gen", "--family", "uniform", *flags, "--seed", "5",
+                         "--out", str(root / f"{name}.json")]) == 0
+        assert cli.main(["summarize", "--ensemble", str(root / f"{name}.json"),
+                         "--out", str(root / f"{name}_s.json")]) == 0
+    return root
+
+
+# each command's longer run, then its shorter one into the same paths; {in} is the inputs
+REWRITES = {
+    "gen": [["gen", "--family", "uniform", "--n", "6", "--t-size", "9", "--count", count,
+             "--out", "e.json"] for count in ("20", "2")],
+    "summarize": [["summarize", "--ensemble", f"{{in}}/{name}.json", "--out", "s.json"]
+                  for name in ("ten", "two")],
+    "optimize": [["optimize", "--ensemble", f"{{in}}/{name}.json", "--instance", "0",
+                  "--out", "o.json"] for name in ("ten", "two")],
+    "landscape-ensemble": [["landscape", "--ensemble", f"{{in}}/{name}.json", "--grid", grid,
+                            "--out-prefix", "p"] for name, grid in (("ten", "100x100"),
+                                                                   ("two", "30x30"))],
+    "landscape-summary": [["landscape", "--summary", f"{{in}}/{name}_s.json", "--grid", grid,
+                           "--gamma-c", "1.2", "--out-prefix", "p"]
+                          for name, grid in (("ten", "100x100"), ("two", "30x30"))],
+    "compare": [["compare", "--ensemble", f"{{in}}/{name}.json", "--shots", "10",
+                 "--out-prefix", "run"] for name in ("ten", "two")],
+    "sat-alpha": [["sat-alpha", "--n", "5", "--alphas", "1,2", "--count", count, "--shots", "5",
+                   "--out-prefix", "sa"] for count in ("6", "2")],
+}
+
+
+@pytest.mark.parametrize("command", list(REWRITES))
+def test_rewrite_over_longer_files_matches_a_fresh_run(tmp_path, monkeypatch, rewrite_inputs,
+                                                       command):
+    longer, shorter = ([arg.replace("{in}", str(rewrite_inputs)) for arg in argv]
+                       for argv in REWRITES[command])
+    over, fresh = tmp_path / "over", tmp_path / "fresh"
+    over.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(over)  # relative output paths: compare's config is alike in both
+    assert cli.main(longer) == 0
+    sizes = {path.name: path.stat().st_size for path in over.iterdir()}
+    assert cli.main(shorter) == 0
+    monkeypatch.chdir(fresh)
+    assert cli.main(shorter) == 0
+    files = sorted(path.name for path in fresh.iterdir())
+    assert files == sorted(sizes)
+    assert all((over / name).read_bytes() == (fresh / name).read_bytes() for name in files)
+    growth = [(fresh / name).stat().st_size - size for name, size in sizes.items()]
+    assert max(growth) <= 0 and min(growth) < 0  # no file grew, and old bytes were cut
 
 
 class TestCli:
