@@ -2,8 +2,11 @@
 
 Every file the package writes goes through `_write`, which rewrites an
 existing file in place and cuts it to its new length rather than truncating
-it on open.  Nothing is fsynced, so a run killed mid-write leaves a partial
-file; where the old file was longer, its bytes past the new ones remain.
+it on open.  A run killed mid-write over a longer file leaves the new bytes
+followed by the old file's tail, and that mix can read as a well-formed file
+(a grid CSV of the same shape, or an ensemble of the same width): rerun the
+command, or remove its outputs first, after an interrupted run.  Nothing is
+fsynced.
 All floats in CSV are written with 17 significant digits, enough to
 round-trip a double exactly; JSON uses Python's shortest-exact float
 representation.  Writers emit keys in a fixed order so identical inputs
@@ -117,18 +120,22 @@ def _write(path: str | Path, head: str, chunks=()) -> None:
 
     An existing file is rewritten in place, not truncated on open: O_TRUNC would
     drop every page of it for the kernel to allocate again.  A regular file is
-    then cut to the bytes written, also when a chunk raises; a device such as
-    /dev/null is written as it is.
+    then cut where the descriptor stands, also when a chunk or a write raises;
+    the cut never flushes, so a failed write cannot keep it from running, and
+    what the buffer still holds lands after the cut when the file is closed.  A
+    device such as /dev/null is written as it is.
     """
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as out:
             try:
                 out.write(head.encode())
                 for chunk in chunks:
                     out.write(chunk.encode() if isinstance(chunk, str) else chunk)
+                out.flush()
             finally:
-                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                    out.truncate()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 

@@ -5,7 +5,9 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -522,6 +524,25 @@ class TestInPlaceWrite:
         with pytest.raises(ValueError, match="no more rows"):
             storage._write(path, "k,v\n", chunks())
         assert path.read_bytes() == b"k,v\na,1\n" + b"b,2\n" * 10_000
+
+    def test_a_failing_write_still_cuts_the_file(self, tmp_path):
+        # a file size limit makes the kernel refuse writes past 100 kB with EFBIG, as a full
+        # disk would with ENOSPC.  The lines are short, so the buffer still holds some when
+        # the write fails: the cut must run without flushing them, and leave no old byte
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x" * 400_000)
+        text = b"".join(b"%d,%d\n" % (i, i * i) for i in range(20_000))  # about 240 kB
+        limit = 100_000
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+        try:
+            with pytest.raises(UsageError, match="cannot write .*t.csv"):
+                storage._write(path, "k,v\n", text.splitlines(keepends=True))
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.read_bytes() == (b"k,v\n" + text)[:limit]
 
     def test_opens_without_truncating(self, tmp_path, monkeypatch):
         flags, real_open = [], os.open
