@@ -9,13 +9,12 @@ and give the same values:
   states, one pass per qubit, O(n^2 2^n) integer adds made in place, for a
   batch of same-width target sets in one table with the set axis innermost,
   and yields each set's columns of the table in the table's own narrow
-  integer type, never widened.  A batch's table holds at most
-  `SHELL_BATCH_BYTES` unless one set's table alone is larger;
-  `shell_profiles` is the batch of one.
+  integer type, never widened.
 
-`distance_profiles` runs the one that `profile_route` picks from n and |T|
-alone.  The package reads its result as it is; only tests widen it to int64
-for an int64 oracle.  `apply_mixer` serves only the statevector oracle.
+`profiles` is the one place that picks each set's route, by `profile_route`
+from n and |T| alone, and the sets that share a shell table; the package
+reads its results as they are.  `distance_profiles` runs it on one set.
+`apply_mixer` serves only the statevector oracle.
 """
 
 import math
@@ -46,14 +45,39 @@ def profile_route(n: int, m: int) -> str:
     return PAIRWISE_ROUTE
 
 
-def distance_profiles(states: np.ndarray, n: int) -> np.ndarray:
-    """(m, n+1) profile matrix of m distinct states, by the cheaper route.
+def profiles(sets: list[np.ndarray], n: int):
+    """(i, profile matrix of sets[i]) for every set of distinct n-bit states, each i once.
 
-    int64 from the pairwise route; the shell table's narrow type from shells.
+    A pairwise-route set is yielded when met.  Consecutive shell-route sets,
+    pairwise ones skipped, share a `shell_batch` table of at most
+    SHELL_BATCH_BYTES; a set whose table alone is larger runs alone.  A
+    consumer that drops each matrix before the next holds one gather at most.
     """
-    if profile_route(n, len(states)) == SHELL_ROUTE:
-        return shell_profiles(states, n)
-    return pairwise_profiles(states, n)
+    batch: list[int] = []  # shell-route sets waiting for one table, of at most `largest` states
+    for i, states in enumerate(sets):
+        m = len(states)
+        if profile_route(n, m) == PAIRWISE_ROUTE:
+            yield i, pairwise_profiles(states, n)
+            continue
+        if batch and shell_table_bytes(n, len(batch) + 1, max(largest, m)) > SHELL_BATCH_BYTES:
+            yield from _shared_table(sets, batch, n)
+            batch = []
+        largest = max(largest, m) if batch else m
+        batch.append(i)
+    if batch:
+        yield from _shared_table(sets, batch, n)
+
+
+def _shared_table(sets: list[np.ndarray], batch: list[int], n: int):
+    """(i, profiles of sets[i]) for each i of batch, from one table; no gather held here."""
+    gathers = shell_batch([sets[i] for i in batch], n)
+    for i in batch:
+        yield i, next(gathers)
+
+
+def distance_profiles(states: np.ndarray, n: int) -> np.ndarray:
+    """(m, n+1) profile matrix of m distinct states: int64, or the shell table's narrow type."""
+    return next(profiles([states], n))[1]
 
 
 def pairwise_profiles(states: np.ndarray, n: int) -> np.ndarray:
@@ -80,11 +104,6 @@ def shell_table_bytes(n: int, count: int, largest: int) -> int:
 def _table_type(m: int):
     """The narrowest signed integer type that holds m: no shell count exceeds its set's size."""
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
-
-
-def shell_profiles(states: np.ndarray, n: int) -> np.ndarray:
-    """(m, n+1) matrix equal in value to `pairwise_profiles(states, n)`: a batch of one."""
-    return next(shell_batch([states], n))
 
 
 def shell_batch(batch: list[np.ndarray], n: int):

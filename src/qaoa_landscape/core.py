@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -112,35 +113,17 @@ def _mean_pair(profiles: np.ndarray) -> np.ndarray:
 
 
 def cache_mean_pairs(spaces: list[TargetSpace]) -> None:
-    """Fill the mean_pair cache of every space that takes the shell route and lacks it.
+    """Fill the mean_pair cache of every space that lacks it, from `_kernels.profiles`.
 
-    Consecutive such spaces of one width share a shell table
-    (`_kernels.shell_batch`) of at most `_kernels.SHELL_BATCH_BYTES`; a space
-    whose table alone is larger runs alone.  Each matrix keeps the bits its
-    space computes alone, since the counts are exact integers.  Every other
-    space is left to compute its own on first use.
+    Consecutive spaces of one width go to it together.  Each matrix keeps the
+    bits its space computes alone, since the counts are exact integers.
     """
-    batch: list[TargetSpace] = []
-    largest = 0
-    for space in spaces:
-        n, m = space.n, len(space)
-        if "mean_pair" in vars(space) or _kernels.profile_route(n, m) != _kernels.SHELL_ROUTE:
-            continue
-        if batch and (batch[0].n != n or _kernels.shell_table_bytes(
-                n, len(batch) + 1, max(largest, m)) > _kernels.SHELL_BATCH_BYTES):
-            _cache_batch(batch)
-            batch, largest = [], 0
-        batch.append(space)
-        largest = max(largest, m)
-    if batch:
-        _cache_batch(batch)
-
-
-def _cache_batch(batch: list[TargetSpace]) -> None:
-    """One shell table for the batch; each gather is summed and dropped before the next."""
-    profiles = _kernels.shell_batch([space.states for space in batch], batch[0].n)
-    for space in batch:
-        vars(space)["mean_pair"] = _mean_pair(next(profiles))  # the cached_property's own slot
+    cold = [space for space in spaces if "mean_pair" not in vars(space)]
+    for n, run in groupby(cold, lambda space: space.n):
+        same = list(run)
+        for i, profiles in _kernels.profiles([space.states for space in same], n):
+            vars(same[i])["mean_pair"] = _mean_pair(profiles)  # the cached_property's own slot
+            del profiles  # held, it would sit beside the next gather or table
 
 
 def exact_pair_sums(profiles: np.ndarray) -> np.ndarray:

@@ -15,9 +15,9 @@ produce byte-identical files.
 `load_ensemble` reads a file in `save_ensemble`'s layout by a typed route:
 every target list of the file is checked and parsed to int64 in a fixed
 number of numpy calls (`_typed_document`), and only the rest goes through
-json.loads.  Any other file, and one whose target lists are short, goes
-whole through json.loads, which is also the oracle the typed route is
-tested against.
+json.loads.  Any other file, and one whose target lists are short or do
+not strictly ascend as save_ensemble writes them, goes whole through
+json.loads, which is also the oracle the typed route is tested against.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def ensemble_from_dict(data: dict) -> Ensemble:
         if instance_id in seen_ids:
             raise UsageError(f"{where}: duplicate instance id {instance_id}")
         seen_ids.add(instance_id)
-        if not isinstance(targets, (list, np.ndarray)):  # an array: the typed reader's, sorted
+        if not isinstance(targets, (list, np.ndarray)):  # an array: the typed reader's, ascending
             raise UsageError(f"{where}: targets must be a JSON list")
         try:
             target = TargetSpace(n, targets if isinstance(targets, np.ndarray) else sorted(targets))
@@ -242,6 +242,10 @@ def _value(value) -> str:
 
 
 _TARGET_BLOCK = 1 << 16  # targets per chunk of an ensemble file: O(block) Python ints and strs
+_TARGETS_KEY = '\n   "targets": '  # then a target list, as indent=1 JSON writes it
+_TARGETS_OPEN = _TARGETS_KEY + "[\n    "
+_TARGETS_SEP = ",\n    "
+_TARGETS_CLOSE = "\n   ]"
 
 
 def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
@@ -259,13 +263,12 @@ def save_ensemble(ensemble: Ensemble, path: str | Path) -> None:
 
     def chunks():
         for i, inst in enumerate(ensemble.instances):
-            opening = f'\n  {{\n   "id": {_value(inst.id)},\n   "targets": [\n    '
-            yield ("," if i else "") + opening
+            yield ("," if i else "") + f'\n  {{\n   "id": {_value(inst.id)},' + _TARGETS_OPEN
             states = inst.target.states
             for start in range(0, len(states), _TARGET_BLOCK):
-                text = ",\n    ".join(map(str, states[start : start + _TARGET_BLOCK].tolist()))
-                yield (",\n    " if start else "") + text
-            yield f'\n   ],\n   "meta": {_value(inst.meta)}\n  }}'
+                text = _TARGETS_SEP.join(map(str, states[start : start + _TARGET_BLOCK].tolist()))
+                yield (_TARGETS_SEP if start else "") + text
+            yield _TARGETS_CLOSE + f',\n   "meta": {_value(inst.meta)}\n  }}'
         yield "\n ]\n}\n" if ensemble.instances else "]\n}\n"
 
     _write(path, "{\n" + head + ' "instances": [', chunks())
@@ -281,10 +284,6 @@ def load_ensemble(path: str | Path) -> Ensemble:
     return ensemble_from_dict(_read_json(path, text) if data is None else data)
 
 
-_TARGETS_KEY = '\n   "targets": '  # then save_ensemble's list: "[", the opener's indent, ...
-_TARGETS_OPEN = _TARGETS_KEY + "[\n    "
-_TARGETS_SEP = ",\n    "
-_TARGETS_CLOSE = "\n   ]"
 _MAX_DIGITS = 10  # 2^32 - 1 has 10 digits: a state of n <= 32 bits never has more
 # fewest characters of file per target list for the typed route: below it json.loads is as
 # fast, as the typed route's fixed numpy calls (about 40 us a file) and its Python work per
@@ -302,16 +301,18 @@ def _typed_document(text: str) -> dict | None:
     numpy: digits only, no leading zero, at most _MAX_DIGITS digits, one token more
     than separators; np.fromstring would accept all of "01", "+1", "1 ,2" and
     "1,2," and clamp an out-of-range token to 2^63 - 1.  Then one np.fromstring
-    parses them all.  The rest of text, each list replaced by NaN, goes to
-    json.loads, so every other value keeps json's checks; a text holding
-    "NaN" anywhere, or whose NaNs do not land as the instances' targets one
-    for one, is not in the layout.  A None leaves the whole text to json.loads
-    and ensemble_from_dict, so every refusal keeps its message.
+    parses them all, np.split cuts them by each block's token count, and a list
+    that does not strictly ascend is not in the layout.  The rest of text, each
+    list replaced by NaN, goes to json.loads, so every other value keeps json's
+    checks; a text holding "NaN" anywhere, or whose NaNs do not land as the
+    instances' targets one for one, is not in the layout.  A None leaves the
+    whole text to json.loads and ensemble_from_dict: every refusal keeps its message.
     """
     lists = text.count(_TARGETS_OPEN)
     if not lists or len(text) < lists * _TYPED_MIN_CHARS:
         return None
     blocks = []  # each target block's first and past-the-end offsets in text
+    tokens = []  # each block's tokens: one more than its separators
     opener = text.find(_TARGETS_OPEN)
     while opener >= 0:
         start = opener + len(_TARGETS_OPEN)
@@ -319,6 +320,7 @@ def _typed_document(text: str) -> dict | None:
         if end < start or not text.startswith(_TARGETS_CLOSE, end):
             return None
         blocks.append((start, end))
+        tokens.append(text.count(_TARGETS_SEP, start, end) + 1)
         opener = text.find(_TARGETS_OPEN, end)
     body = _TARGETS_SEP.join([text[start:end] for start, end in blocks])
     if not body.isascii():
@@ -327,7 +329,7 @@ def _typed_document(text: str) -> dict | None:
     raw = np.frombuffer(body, np.uint8)
     commas = np.flatnonzero(raw == ord(","))
     # each comma starts a separator and every other byte is a digit
-    if (body.count(_TARGETS_SEP.encode()) != len(commas)
+    if (sum(tokens) - 1 != len(commas)
             or raw.size - np.count_nonzero(raw - ord("0") < 10) != len(commas) * len(_TARGETS_SEP)):
         return None
     starts = np.concatenate(([0], commas + len(_TARGETS_SEP)))  # each token's first byte
@@ -335,18 +337,14 @@ def _typed_document(text: str) -> dict | None:
     if (lengths.min() < 1 or lengths.max() > _MAX_DIGITS
             or np.count_nonzero((raw[starts] == ord("0")) & (lengths > 1))):
         return None
-    # block j starts in body after the bytes of blocks 0..j-1 and j separators; the commas
-    # before that offset, one per token, are the index of its first token
-    edges = np.array(blocks[:-1]).reshape(-1, 2)
-    cuts = np.searchsorted(commas, np.cumsum(edges[:, 1] - edges[:, 0] + len(_TARGETS_SEP)))
     del raw, commas, starts, lengths  # each as large as the targets: gone before the parse
     values = np.fromstring(body, dtype=np.int64, sep=",")
     del body
+    cuts = np.cumsum(tokens[:-1], dtype=np.int64)  # where each block after the first starts
     rises = values[1:] > values[:-1]
     rises[cuts - 1] = True  # a block's first value is not compared with the last block's
-    if not rises.all():  # sort each block, as sorted() does on the other route
-        owner = np.repeat(np.arange(len(blocks)), np.diff(cuts, prepend=0, append=len(values)))
-        values = values[np.lexsort((values, owner))]
+    if not rises.all():  # json.loads and sorted() give the same ensemble, or the same refusal
+        return None
     # each list, from its "[" to its "]", becomes NaN
     kept = [0]  # the first and past-the-end offsets of the text around the lists
     for start, end in blocks:
@@ -361,12 +359,11 @@ def _typed_document(text: str) -> dict | None:
     instances = data.get("instances") if isinstance(data, dict) else None
     if not isinstance(instances, list) or len(instances) != len(blocks):
         return None
-    bounds = [0, *cuts.tolist(), len(values)]
-    for i, instance in enumerate(instances):
+    for instance, targets in zip(instances, np.split(values, cuts)):
         marker = instance.get("targets") if isinstance(instance, dict) else None
         if not (isinstance(marker, float) and math.isnan(marker)):
             return None
-        instance["targets"] = values[bounds[i] : bounds[i + 1]]
+        instance["targets"] = targets
     return data
 
 

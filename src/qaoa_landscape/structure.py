@@ -102,17 +102,15 @@ def _check_counts(array: np.ndarray, top: np.ndarray, name: str) -> None:
 def aggregate(spaces: list[TargetSpace]) -> StructuralSummary:
     """Average the statistics of target spaces into an ensemble summary.
 
-    The shell-route spaces that lack a mean_pair get it first, a batch of
-    same-width spaces per shell table (`cache_mean_pairs`), so the peak is
-    one batch's table, at most `_kernels.SHELL_BATCH_BYTES` (a larger single
-    table runs alone), plus one space's gather and pair sums, whatever the
-    count.  The spaces' mean_pair matrices are then summed in order and
-    divided by the count once: the bits of np.mean over the stacked
-    matrices (numpy sums a leading axis row by row), and e_profile is row 0
-    of the result.  No stack is built, but each space keeps its cached
-    mean_pair, (n+1)^2 floats, after the sum, for `LandscapeForm.of` to
-    read: 223 MiB over 2*10^5 spaces at n = 10 (ROADMAP item 3 would drop
-    that cache).
+    The spaces that lack a mean_pair get it first (`cache_mean_pairs`), so
+    the peak is one shared shell table plus one space's gather and pair
+    sums, whatever the count.  The spaces' mean_pair matrices are then
+    summed in order and divided by the count once: the bits of np.mean over
+    the stacked matrices (numpy sums a leading axis row by row), and
+    e_profile is row 0 of the result.  No stack is built, but each space
+    keeps its cached mean_pair, (n+1)^2 floats, after the sum, for
+    `LandscapeForm.of` to read: 223 MiB over 2*10^5 spaces at n = 10
+    (ROADMAP item 3 would drop that cache).
     """
     if not spaces:
         raise UsageError("cannot aggregate an empty list of target spaces")

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from functools import reduce
 from itertools import combinations, islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,15 +15,22 @@ from qaoa_landscape._kernels import (
     SHELL_BATCH_BYTES,
     SHELL_ROUTE,
     apply_mixer,
+    distance_profiles,
     pairwise_profiles,
     profile_route,
+    profiles,
     shell_batch,
-    shell_profiles,
     shell_table_bytes,
 )
 
 from conftest import random_space
 from profile_oracle import distance_profile
+
+
+def shell_profiles(states, n):
+    """The shell route's profile matrix of one set: a batch of one."""
+    return next(shell_batch([states], n))
+
 
 PROFILE_KERNELS = [pairwise_profiles, shell_profiles]
 
@@ -171,8 +179,8 @@ class TestShellBatch:
         assert shell_table_bytes(16, 1, 1 << 15) > SHELL_BATCH_BYTES
 
     def test_batches_cut_by_the_cap(self, rng, monkeypatch):
-        # 19 int16 tables of n = 12 fit the cap; shell-route spaces of another width, a
-        # pairwise space and a cached one split or skip batches, and n = 16 runs alone
+        # one width at a time: 19 int16 tables of n = 12 fit the cap, and a pairwise space
+        # and a cached one among them cut no batch; n = 11 and n = 16 (past the cap) run alone
         batches = []
         batch_kernel = _kernels.shell_batch
 
@@ -183,20 +191,98 @@ class TestShellBatch:
         dense = [random_space(rng, 12, int(m)) for m in rng.integers(900, 4096, size=25)]
         cached = random_space(rng, 12, 2048)
         cached.mean_pair
-        spaces = [*dense[:20], random_space(rng, 12, 3), cached, random_space(rng, 11, 2000),
-                  *dense[20:], random_space(rng, 16, 1 << 15)]
+        widths = [[*dense[:20], random_space(rng, 12, 3), cached, *dense[20:]],
+                  [random_space(rng, 11, 2000)], [random_space(rng, 16, 1 << 15)]]
         monkeypatch.setattr(_kernels, "shell_batch", recorded)
-        cache_mean_pairs(spaces)
-        assert [(n, len(sizes)) for n, sizes in batches] == [(12, 19), (12, 1), (11, 1), (12, 5),
-                                                             (16, 1)]
+        for spaces in widths:
+            cache_mean_pairs(spaces)
+        assert [(n, len(sizes)) for n, sizes in batches] == [(12, 19), (12, 6), (11, 1), (16, 1)]
         assert all(shell_table_bytes(n, len(sizes), max(sizes)) <= SHELL_BATCH_BYTES
                    for n, sizes in batches[:-1])
         monkeypatch.setattr(_kernels, "shell_batch", batch_kernel)
-        for space in spaces:
+        for space in sum(widths, []):
             alone = TargetSpace(space.n, space.states).mean_pair
-            if space is not spaces[20]:  # the pairwise space computes its own on first use
-                assert "mean_pair" in vars(space)
+            assert "mean_pair" in vars(space)
             assert np.array_equal(space.mean_pair.view(np.uint64), alone.view(np.uint64))
+
+    def test_no_cold_space_calls_no_kernel(self, rng, monkeypatch):
+        warm = random_space(rng, 12, 2048)
+        warm.mean_pair
+        for name in ("shell_batch", "pairwise_profiles"):
+            monkeypatch.setattr(_kernels, name, None)  # a call would raise
+        cache_mean_pairs([])
+        cache_mean_pairs([warm])
+
+
+@st.composite
+def route_mixes(draw):
+    """Sets of one width n <= 10 on both routes, and a cap of a few tables or less.
+
+    The sizes cross the int8/int16 boundary (128 targets take the shell route
+    at n = 7); the cap sits at, or one byte either side of, k int8 tables.
+    """
+    n = draw(st.integers(5, 10))
+    size = st.integers(1, 1 << n) | st.sampled_from([min(127, 1 << n), min(128, 1 << n)])
+    sizes = draw(st.lists(size, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cap = draw(st.integers(0, 6)) * ((n + 1) << n) + draw(st.sampled_from([-1, 0, 1]))
+    return n, [random_states(rng, n, m) for m in sizes], cap
+
+
+class TestProfiles:
+    """`profiles` yields every set's matrix once, and shares tables as its docstring says."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(route_mixes())
+    def test_each_set_once_with_pairwise_values(self, case):
+        n, sets, cap = case
+        batches = []
+
+        def recorded(batch, n):
+            batches.append([next(i for i, s in enumerate(sets) if s is states) for states in batch])
+            return shell_batch(batch, n)
+
+        with mock.patch.object(_kernels, "SHELL_BATCH_BYTES", cap), \
+                mock.patch.object(_kernels, "shell_batch", recorded):
+            order = []
+            for i, got in profiles(sets, n):
+                shells = profile_route(n, len(sets[i])) == SHELL_ROUTE
+                batch = batches[-1] if shells else [i]
+                assert i in batch and (shells or max(order, default=-1) < i)  # pairwise: when met
+                want = table_type(max(len(sets[j]) for j in batch)) if shells else np.int64
+                assert got.dtype == want
+                assert np.array_equal(got, pairwise_profiles(sets[i], n))
+                order.append(i)
+        assert sorted(order) == list(range(len(sets)))
+        # the batches are the shell-route sets in order, each as long as the cap allows
+        assert sum(batches, []) == [i for i, s in enumerate(sets)
+                                    if profile_route(n, len(s)) == SHELL_ROUTE]
+        widths = [[len(sets[i]) for i in batch] for batch in batches]
+        for sizes, after in zip(widths, [*widths[1:], None]):
+            assert len(sizes) == 1 or shell_table_bytes(n, len(sizes), max(sizes)) <= cap
+            if after is not None:
+                assert shell_table_bytes(n, len(sizes) + 1, max(*sizes, after[0])) > cap
+
+    def test_a_consumer_that_drops_each_matrix_holds_one_gather(self, rng):
+        # two full n = 12 spaces share one int16 table of two gathers' bytes: a gather held
+        # by the kernel while the next is built would add half the table again
+        n = 12
+        sets = [random_states(rng, n, 1 << n) for _ in range(2)]
+        gather = (n + 1) * 2 << n
+        table = 2 * gather
+
+        def consume():
+            for _, got in profiles(sets, n):
+                del got
+
+        assert traced_peak(consume) <= 1.1 * (table + gather)
+
+    def test_one_set_is_distance_profiles(self, rng):
+        for n, m in ((6, 9), (10, 600)):  # one set on each route
+            states = random_states(rng, n, m)
+            (i, got), = profiles([states], n)
+            want = distance_profiles(states, n)
+            assert i == 0 and got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestProfileRoute:
@@ -236,7 +322,8 @@ class TestKernelMemory:
         table = (n + 1) * (1 << n) * 4
         gathered = (n + 1) * m * 4
         result = (n + 1) * m * 8
-        assert traced_peak(shell_profiles, states, n) <= 1.1 * (table + gathered + result)
+        assert profile_route(n, m) == SHELL_ROUTE
+        assert traced_peak(distance_profiles, states, n) <= 1.1 * (table + gathered + result)
 
     def test_mean_pair_reads_the_narrow_table(self, rng):
         # m = 2^15 - 1 holds an int16 table: the pair sums read its gather

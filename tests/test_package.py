@@ -72,3 +72,14 @@ def test_a_failing_hypothesis_test_is_reported(tmp_path):
                            "test_probe.py"], cwd=tmp_path, capture_output=True, text=True, check=False)
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout, done.stdout
+
+
+KERNEL_POLICY = ["SHELL_BATCH_BYTES", "shell_table_bytes", "SHELL_ROUTE", "PAIRWISE_ROUTE",
+                 "shell_batch", "profile_route"]
+
+
+def test_only_the_kernels_name_a_profile_route_or_the_table_cap():
+    # `_kernels.profiles` is the one owner of the route and of which sets share a shell table
+    named = {path.name: [name for name in KERNEL_POLICY if name in path.read_text()]
+             for path in PACKAGE_DIR.glob("*.py") if path.name != "_kernels.py"}
+    assert {module: names for module, names in named.items() if names} == {}

@@ -1652,8 +1652,9 @@ class TestTypedReader:
         loaded = both_routes(tmp_path / "e.json")
         assert loaded[4] == [(i.id, i.target.states.tolist(), i.meta) for i in ensemble.instances]
 
-    # (block text, whether the typed route may read it): a block np.fromstring would misread
-    # goes to json.loads; one it reads right takes the typed route and the same checks
+    # (block text, whether the typed route may read it): a block np.fromstring would misread,
+    # or one that does not strictly ascend, goes to json.loads; one it reads right takes the
+    # typed route and the same checks
     @pytest.mark.parametrize("block, typed", [
         ("01,\n    6", False),
         ("+1,\n    6", False),
@@ -1670,8 +1671,8 @@ class TestTypedReader:
         ("1.0", False),
         ("true", False),
         ("1,\n    \\u0036", False),
-        ("6,\n    1", True),
-        ("1,\n    1", True),
+        ("6,\n    1", False),
+        ("1,\n    1", False),
         ("1,\n    8", True),
         ("4294967295", True),
         ("0", True),
@@ -1685,12 +1686,13 @@ class TestTypedReader:
         both_routes(path)
 
     def test_unsorted_blocks_sorted_each_alone(self, tmp_path):
-        # the second block descends, and each block starts below where the one before ends
+        # the second block descends, and each block starts below where the one before ends:
+        # the file goes to json.loads, whose sorted() gives each block alone
         instances = [{"id": i, "targets": t, "meta": None}
                      for i, t in enumerate(([5, 2], [7, 1, 3], [0], [6, 4]))]
         path = tmp_path / "e.json"
         path.write_text(json.dumps(GOOD_ENSEMBLE | {"instances": instances}, indent=1))
-        assert typed_route_taken(path)
+        assert not typed_route_taken(path)
         got = both_routes(path)
         assert [states for _, states, _ in got[4]] == [[2, 5], [1, 3, 7], [0], [4, 6]]
 
